@@ -41,6 +41,7 @@ from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     SemigroupTable,
+    apery_set,
     check_conditions,
     construct_generators,
     frobenius_and_gaps,

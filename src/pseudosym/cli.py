@@ -193,21 +193,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ParameterError(f"--{flag}: expected LO:HI or an integer, got {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
     config = SweepConfig(
-        alpha1=_parse_range(args.alpha1),
-        alpha2=_parse_range(args.alpha2),
-        alpha3=_parse_range(args.alpha3),
-        alpha4=_parse_range(args.alpha4),
-        alpha21=_parse_range(args.alpha21),
+        **{key: _parse_range(key, getattr(args, key)) for key in pipeline.ALPHA_KEYS},
         require_sorted=not args.allow_unsorted,
         require_c4=not args.allow_small_alpha2,
         k_filter=args.k,

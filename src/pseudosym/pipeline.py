@@ -10,6 +10,7 @@ loudly to fail; a report with an empty list is fully cross-validated.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
@@ -269,6 +270,8 @@ class SweepConfig:
             raise ParameterError("alpha ranges must start at 2 or above")
         if self.alpha21[0] < 1:
             raise ParameterError("alpha21 range must start at 1 or above")
+        if self.jobs < 1:
+            raise ParameterError(f"jobs >= 1 violated (jobs={self.jobs})")
 
 
 def iter_sweep(config: SweepConfig) -> Iterator[PseudoSymmetricParams]:
@@ -312,8 +315,9 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
         for p in iter_sweep(config)
     ]
     jobs = [(values, config.max_level) for values in tuples]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, jobs))
     else:
         reports = [_sweep_worker(job) for job in jobs]

@@ -2,16 +2,22 @@
 
 The constructor realizes the 4-generator parametrization of pseudo-symmetric
 semigroups from the parameters (alpha1..alpha4, alpha21).  Everything else in
-this module is deliberately independent of the polynomial machinery: the
-membership/order tables, the gap enumeration, the pseudo-symmetry test and
-the order-counting Hilbert oracle are plain dynamic programming over the
-generators, so they can arbitrate results produced by the algebraic route.
+this module is deliberately independent of the polynomial machinery, so it
+can arbitrate results produced by the algebraic route.  One kernel answers
+every semigroup question: the Apery set Ap(S, m) of the smallest generator m
+gives the Frobenius number, the gaps, the genus, the pseudo-symmetry test and,
+through per-level residue minima, the order-counting Hilbert oracle.  The
+membership/order table is kept as the brute-force dynamic-programming
+reference that the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from .errors import ParameterError
 
@@ -137,67 +143,90 @@ def membership_table(S: NumericalSemigroup, bound: int) -> SemigroupTable:
     return SemigroupTable(bound, member, order)
 
 
-def _table_with_conductor(S: NumericalSemigroup) -> tuple[SemigroupTable, int]:
-    """Table large enough to certify completeness, plus the conductor.
+def apery_set(S: NumericalSemigroup) -> list[int]:
+    """Ap(S, m) for the smallest generator m, indexed by residue.
 
-    A run of min(generators) consecutive members certifies that everything
-    beyond the run start is a member; the bound doubles until one appears.
+    Entry r is the least element of S congruent to r mod m.  It is found by
+    Dijkstra over the m residues, with an edge r -> (r + g) mod m of weight g
+    for every generator g.
     """
     if S.gcd() != 1:
         raise ParameterError(f"gcd of generators must be 1 (got {S.gcd()})")
-    n_min = min(S.generators)
-    bound = 2 * max(S.generators)
-    while True:
-        table = membership_table(S, bound)
-        run = 0
-        for s in range(bound + 1):
-            run = run + 1 if table.member[s] else 0
-            if run == n_min:
-                return table, s - n_min + 1
-        bound *= 2
+    m = min(S.generators)
+    ap = [0] + [math.inf] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d > ap[r]:
+            continue
+        for g in S.generators:
+            e = d + g
+            t = e % m
+            if e < ap[t]:
+                ap[t] = e
+                heapq.heappush(heap, (e, t))
+    return ap
+
+
+def _gaps(ap: list[int]) -> Iterator[int]:
+    """The gaps, residue class by residue class: x is a gap iff x < Ap[x mod m]."""
+    m = len(ap)
+    return chain.from_iterable(range(r, a, m) for r, a in enumerate(ap))
 
 
 def frobenius_and_gaps(S: NumericalSemigroup) -> tuple[int, list[int]]:
-    """Largest non-member and the full sorted gap list.
+    """Largest non-member (max Ap - m) and the full sorted gap list.
 
     For ⟨1⟩-like inputs with no gaps the Frobenius number is reported as -1.
     """
-    table, conductor = _table_with_conductor(S)
-    gaps = [s for s in range(conductor) if not table.member[s]]
-    return (gaps[-1] if gaps else -1), gaps
+    ap = apery_set(S)
+    return max(ap) - len(ap), sorted(_gaps(ap))
 
 
 def genus(S: NumericalSemigroup) -> int:
-    return len(frobenius_and_gaps(S)[1])
+    """Number of gaps, by Selmer's formula sum(Ap) / m - (m - 1) / 2."""
+    ap = apery_set(S)
+    m = len(ap)
+    return (sum(ap) - m * (m - 1) // 2) // m
 
 
 def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
     """Gap-set test: F even and every gap x != F/2 has F - x in S."""
-    frobenius, gaps = frobenius_and_gaps(S)
+    ap = apery_set(S)
+    m = len(ap)
+    frobenius = max(ap) - m
     if frobenius < 0 or frobenius % 2 != 0:
         return False
-    table, _ = _table_with_conductor(S)
     half = frobenius // 2
-    for x in gaps:
-        if x == half:
-            continue
-        if not table.member[frobenius - x]:
-            return False
-    return True
+    return all(x == half or frobenius - x >= ap[(frobenius - x) % m] for x in _gaps(ap))
 
 
 def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
     """H(0..L) counted combinatorially: H(n) = #{s in S : order(s) = n}.
 
-    Every element of order <= L is at most L * max(generators), so the table
-    bound (L+1) * max(generators) captures all of them.
+    The elements of order >= n form nM (M = S minus 0), which is closed under
+    adding m, so per residue r it is an arithmetic progression from
+    min_n[r].  Hence H(n) = sum_r (min_{n+1}[r] - min_n[r]) / m, with
+    min_0 = Ap(S, m) and min_{n+1}[r] = min_g(min_n[(r - g) mod m] + g)
+    because (n+1)M = nM + {generators}.  Memory is O(m) whatever L is.
+
+    With gcd d > 1 only the residues that are multiples of d are reached.
+    S is then d times the semigroup of the generators divided by d, with the
+    same orders, so the counts are taken there.
     """
     if up_to_level < 0:
         raise ParameterError(f"up_to_level >= 0 violated ({up_to_level})")
-    bound = (up_to_level + 1) * max(S.generators)
-    table = membership_table(S, bound)
-    counts = [0] * (up_to_level + 1)
-    for o in table.order:
-        if 0 <= o <= up_to_level:
-            counts[o] += 1
+    d = S.gcd()
+    gens = [g // d for g in S.generators]
+    level = apery_set(NumericalSemigroup(tuple(gens)))
+    m = len(level)
+    shifts = [(m - g % m, g) for g in gens]
+    total = sum(level)
+    counts = []
+    for _ in range(up_to_level + 1):
+        # level[cut:] + level[:cut] puts min_n[(r - g) mod m] at index r.
+        level = list(map(min, *(map(g.__add__, level[cut:] + level[:cut]) for cut, g in shifts)))
+        nxt = sum(level)
+        counts.append((nxt - total) // m)
+        total = nxt
     return counts

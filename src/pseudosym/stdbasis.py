@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import InconsistencyError
 from .poly import (
     Exponent,
     Polynomial,
@@ -76,7 +77,7 @@ def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
         h = reduce_step(h, chosen)
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
-            raise RuntimeError("reduction exceeded the step budget; ordering bug?")
+            raise InconsistencyError("reduction exceeded the step budget; ordering bug?")
     return h
 
 

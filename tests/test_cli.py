@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from pseudosym import pipeline, stdbasis
 from pseudosym.cli import main
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
@@ -161,3 +164,51 @@ class TestSweep:
         code1, out1, _ = run(capsys, args)
         code2, out2, _ = run(capsys, [*args, "--jobs", "2"])
         assert (code1, out1) == (code2, out2)
+
+    @pytest.mark.parametrize("flag, value", [("--alpha1", "x:3"), ("--alpha21", "1:y"),
+                                             ("--alpha4", "2.5")])
+    def test_malformed_range_names_the_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, [*self.SMALL, flag, value])
+        assert code == 2
+        assert flag in err and value in err
+        assert out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, _, err = run(capsys, [*self.SMALL, "--jobs", jobs])
+        assert code == 2
+        assert "jobs >= 1 violated" in err
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
+    def test_pool_capped_by_cpus_and_tuples(self, capsys, monkeypatch, cpus, expected):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        three = ["sweep", "--alpha1", "5", "--alpha2", "2:8", "--alpha3", "2:3",
+                 "--alpha4", "2", "--alpha21", "1:7"]
+        code, out, _ = run(capsys, [*three, "--jobs", "1000"])
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["total"] == 3
+        assert sizes == [expected]
+
+
+def test_step_budget_is_an_internal_failure(capsys, monkeypatch):
+    monkeypatch.setattr(stdbasis, "MAX_REDUCTION_STEPS", 0)
+    code, out, err = run(capsys, ["verify", *EX41])
+    assert code == 4
+    assert "step budget" in err
+    assert out == ""

@@ -1,6 +1,8 @@
 """Generator construction, condition checks, and the brute-force oracles."""
 
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from pseudosym.errors import ParameterError
 from pseudosym.semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
+    apery_set,
     check_conditions,
     construct_generators,
     frobenius_and_gaps,
@@ -17,7 +20,7 @@ from pseudosym.semigroup import (
     membership_table,
 )
 
-from conftest import TUPLE_41, TUPLE_42
+from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42
 
 
 def test_generators_first_example():
@@ -100,8 +103,9 @@ class TestGapsAndPseudoSymmetry:
         assert gaps[0] == 1
 
     def test_noncoprime_rejected(self):
-        with pytest.raises(ParameterError, match="gcd"):
-            frobenius_and_gaps(NumericalSemigroup((4, 6, 8, 10)))
+        for query in (frobenius_and_gaps, genus, is_pseudo_symmetric, apery_set):
+            with pytest.raises(ParameterError, match="gcd"):
+                query(NumericalSemigroup((4, 6, 8, 10)))
 
     def test_classic_three_generator_case_is_pseudo_symmetric(self):
         # gaps of <3,5,7> are {1,2,4}: F=4 is even and 4-1, 4-4 are members
@@ -153,3 +157,85 @@ class TestHilbertOracle:
     def test_negative_level_rejected(self):
         with pytest.raises(ParameterError):
             hilbert_oracle(construct_generators(TUPLE_41), -1)
+
+
+def _random_coprime_semigroups(count, seed):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        gens = tuple(rng.randrange(2, 61) for _ in range(rng.choice((3, 4))))
+        if math.gcd(*gens) == 1:
+            found.append(NumericalSemigroup(gens))
+    return found
+
+
+KERNEL_CASES = _random_coprime_semigroups(40, seed=11) + [
+    construct_generators(params) for params, _ in ALL_FIXTURE_TUPLES
+]
+
+
+class TestAperyKernelAgainstTable:
+    """The Apery kernel against the membership/order DP, which shares no code with it."""
+
+    @staticmethod
+    def reference_table(S):
+        """Table doubled until it holds a run of m members, which starts at the conductor."""
+        m = min(S.generators)
+        bound = 2 * max(S.generators)
+        while True:
+            table = membership_table(S, bound)
+            run = 0
+            for s in range(bound + 1):
+                run = run + 1 if table.member[s] else 0
+                if run == m:
+                    return table, [x for x in range(s - m + 1) if not table.member[x]]
+            bound *= 2
+
+    @staticmethod
+    def reference_counts(S, level):
+        orders = membership_table(S, (level + 1) * max(S.generators)).order
+        return [orders.count(n) for n in range(level + 1)]
+
+    @pytest.mark.parametrize("S", KERNEL_CASES, ids=lambda S: str(S.generators))
+    def test_matches_dp(self, S):
+        table, gaps = self.reference_table(S)
+        ap = apery_set(S)
+        m = min(S.generators)
+        for r in range(m):
+            first = next(s for s in range(r, table.bound + 1, m) if table.member[s])
+            assert ap[r] == first
+        frobenius = gaps[-1] if gaps else -1
+        assert frobenius_and_gaps(S) == (frobenius, gaps)
+        assert genus(S) == len(gaps)
+        assert 2 * sum(ap) - m * (m - 1) == 2 * m * len(gaps)  # Selmer's formula
+        assert hilbert_oracle(S, 25) == self.reference_counts(S, 25)
+
+    @pytest.mark.parametrize("S", KERNEL_CASES, ids=lambda S: str(S.generators))
+    def test_gap_set_test_agrees_with_apery_maxima(self, S):
+        # S is pseudo-symmetric iff the maximal elements of Ap(S, m) under
+        # a <=_S b (b - a in S) are exactly {F + m, F/2 + m}.
+        ap = apery_set(S)
+        m = len(ap)
+        frobenius = max(ap) - m
+        table = membership_table(S, max(ap))
+        maximal = {a for a in ap
+                   if not any(b != a and b >= a and table.member[b - a] for b in ap)}
+        criterion = frobenius % 2 == 0 and maximal == {frobenius + m, frobenius // 2 + m}
+        assert is_pseudo_symmetric(S) == criterion
+
+
+def test_oracle_handles_noncoprime_generators():
+    S = NumericalSemigroup((4, 6, 8, 10))
+    assert hilbert_oracle(S, 6) == [1, 2, 2, 2, 2, 2, 2]
+    assert hilbert_oracle(S, 12) == TestAperyKernelAgainstTable.reference_counts(S, 12)
+
+
+def test_oracle_memory_does_not_grow_with_level():
+    S = construct_generators(PseudoSymmetricParams(30, 40, 12, 2, 14))
+    tracemalloc.start()
+    try:
+        hilbert_oracle(S, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
