@@ -17,7 +17,6 @@ from .hilbert import (
     closed_form_second_series,
     hilbert_function,
     hilbert_numerator,
-    k1_monotonic_verdict,
     monomial_colon,
     second_series,
 )

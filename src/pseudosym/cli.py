@@ -2,7 +2,9 @@
 
 Subcommands: gens, basis, hilbert, verify, sweep, oracle.  Exit codes are
 scriptable: 0 success, 2 invalid input, 3 a verification mismatch (a finding,
-not a crash), 4 an internal consistency failure.
+not a crash), 4 an internal consistency failure.  Each single-tuple
+subcommand reports a slice of the facts `pipeline` produces, and first refuses
+a tuple whose generators are not coprime (exit 2).
 
 Output is deterministic for fixed inputs: JSON is emitted with sorted keys
 and stable list orders, and timing is only included when --timing is passed.
@@ -19,9 +21,9 @@ from . import hilbert, pipeline, stdbasis, toric
 from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
 from .pipeline import SweepConfig, build_report, run_sweep
 from .semigroup import (
+    NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
-    construct_generators,
     frobenius_and_gaps,
     hilbert_oracle,
     is_pseudo_symmetric,
@@ -46,21 +48,12 @@ def _emit(out: dict, fmt: str) -> None:
 
 
 def _params_from_args(args) -> PseudoSymmetricParams:
-    return PseudoSymmetricParams(
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        alpha3=args.alpha3,
-        alpha4=args.alpha4,
-        alpha21=args.alpha21,
-    )
+    return PseudoSymmetricParams(**{key: getattr(args, key) for key in pipeline.ALPHA_KEYS})
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha1", type=int, required=True)
-    parser.add_argument("--alpha2", type=int, required=True)
-    parser.add_argument("--alpha3", type=int, required=True)
-    parser.add_argument("--alpha4", type=int, required=True)
-    parser.add_argument("--alpha21", type=int, required=True)
+    for key in pipeline.ALPHA_KEYS:
+        parser.add_argument(f"--{key}", type=int, required=True)
 
 
 def _add_format_args(parser: argparse.ArgumentParser, default: str) -> None:
@@ -70,40 +63,45 @@ def _add_format_args(parser: argparse.ArgumentParser, default: str) -> None:
     parser.set_defaults(fmt=default)
 
 
-def cmd_gens(args) -> int:
-    params = _params_from_args(args)
-    S = construct_generators(params)
+def _semigroup_facts(params: PseudoSymmetricParams) -> tuple[NumericalSemigroup, dict]:
+    """The checked semigroup plus the facts `gens` and `oracle` both report."""
+    S = pipeline.numerical_semigroup(params)
     frobenius, gaps = frobenius_and_gaps(S)
-    out = {
+    return S, {
         "n": list(S.generators),
-        "conditions": check_conditions(params),
         "frobenius": frobenius,
         "genus": len(gaps),
         "pseudo_symmetric": is_pseudo_symmetric(S),
     }
+
+
+def cmd_gens(args) -> int:
+    params = _params_from_args(args)
+    _, out = _semigroup_facts(params)
+    out["conditions"] = check_conditions(params)
     _emit(out, args.fmt)
     return EXIT_OK
 
 
 def cmd_basis(args) -> int:
     params = _params_from_args(args)
-    mode = args.mode
+    pipeline.numerical_semigroup(params)
     summary: dict = {}
     lines: list[str] = []
 
     engine = None
-    if mode in ("engine", "both"):
-        system = toric.toric_generators(params)
-        engine = stdbasis.standard_basis(system.generators)
+    if args.mode in ("engine", "both"):
+        engine = pipeline.engine_basis(params)
         lines = pipeline.render_basis(engine)
         summary["count"] = len(engine)
-    if mode in ("closed", "both"):
+    if args.mode in ("closed", "both"):
         predicted = toric.closed_form_basis(params, strict=args.k_strict)
+        ks = pipeline.k_readings(params)
         summary["k"] = predicted.k
         summary["k_strict_mode"] = args.k_strict
-        summary["k_strict"] = _safe_k(params, strict=True)
-        summary["k_nonstrict"] = _safe_k(params, strict=False)
-        if mode == "closed":
+        summary["k_strict"] = ks["strict"]
+        summary["k_nonstrict"] = ks["nonstrict"]
+        if engine is None:
             lines = pipeline.render_basis(predicted.elements)
             summary["count"] = len(predicted.elements)
         else:
@@ -123,40 +121,18 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _safe_k(params, strict: bool) -> int | None:
-    try:
-        return toric.compute_k(params, strict=strict)
-    except (ParameterError, UnsupportedParametersError):
-        return None
-
-
 def cmd_hilbert(args) -> int:
     params = _params_from_args(args)
+    pipeline.numerical_semigroup(params)
     out: dict = {}
-    P_engine = None
-    P_closed = None
+    P_engine = P_closed = None
     if args.mode in ("bayer", "both"):
-        system = toric.toric_generators(params)
-        engine = stdbasis.standard_basis(system.generators)
-        P_engine = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine))
+        lead = stdbasis.leading_ideal(pipeline.engine_basis(params))
+        P_engine = hilbert.hilbert_numerator(lead)
     if args.mode in ("closed", "both"):
-        k = toric.compute_k(params)
-        P_closed = hilbert.closed_form_numerator(params, k)
-        out["k"] = k
-    P = P_engine if P_engine is not None else P_closed
-    Q = hilbert.second_series(P)
-    report = hilbert.hilbert_function(Q, args.max_level)
-    out.update(
-        {
-            "P": [[e, v] for e, v in P.items()],
-            "Q": [[e, v] for e, v in Q.items()],
-            "H": list(report.hilbert_function),
-            "non_decreasing": report.non_decreasing,
-            "first_decrease_level": report.first_decrease_level,
-            "regularity_index": report.regularity_index,
-            "multiplicity": report.multiplicity,
-        }
-    )
+        out["k"] = toric.compute_k(params)
+        P_closed = hilbert.closed_form_numerator(params, out["k"])
+    out.update(pipeline.hilbert_section(P_closed if P_engine is None else P_engine, args.max_level))
     if args.mode == "both":
         out["match"] = P_engine == P_closed
     _emit(out, args.fmt)
@@ -179,16 +155,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = _params_from_args(args)
-    S = construct_generators(params)
-    frobenius, gaps = frobenius_and_gaps(S)
-    out = {
-        "n": list(S.generators),
-        "H_oracle": hilbert_oracle(S, args.max_level),
-        "frobenius": frobenius,
-        "genus": len(gaps),
-        "pseudo_symmetric": is_pseudo_symmetric(S),
-    }
+    S, out = _semigroup_facts(_params_from_args(args))
+    out["H_oracle"] = hilbert_oracle(S, args.max_level)
     _emit(out, args.fmt)
     return EXIT_OK
 
@@ -263,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every cross-check on one tuple")
     _add_param_args(p)
     _add_format_args(p, "json")
-    p.add_argument("--cm", action="store_true",
-                   help="include the Cohen-Macaulay verdict (included by default)")
     p.add_argument("--k-strict", action="store_true")
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--fixtures", type=str, default=None,
@@ -305,10 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except UnsupportedParametersError as exc:
+    except (ParameterError, UnsupportedParametersError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except InconsistencyError as exc:

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from .errors import InconsistencyError, ParameterError
 from .poly import Exponent, divides, minimalize_monomials, total_deg
 from .semigroup import PseudoSymmetricParams
-from .toric import compute_k
 
 
 class UniPoly:
@@ -336,6 +335,8 @@ def hilbert_function(Q: UniPoly, up_to_level: int | None = None) -> HilbertRepor
     """
     if Q.is_zero:
         raise ParameterError("second series must be nonzero")
+    if up_to_level is not None and up_to_level < 0:
+        raise ParameterError(f"max level >= 0 violated ({up_to_level})")
     deg = Q.degree
     level = deg + 5 if up_to_level is None else up_to_level
     H = []
@@ -351,17 +352,3 @@ def hilbert_function(Q: UniPoly, up_to_level: int | None = None) -> HilbertRepor
         non_decreasing=not negatives,
         first_decrease_level=min(negatives) if negatives else None,
     )
-
-
-def k1_monotonic_verdict(params: PseudoSymmetricParams) -> tuple[bool, UniPoly]:
-    """Nonnegativity certificate for the second series when k = 1.
-
-    Returns (all coefficients >= 0, the expanded Q).  A False verdict would
-    contradict the monotonicity statement for k = 1 and is surfaced loudly
-    by the callers.
-    """
-    k = compute_k(params, strict=False)
-    if k != 1:
-        raise ParameterError(f"k = 1 violated (k={k})")
-    Q = second_series(closed_form_numerator(params, k))
-    return all(v >= 0 for _, v in Q.items()), Q

@@ -39,29 +39,34 @@ def fixture_stem(params: PseudoSymmetricParams) -> str:
     )
 
 
-def _fixture_text(name: str, fixtures_dir: str | Path | None) -> str | None:
-    if fixtures_dir is not None:
-        path = Path(fixtures_dir) / name
-        return path.read_text() if path.exists() else None
-    ref = resources.files("pseudosym").joinpath("fixtures", name)
-    return ref.read_text() if ref.is_file() else None
+def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
+    """`parse` applied to the named fixture's text; None when there is no such file."""
+    if fixtures_dir is None:
+        ref = resources.files("pseudosym").joinpath("fixtures", name)
+    elif not Path(fixtures_dir).is_dir():
+        raise ParameterError(f"no fixture directory at {fixtures_dir}")
+    else:
+        ref = Path(fixtures_dir) / name
+    if not ref.is_file():
+        return None
+    try:
+        return parse(ref.read_text())
+    except ValueError as exc:
+        raise ParameterError(f"unparsable fixture {ref}: {exc}") from None
 
 
 def load_fixture_basis(params: PseudoSymmetricParams,
                        fixtures_dir: str | Path | None = None) -> list[Polynomial] | None:
-    text = _fixture_text(fixture_stem(params) + ".basis.txt", fixtures_dir)
-    if text is None:
-        return None
-    return [normalize(parse_poly(line, LOCAL))
-            for line in text.splitlines() if line.strip()]
+    return _load_fixture(
+        fixture_stem(params) + ".basis.txt", fixtures_dir,
+        lambda text: [normalize(parse_poly(line, LOCAL)) for line in text.splitlines() if line.strip()],
+    )
 
 
 def load_fixture_numerator(params: PseudoSymmetricParams,
                            fixtures_dir: str | Path | None = None) -> hilbert.UniPoly | None:
-    text = _fixture_text(fixture_stem(params) + ".numerator.txt", fixtures_dir)
-    if text is None:
-        return None
-    return hilbert.parse_unipoly(text.strip())
+    return _load_fixture(fixture_stem(params) + ".numerator.txt", fixtures_dir,
+                         lambda text: hilbert.parse_unipoly(text.strip()))
 
 
 def basis_set(elements: Sequence[Polynomial]) -> frozenset[Polynomial]:
@@ -76,6 +81,51 @@ def _unipoly_pairs(p: hilbert.UniPoly) -> list[list[int]]:
     return [[e, v] for e, v in p.items()]
 
 
+def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
+    """The semigroup of `params`; refused unless its generators are coprime.
+
+    This is the precondition of every single-tuple run.
+    """
+    S = construct_generators(params)
+    if S.gcd() != 1:
+        raise ParameterError(
+            f"gcd of generators {S.generators} is {S.gcd()}, not 1; "
+            "the tuple does not define a numerical semigroup"
+        )
+    return S
+
+
+def engine_basis(params: PseudoSymmetricParams) -> list[Polynomial]:
+    """The local standard basis of the curve's defining binomials."""
+    return stdbasis.standard_basis(toric.toric_generators(params).generators)
+
+
+def k_readings(params: PseudoSymmetricParams) -> dict[str, int | None]:
+    """The strict and non-strict tail lengths; None where a reading has no k."""
+    ks = {}
+    for mode in ("strict", "nonstrict"):
+        try:
+            ks[mode] = toric.compute_k(params, strict=(mode == "strict"))
+        except (ParameterError, UnsupportedParametersError):
+            ks[mode] = None
+    return ks
+
+
+def hilbert_section(P: hilbert.UniPoly, max_level: int | None) -> dict:
+    """Everything read off a Hilbert numerator P: Q = P/(1-t)^3, H(n) and its summary."""
+    Q = hilbert.second_series(P)
+    hreport = hilbert.hilbert_function(Q, max_level)
+    return {
+        "P": _unipoly_pairs(P),
+        "Q": _unipoly_pairs(Q),
+        "H": list(hreport.hilbert_function),
+        "regularity_index": hreport.regularity_index,
+        "multiplicity": hreport.multiplicity,
+        "non_decreasing": hreport.non_decreasing,
+        "first_decrease_level": hreport.first_decrease_level,
+    }
+
+
 def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
                  max_level: int | None = None,
                  fixtures_dir: str | Path | None = None,
@@ -85,18 +135,12 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
     mismatches: list[str] = []
     report: dict = {"params": params.as_dict()}
 
-    S = construct_generators(params)
+    S = numerical_semigroup(params)
     conds = check_conditions(params)
     report["n"] = list(S.generators)
     report["conditions"] = conds
-    if not conds["coprime"]:
-        raise ParameterError(
-            f"gcd of generators {S.generators} is {S.gcd()}, not 1; "
-            "the tuple does not define a numerical semigroup"
-        )
 
-    system = toric.toric_generators(params)
-    engine = stdbasis.standard_basis(system.generators)
+    engine = engine_basis(params)
     report["basis"] = {
         "engine": render_basis(engine),
         "engine_count": len(engine),
@@ -109,21 +153,12 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
 
     # Hilbert data always comes from the engine's leading ideal, which is
     # monomial even when a lowest form is a homogeneous binomial.
-    lead = stdbasis.leading_ideal(engine)
-    P = hilbert.hilbert_numerator(lead)
-    Q = hilbert.second_series(P)
-    hreport = hilbert.hilbert_function(Q, max_level)
-    report["P"] = _unipoly_pairs(P)
-    report["Q"] = _unipoly_pairs(Q)
-    report["H"] = list(hreport.hilbert_function)
-    report["regularity_index"] = hreport.regularity_index
-    report["multiplicity"] = hreport.multiplicity
-    report["non_decreasing"] = hreport.non_decreasing
-    report["first_decrease_level"] = hreport.first_decrease_level
+    P = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine))
+    report.update(hilbert_section(P, max_level))
 
-    if hreport.multiplicity != min(S.generators):
+    if report["multiplicity"] != min(S.generators):
         mismatches.append(
-            f"multiplicity {hreport.multiplicity} != smallest generator {min(S.generators)}"
+            f"multiplicity {report['multiplicity']} != smallest generator {min(S.generators)}"
         )
 
     if closed_regime and report.get("k", {}).get("used") is not None:
@@ -132,9 +167,9 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
         if not report["numerator_match"]:
             mismatches.append("closed-form numerator differs from pivot recursion")
     if closed_regime and report.get("k", {}).get("nonstrict") == 1:
-        ok = all(v >= 0 for _, v in Q.items())
-        report["k1_certificate"] = ok
-        if not ok:
+        # H is non-decreasing exactly when Q has no negative coefficient.
+        report["k1_certificate"] = report["non_decreasing"]
+        if not report["k1_certificate"]:
             mismatches.append("negative second-series coefficient with k = 1")
 
     fixture_P = load_fixture_numerator(params, fixtures_dir)
@@ -149,10 +184,9 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
         if not ok:
             mismatches.append("stored basis fixture differs from engine basis")
 
-    level = len(hreport.hilbert_function) - 1
-    oracle = hilbert_oracle(S, level)
+    oracle = hilbert_oracle(S, len(report["H"]) - 1)
     report["H_oracle"] = oracle
-    report["oracle_match"] = oracle == list(hreport.hilbert_function)
+    report["oracle_match"] = oracle == report["H"]
     if not report["oracle_match"]:
         mismatches.append("Hilbert function differs from the semigroup oracle")
 
@@ -199,12 +233,7 @@ def _predict(params, engine, strict: bool) -> dict:
 
 
 def _closed_form_section(params, engine, report, mismatches, k_strict) -> None:
-    ks = {}
-    for mode in ("strict", "nonstrict"):
-        try:
-            ks[mode] = toric.compute_k(params, strict=(mode == "strict"))
-        except (ParameterError, UnsupportedParametersError):
-            ks[mode] = None
+    ks = k_readings(params)
     report["k"] = {
         "strict": ks["strict"],
         "nonstrict": ks["nonstrict"],

@@ -299,26 +299,29 @@ _INT_RE = re.compile(r"-?\d+$")
 
 def parse_poly(text: str, order: MonomialOrder = LOCAL,
                names: Sequence[str] = VAR_NAMES) -> Polynomial:
-    """Parse the plain-text polynomial format produced by `render_poly`."""
+    """Parse the plain-text polynomial format produced by `render_poly`.
+
+    The text must be signed terms and nothing else: a doubled or trailing
+    sign, or a caret without an exponent, raises `ValueError`.
+    """
     s = text.replace(" ", "")
     if not s or s == "0":
         return Polynomial([], order)
     index = {name: i for i, name in enumerate(names)}
     terms: list[tuple] = []
-    for chunk in re.findall(r"[+-]?[^+-]+", s):
-        sign = -1 if chunk.startswith("-") else 1
-        body = chunk.lstrip("+-")
-        if not body:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = Fraction(sign)
+    chunks = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(chunks) != s:
+        raise ValueError(f"stray sign in {text!r}")
+    for chunk in chunks:
+        coeff = Fraction(-1 if chunk.startswith("-") else 1)
         expo = [0] * len(names)
-        for factor in body.split("*"):
+        for factor in chunk.lstrip("+-").split("*"):
             if _INT_RE.match(factor):
                 coeff *= int(factor)
                 continue
-            name, _, power = factor.partition("^")
-            if name not in index:
+            name, caret, power = factor.partition("^")
+            if name not in index or (caret and not _INT_RE.match(power)):
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
-            expo[index[name]] += int(power) if power else 1
+            expo[index[name]] += int(power) if caret else 1
         terms.append((coeff, tuple(expo)))
     return Polynomial(terms, order)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
-from .poly import LOCAL, Exponent, MonomialOrder, Polynomial, binomial, normalize
+from .poly import Exponent, Polynomial, binomial, normalize
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
 
 
@@ -69,12 +69,11 @@ def generator_monomials(params: PseudoSymmetricParams) -> list[tuple[Exponent, E
     ]
 
 
-def toric_generators(params: PseudoSymmetricParams,
-                     order: MonomialOrder = LOCAL) -> ToricSystem:
+def toric_generators(params: PseudoSymmetricParams) -> ToricSystem:
     S = construct_generators(params)
     polys = []
     for i, (plus, minus) in enumerate(generator_monomials(params), start=1):
-        f = binomial(plus, minus, order)
+        f = binomial(plus, minus)
         _check_sdegrees(f, S, f"f{i}")
         polys.append(f)
     return ToricSystem(params, S, tuple(polys))
@@ -117,17 +116,15 @@ def has_c6_tie(params: PseudoSymmetricParams) -> bool:
     return params.alpha1 + params.alpha21 + 1 == params.alpha2 + params.alpha4
 
 
-def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False,
-                      order: MonomialOrder = LOCAL,
-                      enforce_leading_pattern: bool = True) -> ClosedFormBasis:
+def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> ClosedFormBasis:
     """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2.
 
-    Preconditions: alpha4 = 2, conditions (1)-(4), sorted generators.  When
-    `enforce_leading_pattern` is set (the default), inputs where the leading
-    monomials do not follow the pattern the formula presumes are rejected
-    with `UnsupportedParametersError`: equality in condition (6), and any
-    tail element whose leading monomial lands on the wrong side of a degree
-    tie.  Such inputs are reported rather than silently mispredicted.
+    Preconditions: alpha4 = 2, conditions (1)-(4), sorted generators.  Inputs
+    where the leading monomials do not follow the pattern the formula
+    presumes are rejected with `UnsupportedParametersError`: equality in
+    condition (6), and any tail element whose leading monomial lands on the
+    wrong side of a degree tie.  Such inputs are reported rather than
+    silently mispredicted.
     """
     if params.alpha4 != 2:
         raise ParameterError(f"alpha4 = 2 violated (alpha4={params.alpha4})")
@@ -139,38 +136,37 @@ def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False,
         raise ParameterError(f"n1 < n2 < n3 < n4 violated for {params.as_dict()}")
     if not conds["coprime"]:
         raise ParameterError(f"gcd of generators is not 1 for {params.as_dict()}")
-    if enforce_leading_pattern and has_c6_tie(params):
+    if has_c6_tie(params):
         raise UnsupportedParametersError(
             "equality in condition (6): LM(f6) is decided by a degree tie, "
             "outside the closed-form regime"
         )
 
     k = compute_k(params, strict=strict)
-    system = toric_generators(params, order)
+    system = toric_generators(params)
     S = system.semigroup
     a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
 
-    f6 = binomial((a1 + a21, 0, 0, 0), (0, a2, 1, 0), order)
+    f6 = binomial((a1 + a21, 0, 0, 0), (0, a2, 1, 0))
     elements = list(system.generators) + [f6]
     for j in range(1, k + 1):
         plus, minus = tail_monomials(params, j)
-        elements.append(binomial(plus, minus, order))
+        elements.append(binomial(plus, minus))
 
     for i, f in enumerate(elements, start=1):
         _check_sdegrees(f, S, f"f{i}")
 
-    if enforce_leading_pattern:
-        if f6.lm != (0, a2, 1, 0):
+    if f6.lm != (0, a2, 1, 0):
+        raise UnsupportedParametersError(
+            f"LM(f6) = {f6.lm} is not the X2^a2*X3 monomial"
+        )
+    for j in range(1, k + 1):
+        f = elements[5 + j]
+        plus, minus = tail_monomials(params, j)
+        expected = minus if j == k else plus
+        if f.lm != expected:
             raise UnsupportedParametersError(
-                f"LM(f6) = {f6.lm} is not the X2^a2*X3 monomial"
+                f"LM(f{6 + j}) = {f.lm} breaks the closed-form leading pattern"
             )
-        for j in range(1, k + 1):
-            f = elements[5 + j]
-            plus, minus = tail_monomials(params, j)
-            expected = minus if j == k else plus
-            if f.lm != expected:
-                raise UnsupportedParametersError(
-                    f"LM(f{6 + j}) = {f.lm} breaks the closed-form leading pattern"
-                )
 
     return ClosedFormBasis(k, tuple(normalize(f) for f in elements))

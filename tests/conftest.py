@@ -24,9 +24,6 @@ ALL_FIXTURE_TUPLES = [
 @pytest.fixture(scope="session")
 def engine_bases():
     """Computed standard bases for the fixture tuples, shared across modules."""
-    from pseudosym import standard_basis, toric_generators
+    from pseudosym.pipeline import engine_basis
 
-    return {
-        params: standard_basis(toric_generators(params).generators)
-        for params, _ in ALL_FIXTURE_TUPLES
-    }
+    return {params: engine_basis(params) for params, _ in ALL_FIXTURE_TUPLES}

@@ -1,5 +1,6 @@
 """Exit codes, JSON shapes, and determinism of the command-line front end."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,10 @@ from pseudosym.cli import main
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
 EX43 = ["--alpha1", "17", "--alpha2", "25", "--alpha3", "4", "--alpha4", "2", "--alpha21", "10"]
+A4_3 = ["--alpha1", "9", "--alpha2", "5", "--alpha3", "3", "--alpha4", "3", "--alpha21", "2"]
+# (5,4,2,2) with alpha21 = 2 gives the generators (9,12,15,30), gcd 3.
+NONCOPRIME = ["--alpha1", "5", "--alpha2", "4", "--alpha3", "2", "--alpha4", "2", "--alpha21", "2"]
+TUPLES = {"EX41": EX41, "EX43": EX43, "A4_3": A4_3}
 
 
 def run(capsys, argv):
@@ -212,3 +217,97 @@ def test_step_budget_is_an_internal_failure(capsys, monkeypatch):
     assert code == 4
     assert "step budget" in err
     assert out == ""
+
+
+# sha256 of stdout, with the exit code, for every single-tuple subcommand in
+# each of its output modes; the digests were recorded before the subcommands
+# were rebuilt on the shared pipeline stages and must not move.
+GOLDEN_STDOUT = [
+    ("EX41", ("gens",), 0, "163eef80bdacbcf432105a344a64cb486f1ed939d0f03db96cf25840beb5e42a"),
+    ("EX41", ("gens", "--text"), 0, "c7b16495ed64c659e49e0a0945f28fb80d81f8b7ad529bcc053c7a2b5a2f4b19"),
+    ("EX41", ("basis",), 0, "8585bcfbe2991f5bf2fe8d0018c30b9d7bb39087ceee1927b481c63882527b9c"),
+    ("EX41", ("basis", "--json"), 0, "2d5aa7b4ccfcb19a8e19394f119199e615901e3644c9f5f451558d9f018cbe10"),
+    ("EX41", ("basis", "--closed-form"), 0, "08ddda2c15c2e95b5249410f3d7a2bb857298929615091f7eadaedd0a942ed79"),
+    ("EX41", ("basis", "--closed-form", "--json"), 0, "9b0f55fc7afe05a0bbb3a2442f99d120eb5c622481e878bd1074047a7ee41425"),
+    ("EX41", ("basis", "--verify"), 0, "c43ab5136b25cb2f6de7be368fb6829018e023668390fb688915a542d4c83997"),
+    ("EX41", ("basis", "--verify", "--json"), 0, "bae0e6eff9f2fc47ef5b09bbc8639f6d6bd35ad750388d373c0e414498762134"),
+    ("EX41", ("basis", "--verify", "--k-strict"), 0, "7c7abf5459e7e6b9a1e0d03824fc5f37554354c11332487708829a6ec2b2c72e"),
+    ("EX41", ("hilbert", "--both"), 0, "f96cc3ee718a46483d814ace9b82af0e3174e209c3294f35437d028f95236614"),
+    ("EX41", ("hilbert", "--bayer"), 0, "63a5efb36b72a67c094d555e9610bbc60a756355fa598609f92e6063d519e18f"),
+    ("EX41", ("hilbert", "--closed-form"), 0, "a1ae3dde6fa85b8e2699b663b8ca46a77eb2a095fb4a2b1105d36fd8f594a9dc"),
+    ("EX41", ("hilbert", "--bayer", "--text", "--max-level", "3"), 0, "631b66e8b947adbaad9b7b3fca32184ef1b84bc39aa7b2180921ec95eb54adc1"),
+    ("EX41", ("oracle", "--text"), 0, "121f8bbf75c5bb74ffa52dcae46639e11606598f6ba2b812cf8e92cf45f7c5e0"),
+    ("EX43", ("gens",), 0, "41a0afaec64eed4d1beeb7101f87754a89f62974fa5210db06fcb52ad3a97d19"),
+    ("EX43", ("gens", "--text"), 0, "a7fcce5801c8dc9d9d184a31a987caeab899e335add745ed207e27afde901c41"),
+    ("EX43", ("basis",), 0, "6e7224d8f57e8d9eb0701590e9715ec1b665bf6016580e8a28c3da556510c40d"),
+    ("EX43", ("basis", "--json"), 0, "2b0624305997cd83828528a3a33b6affec0857b3c011f705e678cfffb546bed5"),
+    ("EX43", ("basis", "--closed-form"), 0, "1ef4b96b7a37124d6c082854f75e08d4b783805ea06674fe684d9ad843e0bd74"),
+    ("EX43", ("basis", "--closed-form", "--json"), 0, "54dbb409f408bbd926a65e5510993a4d3697e113ac04d1d252ed2f51efe1d4c8"),
+    ("EX43", ("basis", "--verify"), 0, "c18e6f8254298db8f2fcea3b6ad6e11506b352fb5d4b951b56d12c85b8d880ed"),
+    ("EX43", ("basis", "--verify", "--json"), 0, "a3033e94ac549f4e0d0429e35157338a99e4b99b01fa0518fc0e6d5a2a13e860"),
+    # the strict-k closed form is refused here: exit 2, empty stdout
+    ("EX43", ("basis", "--verify", "--k-strict"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("EX43", ("hilbert", "--both"), 0, "9cba25247a191a36f99c7829147bf5f5dabca5536a774bb21adfa79fae2b6413"),
+    ("EX43", ("hilbert", "--bayer"), 0, "bde2bf396c83088a367b7392589dba5b2b0a56c089e5904d1376c1709a7ac2c5"),
+    ("EX43", ("hilbert", "--closed-form"), 0, "58ef2abd29c1a8c2572b2320421d87dbbfb79e3fadeeb43c09834f8398a1f389"),
+    ("EX43", ("hilbert", "--bayer", "--text", "--max-level", "3"), 0, "3a29471034630c32d9ece4da7f4746f21378b1f13b0bef91771ac77af3f0fad3"),
+    ("EX43", ("oracle", "--text"), 0, "4b55ee337a155500913be73b83423d9fe8687347719fe696e0cce9a6d163a6c9"),
+    ("A4_3", ("gens",), 0, "1e7eb494822c9a845e684d868744c3f56faaeb945fe6f48e2d028d338327b769"),
+    ("A4_3", ("basis",), 0, "cf3d1d6bdd5fb02bfd510a69656df7f15861093282ebbacceac70e27d669606d"),
+    ("A4_3", ("basis", "--json"), 0, "1e9dfa3f7d0e58af1bb0c5d92bf569176d87d8dd408dea08d6ac2497a82778d9"),
+    ("A4_3", ("hilbert", "--bayer"), 0, "1a85ff9c8c20b36f81d31140e1a3b02bd4370f37fcd5e8c1656a089f54ae3320"),
+    ("A4_3", ("oracle", "--text"), 0, "aef7d41be251a4557c2ca6de29017fb81a746ee81103a09edda8c92b81a19b80"),
+]
+
+
+@pytest.mark.parametrize("tuple_name, command, code, digest", GOLDEN_STDOUT,
+                         ids=[f"{t}-{'-'.join(c).replace('--', '')}" for t, c, _, _ in GOLDEN_STDOUT])
+def test_stdout_is_pinned(capsys, tuple_name, command, code, digest):
+    got_code, out, _ = run(capsys, [command[0], *TUPLES[tuple_name], *command[1:]])
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("command", ["gens", "basis", "hilbert", "verify", "oracle"])
+def test_noncoprime_tuple_rejected(capsys, command):
+    code, out, err = run(capsys, [command, *NONCOPRIME])
+    assert code == 2
+    assert out == ""
+    assert "gcd of generators (9, 12, 15, 30) is 3, not 1" in err
+
+
+@pytest.mark.parametrize("command, level", [("hilbert", "-3"), ("verify", "-2")])
+def test_negative_max_level_rejected(capsys, command, level):
+    code, out, err = run(capsys, [command, *EX41, "--max-level", level])
+    assert code == 2
+    assert out == ""
+    assert f"({level})" in err
+
+
+class TestFixtureErrors:
+    def test_missing_directory_is_invalid_input(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent"
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(missing)])
+        assert code == 2
+        assert out == ""
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("suffix, text", [
+        ("basis.txt", "X1^16-X3*X4\nX1++X2\n"),
+        ("basis.txt", "X1^16-X3*X4-\n"),
+        ("numerator.txt", "1--t\n"),
+        ("numerator.txt", "1-t^\n"),
+    ])
+    def test_unparsable_fixture_is_invalid_input(self, capsys, tmp_path, suffix, text):
+        path = tmp_path / f"a1-16_a2-20_a3-7_a4-2_a21-8.{suffix}"
+        path.write_text(text)
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_empty_directory_skips_fixture_checks(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert code == 0
+        data = json.loads(out)
+        assert "basis_fixture_match" not in data and "numerator_fixture_match" not in data

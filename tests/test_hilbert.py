@@ -14,7 +14,6 @@ from pseudosym.hilbert import (
     geom,
     hilbert_function,
     hilbert_numerator,
-    k1_monotonic_verdict,
     monomial_colon,
     parse_unipoly,
     quotient_hilbert_coeffs,
@@ -46,6 +45,11 @@ class TestUniPoly:
     def test_parse_render_roundtrip(self):
         text = "1-3*t^2+3*t^3-t^4-t^7+t^8"
         assert render_unipoly(parse_unipoly(text)) == text
+
+    @pytest.mark.parametrize("text", ["1--t", "1-t-", "1+-t^2", "1-t^", "1-t^2^3"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_unipoly(text)
 
     def test_geom_blocks(self):
         assert geom(3) == UniPoly({0: 1, 1: 1, 2: 1})
@@ -184,12 +188,8 @@ class TestHilbertFunction:
         assert set(rep.hilbert_function[idx:]) == {rep.multiplicity}
 
 
-class TestK1Verdict:
-    def test_first_example_certificate(self):
-        ok, Q = k1_monotonic_verdict(TUPLE_41)
-        assert ok
-        assert all(v >= 0 for _, v in Q.items())
-
-    def test_rejects_larger_k(self):
-        with pytest.raises(ParameterError, match="k = 1"):
-            k1_monotonic_verdict(TUPLE_42)
+    def test_negative_level_rejected(self):
+        Q = second_series(load_fixture_numerator(TUPLE_41))
+        with pytest.raises(ParameterError, match=r"\(-3\)"):
+            hilbert_function(Q, -3)
+        assert hilbert_function(Q, 0).hilbert_function == (1,)

@@ -199,3 +199,8 @@ class TestTextFormat:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             parse_poly("X5^2", LOCAL)
+
+    @pytest.mark.parametrize("text", ["X1++X2", "X1--X2", "X1^2-", "+", "X1^", "X1^x", "X1*", "X1**X2"])
+    def test_text_not_covered_by_terms_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_poly(text, LOCAL)
