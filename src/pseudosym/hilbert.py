@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, ParameterError
-from .poly import Exponent, divides, minimalize_monomials, total_deg
+from .poly import Exponent, divides, minimalize_monomials, scan_terms, total_deg
 from .semigroup import PseudoSymmetricParams
 
 
@@ -139,14 +139,10 @@ def render_unipoly(p: UniPoly) -> str:
 
 
 def parse_unipoly(text: str) -> UniPoly:
-    from .poly import MonomialOrder, parse_poly
-
-    f = parse_poly(text, MonomialOrder(local=False, precedence=(0,)), names=("t",))
+    """Parse the ascending form produced by `render_unipoly` (see `poly.scan_terms`)."""
     out: dict[int, int] = {}
-    for coeff, mono in f.terms:
-        if coeff.denominator != 1:
-            raise ValueError(f"non-integer coefficient in {text!r}")
-        out[mono[0]] = int(coeff)
+    for coeff, (e,) in scan_terms(text, ("t",)):
+        out[e] = out.get(e, 0) + coeff
     return UniPoly(out)
 
 

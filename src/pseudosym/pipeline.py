@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from . import cm, hilbert, stdbasis, toric
 from .errors import ParameterError, UnsupportedParametersError
-from .poly import LOCAL, Polynomial, normalize, parse_poly, render_poly
+from .poly import LOCAL, Polynomial, monomial, normalize, parse_poly, render_poly
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
@@ -49,8 +49,11 @@ def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
         ref = Path(fixtures_dir) / name
     if not ref.is_file():
         return None
+    text = ref.read_text()
+    if not text.strip():
+        raise ParameterError(f"empty fixture {ref}")
     try:
-        return parse(ref.read_text())
+        return parse(text)
     except ValueError as exc:
         raise ParameterError(f"unparsable fixture {ref}: {exc}") from None
 
@@ -205,18 +208,14 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
 def _witness_text(witness) -> str | None:
     if witness is None:
         return None
-    from .poly import monomial
-
     return render_poly(monomial(witness, LOCAL))
 
 
 def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str]) -> None:
     for f in basis:
-        if len(f.terms) != 2 or {abs(t.coeff) for t in f.terms} != {1}:
+        if len(f.terms) != 2:
             mismatches.append(f"non-binomial basis element {f!r}")
-            continue
-        degs = {toric.sdegree(t.mono, S) for t in f.terms}
-        if len(degs) != 1:
+        elif len({toric.sdegree(t.mono, S) for t in f.terms}) != 1:
             mismatches.append(f"basis element {f!r} has unequal S-degrees")
 
 
@@ -301,6 +300,8 @@ class SweepConfig:
             raise ParameterError("alpha21 range must start at 1 or above")
         if self.jobs < 1:
             raise ParameterError(f"jobs >= 1 violated (jobs={self.jobs})")
+        if self.max_level is not None and self.max_level < 0:
+            raise ParameterError(f"max_level >= 0 violated (max_level={self.max_level})")
 
 
 def iter_sweep(config: SweepConfig) -> Iterator[PseudoSymmetricParams]:
@@ -323,12 +324,9 @@ def iter_sweep(config: SweepConfig) -> Iterator[PseudoSymmetricParams]:
                             continue
                         if config.require_sorted and not conds["sorted"]:
                             continue
-                        if config.k_filter is not None:
-                            try:
-                                if toric.compute_k(params) != config.k_filter:
-                                    continue
-                            except (ParameterError, UnsupportedParametersError):
-                                continue
+                        if (config.k_filter is not None
+                                and k_readings(params)["nonstrict"] != config.k_filter):
+                            continue
                         yield params
 
 
@@ -346,8 +344,11 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     jobs = [(values, config.max_level) for values in tuples]
     workers = min(config.jobs, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        # About four chunks per worker: few round trips, still balanced when
+        # tuples differ in cost.  map keeps the input order either way.
+        chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_worker, jobs))
+            reports = list(pool.map(_sweep_worker, jobs, chunksize=chunksize))
     else:
         reports = [_sweep_worker(job) for job in jobs]
 

@@ -1,9 +1,11 @@
-"""Exact sparse polynomial arithmetic in X1..X4 with degrevlex-style orderings.
+"""Monomials, binomials and degrevlex-style orderings in X1..X4.
 
 Monomials are fixed-length tuples of nonnegative integer exponents, one entry
-per variable.  Coefficients are `fractions.Fraction`, so every computation in
-this package is exact.  A polynomial carries the ordering its term list is
-sorted under (leading term first); the zero polynomial has no terms.
+per variable.  A `Polynomial` is zero, a signed monomial ±x^a, or a binomial
+±(x^lead - x^tail) with integer coefficients ±1: the only shapes a toric
+standard-basis computation produces, since the s-polynomial and the
+reduction step of two such polynomials are again one of them.  A polynomial
+carries the ordering its terms are sorted under (leading term first).
 
 Two ordering kinds are provided:
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -117,28 +118,33 @@ def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
 
 
 class Term(NamedTuple):
-    coeff: Fraction
+    coeff: int
     mono: Exponent
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms strictly descending, leading first.
+    """Zero, a monomial ±x^a or a binomial ±(x^lead - x^tail); leading term first.
 
-    Equality and hashing look only at the term set, so two polynomials with
-    the same terms compare equal even if tagged with different orderings.
+    Like terms are collected first; anything else that remains (three or
+    more terms, a coefficient other than ±1, two terms of the same sign)
+    raises `ValueError`.  Equality and hashing look only at the signed term
+    set, so two polynomials with the same terms compare equal even if tagged
+    with different orderings.
     """
 
     __slots__ = ("terms", "order")
 
     def __init__(self, terms: Iterable[tuple], order: MonomialOrder):
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, int] = {}
         for coeff, mono in terms:
-            c = Fraction(coeff)
-            if c:
-                acc[mono] = acc.get(mono, Fraction(0)) + c
-        cleaned = [Term(c, m) for m, c in acc.items() if c]
-        cleaned.sort(key=lambda t: order.sort_key(t.mono), reverse=True)
-        self.terms: tuple[Term, ...] = tuple(cleaned)
+            acc[mono] = acc.get(mono, 0) + coeff
+        kept = [(c, m) for m, c in acc.items() if c]
+        if (len(kept) > 2 or any(c not in (1, -1) for c, _ in kept)
+                or (len(kept) == 2 and kept[0][0] == kept[1][0])):
+            raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
+        if len(kept) == 2 and order.sort_key(kept[0][1]) < order.sort_key(kept[1][1]):
+            kept.reverse()
+        self.terms: tuple[Term, ...] = tuple(Term(int(c), m) for c, m in kept)
         self.order = order
 
     @property
@@ -156,7 +162,7 @@ class Polynomial:
         return self.leading_term.mono
 
     @property
-    def lc(self) -> Fraction:
+    def lc(self) -> int:
         return self.leading_term.coeff
 
     @property
@@ -175,32 +181,12 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return self.is_zero or self.degree == self.min_degree
 
-    def mul_term(self, t: Term) -> "Polynomial":
-        return Polynomial(
-            [(c * t.coeff, mono_mul(m, t.mono)) for c, m in self.terms], self.order
-        )
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial([(tc * c, m) for tc, m in self.terms], self.order)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(list(self.terms) + list(other.terms), self.order)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(
-            list(self.terms) + [(-c, m) for c, m in other.terms], self.order
-        )
+    def mul_term(self, m: Exponent) -> "Polynomial":
+        """The product with the monomial x^m."""
+        return Polynomial([(c, mono_mul(t, m)) for c, t in self.terms], self.order)
 
     def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: list[tuple] = []
-        for c1, m1 in self.terms:
-            for c2, m2 in other.terms:
-                out.append((c1 * c2, mono_mul(m1, m2)))
-        return Polynomial(out, self.order)
+        return Polynomial([(-c, m) for c, m in self.terms], self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -218,8 +204,8 @@ def zero(order: MonomialOrder = LOCAL) -> Polynomial:
     return Polynomial([], order)
 
 
-def monomial(m: Exponent, order: MonomialOrder = LOCAL, coeff=1) -> Polynomial:
-    return Polynomial([(coeff, m)], order)
+def monomial(m: Exponent, order: MonomialOrder = LOCAL) -> Polynomial:
+    return Polynomial([(1, m)], order)
 
 
 def binomial(plus: Exponent, minus: Exponent, order: MonomialOrder = LOCAL) -> Polynomial:
@@ -228,7 +214,7 @@ def binomial(plus: Exponent, minus: Exponent, order: MonomialOrder = LOCAL) -> P
 
 
 def with_order(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    """Same polynomial re-sorted under a different ordering."""
+    """Same polynomial with its two monomials compared under a different ordering."""
     return Polynomial(f.terms, order)
 
 
@@ -246,28 +232,42 @@ def ecart(f: Polynomial) -> int:
 
 
 def normalize(f: Polynomial) -> Polynomial:
-    """Flip the overall sign so the leading coefficient is positive."""
+    """Flip the overall sign so the leading coefficient is +1."""
     if f.is_zero or f.lc > 0:
         return f
     return -f
 
 
+def _moved_tail(f: Polynomial, target: Exponent) -> list[Exponent]:
+    """The tail monomial of f times target / LM(f); empty when f is a monomial."""
+    shift = mono_div(target, f.lm)
+    return [mono_mul(t.mono, shift) for t in f.terms[1:]]
+
+
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """lcm-cancellation of the leading terms of f and g."""
+    """lcm-cancellation of the leading terms of f and g.
+
+    For f = lc(f)*(x^a - x^b), g = lc(g)*(x^c - x^d) and L = lcm(a, c) this
+    is x^(d+L-c) - x^(b+L-a), less the tail term of a monomial operand.
+    """
     if f.is_zero or g.is_zero:
         raise ValueError("spoly of the zero polynomial is undefined")
     if f.order != g.order:
         raise ValueError("operands use different monomial orderings")
     lcm = mono_lcm(f.lm, g.lm)
-    left = f.mul_term(Term(Fraction(1, 1) / f.lc, mono_div(lcm, f.lm)))
-    right = g.mul_term(Term(Fraction(1, 1) / g.lc, mono_div(lcm, g.lm)))
-    return left - right
+    return Polynomial(
+        [(1, m) for m in _moved_tail(g, lcm)] + [(-1, m) for m in _moved_tail(f, lcm)],
+        f.order,
+    )
 
 
 def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
-    """One cancellation of the leading term of h by a multiple of g."""
-    shift = mono_div(h.lm, g.lm)
-    return h - g.mul_term(Term(h.lc / g.lc, shift))
+    """One cancellation of the leading term of h by a multiple of g.
+
+    What is left is the tail of h plus lc(h) * x^(d + LM(h) - LM(g)) for the
+    tail x^d of g.
+    """
+    return Polynomial([*h.terms[1:], *((h.lc, m) for m in _moved_tail(g, h.lm))], h.order)
 
 
 def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:
@@ -276,20 +276,8 @@ def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:
         return "0"
     chunks: list[str] = []
     for coeff, mono in f.terms:
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, mono)
-            if e
-        ]
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{mag}*" + "*".join(factors)
-        sign = "-" if coeff < 0 else "+"
-        chunks.append(sign + body)
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
+        chunks.append(("-" if coeff < 0 else "+") + (body or "1"))
     text = "".join(chunks)
     return text[1:] if text.startswith("+") else text
 
@@ -297,23 +285,22 @@ def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:
 _INT_RE = re.compile(r"-?\d+$")
 
 
-def parse_poly(text: str, order: MonomialOrder = LOCAL,
-               names: Sequence[str] = VAR_NAMES) -> Polynomial:
-    """Parse the plain-text polynomial format produced by `render_poly`.
+def scan_terms(text: str, names: Sequence[str]) -> list[tuple[int, Exponent]]:
+    """The signed terms of text like ``2*X1^3+X2-5``, as (coefficient, exponents).
 
-    The text must be signed terms and nothing else: a doubled or trailing
-    sign, or a caret without an exponent, raises `ValueError`.
+    A term is a product of integers and variables from `names`, each variable
+    with an optional ``^`` exponent; like terms are not collected.  The text
+    must be signed terms and nothing else: a doubled or trailing sign, or a
+    caret without an exponent, raises `ValueError`.
     """
     s = text.replace(" ", "")
-    if not s or s == "0":
-        return Polynomial([], order)
     index = {name: i for i, name in enumerate(names)}
-    terms: list[tuple] = []
+    terms: list[tuple[int, Exponent]] = []
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
         raise ValueError(f"stray sign in {text!r}")
     for chunk in chunks:
-        coeff = Fraction(-1 if chunk.startswith("-") else 1)
+        coeff = -1 if chunk.startswith("-") else 1
         expo = [0] * len(names)
         for factor in chunk.lstrip("+-").split("*"):
             if _INT_RE.match(factor):
@@ -324,4 +311,12 @@ def parse_poly(text: str, order: MonomialOrder = LOCAL,
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
             expo[index[name]] += int(power) if caret else 1
         terms.append((coeff, tuple(expo)))
-    return Polynomial(terms, order)
+    return terms
+
+
+def parse_poly(text: str, order: MonomialOrder = LOCAL) -> Polynomial:
+    """Parse the plain-text form produced by `render_poly` (see `scan_terms`).
+
+    Text that is not zero, a monomial or a ±1 binomial raises `ValueError`.
+    """
+    return Polynomial(scan_terms(text, VAR_NAMES), order)

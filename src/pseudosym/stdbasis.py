@@ -45,7 +45,7 @@ class TangentConeIdeal:
 
 
 def lowest_form(f: Polynomial) -> Polynomial:
-    """Sum of all terms of minimal total degree."""
+    """The terms of minimal total degree: f itself or its lower monomial."""
     if f.is_zero:
         raise ValueError("zero polynomial has no lowest form")
     d = f.min_degree

@@ -22,6 +22,33 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def record_pool(monkeypatch, cpus):
+    """Swap the sweep's process pool for an in-process one; starts no processes.
+
+    Returns the list that receives (workers, jobs, chunksize) per `map` call.
+    """
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            calls.append((self.workers, len(items), chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+    return calls
+
+
 class TestGens:
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, ["gens", *EX41])
@@ -186,29 +213,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
     def test_pool_capped_by_cpus_and_tuples(self, capsys, monkeypatch, cpus, expected):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        calls = record_pool(monkeypatch, cpus)
         three = ["sweep", "--alpha1", "5", "--alpha2", "2:8", "--alpha3", "2:3",
                  "--alpha4", "2", "--alpha21", "1:7"]
         code, out, _ = run(capsys, [*three, "--jobs", "1000"])
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["total"] == 3
-        assert sizes == [expected]
+        assert calls == [(expected, 3, 1)]
+
+    def test_chunksize_from_jobs_and_workers(self, capsys, monkeypatch):
+        calls = record_pool(monkeypatch, 2)
+        code, out, _ = run(capsys, ["sweep", "--jobs", "2"])
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["total"] == 72
+        # the default sweep's 72 tuples, about four chunks per worker
+        assert calls == [(2, 72, 9)]
+
+    def test_negative_max_level_refused_before_any_tuple(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a report was built")
+
+        monkeypatch.setattr(pipeline, "build_report", fail)
+        code, out, err = run(capsys, [*self.SMALL, "--max-level", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "max_level >= 0 violated" in err
 
 
 def test_step_budget_is_an_internal_failure(capsys, monkeypatch):
@@ -305,6 +334,15 @@ class TestFixtureErrors:
         assert out == ""
         assert str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suffix", ["basis.txt", "numerator.txt"])
+    def test_empty_fixture_is_invalid_input(self, capsys, tmp_path, suffix):
+        path = tmp_path / f"a1-16_a2-20_a3-7_a4-2_a21-8.{suffix}"
+        path.write_text("")
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert "empty fixture" in err and str(path) in err
 
     def test_empty_directory_skips_fixture_checks(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])

@@ -5,9 +5,11 @@ import pytest
 from pseudosym import hilbert, stdbasis
 from pseudosym.errors import ParameterError
 from pseudosym.pipeline import (
+    SweepConfig,
     build_report,
     engine_basis,
     hilbert_section,
+    iter_sweep,
     k_readings,
     load_fixture_basis,
     load_fixture_numerator,
@@ -60,6 +62,8 @@ class TestFixtureLoading:
         (load_fixture_basis, "basis.txt", "X1^16-X3*X4\nX1++X2\n"),
         (load_fixture_basis, "basis.txt", "X1^16-X3*X4-\n"),
         (load_fixture_basis, "basis.txt", "X1^16-X5\n"),
+        (load_fixture_basis, "basis.txt", "X1^16-X3*X4+X2\n"),
+        (load_fixture_basis, "basis.txt", "X1^16+X3*X4\n"),
         (load_fixture_numerator, "numerator.txt", "1--t\n"),
         (load_fixture_numerator, "numerator.txt", "1-t/2\n"),
     ])
@@ -69,3 +73,33 @@ class TestFixtureLoading:
         with pytest.raises(ParameterError, match="unparsable fixture") as info:
             load(TUPLE_41, tmp_path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("load, suffix", [
+        (load_fixture_basis, "basis.txt"),
+        (load_fixture_numerator, "numerator.txt"),
+    ])
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file_named(self, tmp_path, load, suffix, text):
+        path = tmp_path / f"a1-16_a2-20_a3-7_a4-2_a21-8.{suffix}"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="empty fixture") as info:
+            load(TUPLE_41, tmp_path)
+        assert str(path) in str(info.value)
+
+
+class TestSweepConfig:
+    def test_negative_max_level_refused_on_construction(self):
+        with pytest.raises(ParameterError, match=r"max_level >= 0 violated \(max_level=-1\)"):
+            SweepConfig(max_level=-1)
+        assert SweepConfig(max_level=0).max_level == 0
+
+    def test_k_filter_counts_on_the_default_sweep(self):
+        everything = list(iter_sweep(SweepConfig()))
+        counts = {k: len(list(iter_sweep(SweepConfig(k_filter=k)))) for k in range(5)}
+        # recorded when the filter still called compute_k directly
+        assert len(everything) == 72
+        assert counts == {0: 0, 1: 57, 2: 14, 3: 1, 4: 0}
+        for k in (1, 2, 3):
+            assert list(iter_sweep(SweepConfig(k_filter=k))) == [
+                p for p in everything if k_readings(p)["nonstrict"] == k
+            ]
