@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import hilbert, pipeline, stdbasis, toric
 from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
@@ -169,6 +168,14 @@ def _parse_range(flag: str, text: str) -> tuple[int, int]:
         raise ParameterError(f"--{flag}: expected LO:HI or an integer, got {text!r}") from None
 
 
+def _write_out(path: str, text: str, mode: str) -> None:
+    try:
+        with open(path, mode) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"--out: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_sweep(args) -> int:
     config = SweepConfig(
         **{key: _parse_range(key, getattr(args, key)) for key in pipeline.ALPHA_KEYS},
@@ -178,12 +185,15 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         max_level=args.max_level,
     )
+    if args.out:
+        # append nothing: fails on a bad path before any tuple is computed
+        _write_out(args.out, "", "a")
     summary, reports = run_sweep(config)
     if args.sorted:
         reports.sort(key=lambda r: tuple(r["params"][key] for key in pipeline.ALPHA_KEYS))
     payload = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     if args.out:
-        Path(args.out).write_text(payload + ("\n" if payload else ""))
+        _write_out(args.out, payload + ("\n" if payload else ""), "w")
     elif payload:
         print(payload)
     # summary last, one line, so stdout stays line-delimited JSON throughout

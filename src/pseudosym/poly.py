@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -80,16 +81,8 @@ def mono_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Exponent, b: Exponent) -> Exponent:
-    """Exact quotient a / b; caller must know that b divides a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
-        raise ValueError(f"{b} does not divide {a}")
-    return q
-
-
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def divides(a: Exponent, b: Exponent) -> bool:
@@ -100,7 +93,7 @@ def divides(a: Exponent, b: Exponent) -> bool:
 
 
 def coprime(a: Exponent, b: Exponent) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
@@ -132,19 +125,32 @@ class Polynomial:
     with different orderings.
     """
 
-    __slots__ = ("terms", "order")
+    __slots__ = ("terms", "order", "_lm", "_ecart")
 
     def __init__(self, terms: Iterable[tuple], order: MonomialOrder):
         acc: dict[Exponent, int] = {}
         for coeff, mono in terms:
             acc[mono] = acc.get(mono, 0) + coeff
         kept = [(c, m) for m, c in acc.items() if c]
-        if (len(kept) > 2 or any(c not in (1, -1) for c, _ in kept)
-                or (len(kept) == 2 and kept[0][0] == kept[1][0])):
+        if not kept:
+            self.terms: tuple[Term, ...] = ()
+            self._lm = self._ecart = None
+        elif len(kept) == 1:
+            (c, m), = kept
+            if c not in (1, -1):
+                raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
+            self.terms = (Term(int(c), m),)
+            self._lm, self._ecart = m, 0
+        elif len(kept) == 2:
+            (c, m), (d, n) = kept
+            if c not in (1, -1) or c + d:
+                raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
+            if order.sort_key(m) < order.sort_key(n):
+                c, m, d, n = d, n, c, m
+            self.terms = (Term(int(c), m), Term(int(d), n))
+            self._lm, self._ecart = m, max(sum(n) - sum(m), 0)
+        else:
             raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-        if len(kept) == 2 and order.sort_key(kept[0][1]) < order.sort_key(kept[1][1]):
-            kept.reverse()
-        self.terms: tuple[Term, ...] = tuple(Term(int(c), m) for c, m in kept)
         self.order = order
 
     @property
@@ -159,7 +165,10 @@ class Polynomial:
 
     @property
     def lm(self) -> Exponent:
-        return self.leading_term.mono
+        """The leading monomial, fixed at construction."""
+        if self._lm is None:
+            raise ValueError("zero polynomial has no leading monomial")
+        return self._lm
 
     @property
     def lc(self) -> int:
@@ -228,7 +237,9 @@ def ecart(f: Polynomial) -> int:
     Nonnegative under a local ordering, where the leading monomial sits in
     the lowest-degree part.
     """
-    return f.degree - total_deg(f.lm)
+    if f._ecart is None:
+        raise ValueError("zero polynomial has no ecart")
+    return f._ecart
 
 
 def normalize(f: Polynomial) -> Polynomial:
@@ -240,8 +251,11 @@ def normalize(f: Polynomial) -> Polynomial:
 
 def _moved_tail(f: Polynomial, target: Exponent) -> list[Exponent]:
     """The tail monomial of f times target / LM(f); empty when f is a monomial."""
-    shift = mono_div(target, f.lm)
-    return [mono_mul(t.mono, shift) for t in f.terms[1:]]
+    lead = f.lm
+    shift = tuple(map(sub, target, lead))
+    if min(shift, default=0) < 0:
+        raise ValueError(f"{lead} does not divide {target}")
+    return [tuple(map(add, t.mono, shift)) for t in f.terms[1:]]
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:

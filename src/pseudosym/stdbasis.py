@@ -7,6 +7,12 @@ ecart than h itself, h joins the reducer list before the cancellation.  The
 growing reducer list is what makes reduction terminate under local
 orderings, where plain division may loop forever.
 
+A `Polynomial` stores its leading monomial and ecart when it is built, so
+the reducer scan runs over ``(lead, ecart, reducer)`` records: exponent
+lengths are checked once per normal form, a reducer whose ecart cannot beat
+the current choice is skipped before its lead is compared, and the scan
+stops at the first divisor of ecart 0.
+
 The basis loop processes s-polynomial pairs in FIFO creation order and skips
 pairs with coprime leading monomials (the product criterion).  The returned
 basis is minimal: no leading monomial divides another.
@@ -16,10 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
+from operator import le
 from typing import Sequence
 
 from .errors import InconsistencyError
 from .poly import (
+    DimensionError,
     Exponent,
     Polynomial,
     coprime,
@@ -52,6 +61,20 @@ def lowest_form(f: Polynomial) -> Polynomial:
     return Polynomial([t for t in f.terms if total_deg(t.mono) == d], f.order)
 
 
+def _lead_records(h: Polynomial, basis: Sequence[Polynomial]) -> list[tuple]:
+    """(LM(g), ecart(g), g) for each g in `basis`, in order.
+
+    Every leading monomial must have the length of LM(h); checking once here
+    lets the reducer scans compare exponents without a length check.
+    """
+    n = len(h.lm)
+    records = [(g.lm, ecart(g), g) for g in basis]
+    for lead, _, _ in records:
+        if len(lead) != n:
+            raise DimensionError(f"exponent length mismatch: {len(lead)} vs {n}")
+    return records
+
+
 def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Weak normal form of h against `basis`.
 
@@ -59,21 +82,26 @@ def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     `basis` divides.  The result represents u*h modulo the ideal for some
     unit u, which is exactly what membership tests and the basis loop need.
     """
-    reducers = list(basis)
+    if h.is_zero:
+        return h
+    reducers = _lead_records(h, basis)
     steps = 0
     while not h.is_zero:
         lm = h.lm
         chosen = None
-        chosen_ecart = -1
-        for g in reducers:
-            if divides(g.lm, lm):
-                e = ecart(g)
-                if chosen is None or e < chosen_ecart:
-                    chosen, chosen_ecart = g, e
+        chosen_ecart = inf
+        for lead, e, g in reducers:
+            # Only a strictly smaller ecart displaces the current choice, so
+            # the first divisor of minimal ecart wins; ecart is never below 0.
+            if e < chosen_ecart and all(map(le, lead, lm)):
+                chosen, chosen_ecart = g, e
+                if not e:
+                    break
         if chosen is None:
             break
-        if chosen_ecart > ecart(h):
-            reducers.append(h)
+        h_ecart = ecart(h)
+        if chosen_ecart > h_ecart:
+            reducers.append((lm, h_ecart, h))
         h = reduce_step(h, chosen)
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
@@ -113,17 +141,19 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
                 G.append(nf_f)
     if not G:
         raise ValueError("need at least one nonzero polynomial")
+    leads = [g.lm for g in G]
     pairs: deque[tuple[int, int]] = deque(
         (i, j) for j in range(len(G)) for i in range(j)
     )
     while pairs:
         i, j = pairs.popleft()
-        if coprime(G[i].lm, G[j].lm):
+        if coprime(leads[i], leads[j]):
             continue
         h = nf(spoly(G[i], G[j]), G)
         if h.is_zero:
             continue
         G.append(normalize(h))
+        leads.append(G[-1].lm)
         new = len(G) - 1
         pairs.extend((i, new) for i in range(new))
     return G
@@ -135,10 +165,17 @@ def standard_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def nf_global(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Leading-term reduction under a global ordering; always terminates."""
+    """Leading-term reduction under a global ordering; always terminates.
+
+    The first element of `basis` whose leading monomial divides LM(h) reduces it.
+    """
+    if h.is_zero:
+        return h
+    reducers = _lead_records(h, basis)
     while not h.is_zero:
-        for g in basis:
-            if divides(g.lm, h.lm):
+        lm = h.lm
+        for lead, _, g in reducers:
+            if all(map(le, lead, lm)):
                 h = reduce_step(h, g)
                 break
         else:

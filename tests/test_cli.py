@@ -229,6 +229,23 @@ class TestSweep:
         # the default sweep's 72 tuples, about four chunks per worker
         assert calls == [(2, 72, 9)]
 
+    @pytest.mark.parametrize("where", ["missing-dir/x.json", "."])
+    def test_unwritable_out_refused_before_any_tuple(self, capsys, monkeypatch, tmp_path, where):
+        built = []
+        real = pipeline.build_report
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_report", counting)
+        target = tmp_path / where
+        code, out, err = run(capsys, [*self.SMALL, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert str(target) in err and "Traceback" not in err
+        assert built == []
+
     def test_negative_max_level_refused_before_any_tuple(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a report was built")

@@ -25,6 +25,7 @@ from pseudosym.poly import (
     reduce_step,
     render_poly,
     spoly,
+    with_order,
     zero,
 )
 from pseudosym.stdbasis import lowest_form
@@ -98,6 +99,10 @@ class TestLeadingTermAndEcart:
     def test_zero_has_no_leading_term(self):
         with pytest.raises(ValueError):
             zero(LOCAL).leading_term
+        with pytest.raises(ValueError):
+            zero(LOCAL).lm
+        with pytest.raises(ValueError):
+            ecart(zero(LOCAL))
 
     def test_ecart_values(self):
         assert ecart(P("X1^16-X3*X4")) == 14
@@ -245,6 +250,10 @@ class TestBinomialFormulas:
         if expected:
             assert R.lm == ref_lead(expected, order.local)
 
+    def test_reduce_step_needs_a_dividing_lead(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            reduce_step(P("X1-X2^2"), P("X2-X3^2"))
+
     @given(shapes(), orders)
     def test_normalize_matches_reference(self, f, order):
         sign = f[ref_lead(f, order.local)]
@@ -259,6 +268,18 @@ class TestBinomialFormulas:
     @given(shapes(), orders)
     def test_ecart_matches_reference(self, f, order):
         assert ecart(build(f, order)) == max(map(sum, f)) - sum(ref_lead(f, order.local))
+
+    @given(shapes(), orders, monos)
+    def test_stored_lead_and_ecart_match_terms(self, f, order, m):
+        # lm and ecart are fixed at construction; every way of making a new
+        # polynomial must leave them equal to what its terms say
+        F = build(f, order)
+        other = GLOBAL if order.local else LOCAL
+        for G in (F, -F, F.mul_term(m), with_order(F, other), normalize(F)):
+            local = G.order.local
+            terms = {t.mono: t.coeff for t in G.terms}
+            assert G.lm == G.terms[0].mono == ref_lead(terms, local)
+            assert ecart(G) == max(map(sum, terms)) - sum(ref_lead(terms, local))
 
 
 class TestDivides:

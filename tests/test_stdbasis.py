@@ -1,16 +1,23 @@
 """The reduction engine: weak normal forms, basis computation, tangent cones."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pseudosym.pipeline import basis_set, load_fixture_basis
+from pseudosym import PseudoSymmetricParams, cm, stdbasis
+from pseudosym.pipeline import basis_set, engine_basis, load_fixture_basis
 from pseudosym.poly import (
     GLOBAL,
     LOCAL,
+    DimensionError,
+    Polynomial,
+    divides,
     monomial,
     normalize,
     parse_poly,
+    reduce_step,
     spoly,
     zero,
 )
@@ -19,13 +26,14 @@ from pseudosym.stdbasis import (
     buchberger_homogeneous,
     leading_ideal,
     lowest_form,
+    nf_global,
     nf_mora,
     standard_basis,
     tangent_cone_ideal,
 )
 from pseudosym.toric import sdegree, toric_generators
 
-from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42
+from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_A4_3
 
 
 def P(text, order=LOCAL):
@@ -52,8 +60,6 @@ class TestNfMora:
         G = engine_bases[TUPLE_41]
         h = nf_mora(P("X1*X3*X4-X1^3*X2"), G)
         assert h == P("-X1^3*X2+X1^17")
-        from pseudosym.poly import divides
-
         assert not any(divides(g.lm, h.lm) for g in G)
 
 
@@ -96,8 +102,6 @@ class TestStandardBasis:
             assert nf_mora(f.mul_term(m), G).is_zero
 
     def test_minimal_leading_monomials(self, engine_bases):
-        from pseudosym.poly import divides
-
         for params, _ in ALL_FIXTURE_TUPLES:
             G = engine_bases[params]
             for i, g in enumerate(G):
@@ -172,8 +176,6 @@ class TestBuchbergerHomogeneous:
         g = P("X3^3", GLOBAL)
         basis = buchberger_homogeneous([f, g])
         assert basis_set(basis) == basis_set([f, g])
-        from pseudosym.stdbasis import nf_global
-
         assert nf_global(P("X1*X2*X3-X3^3", GLOBAL), basis).is_zero
 
     def test_non_homogeneous_rejected(self):
@@ -199,3 +201,132 @@ class TestAgainstClosedForm:
                 continue
             predicted = closed_form_basis(params)
             assert basis_set(predicted.elements) == basis_set(engine_bases[params])
+
+
+# The reducer scan as it was before leads and ecarts were stored: every
+# reducer is tested with `divides`, and leads and ecarts are read off the terms.
+
+def seed_ecart(f):
+    return max(sum(t.mono) for t in f.terms) - sum(f.terms[0].mono)
+
+
+def seed_nf_mora(h, basis):
+    reducers = list(basis)
+    while not h.is_zero:
+        lm = h.terms[0].mono
+        chosen = None
+        chosen_ecart = -1
+        for g in reducers:
+            if divides(g.terms[0].mono, lm):
+                e = seed_ecart(g)
+                if chosen is None or e < chosen_ecart:
+                    chosen, chosen_ecart = g, e
+        if chosen is None:
+            break
+        if chosen_ecart > seed_ecart(h):
+            reducers.append(h)
+        h = reduce_step(h, chosen)
+    return h
+
+
+def seed_nf_global(h, basis):
+    while not h.is_zero:
+        for g in basis:
+            if divides(g.terms[0].mono, h.terms[0].mono):
+                h = reduce_step(h, g)
+                break
+        else:
+            return h
+    return h
+
+
+@st.composite
+def shapes(draw, order, homogeneous, top=3):
+    """A nonzero signed monomial or ±1 binomial; a homogeneous one permutes one monomial."""
+    sign = draw(st.sampled_from([1, -1]))
+    a = draw(st.tuples(*([st.integers(0, top)] * 4)))
+    if draw(st.booleans()):
+        return Polynomial([(sign, a)], order)
+    if homogeneous:
+        b = tuple(draw(st.permutations(a)))
+    else:
+        b = draw(st.tuples(*([st.integers(0, top)] * 4)))
+    if b == a:
+        return Polynomial([(sign, a)], order)
+    return Polynomial([(sign, a), (-sign, b)], order)
+
+
+@st.composite
+def reduction_cases(draw, homogeneous_under_local):
+    """(h, reducers) under LOCAL or GLOBAL.
+
+    Plain leading-term reduction need not terminate under LOCAL, except on
+    homogeneous input, which `homogeneous_under_local` asks for.
+    """
+    order = draw(st.sampled_from([LOCAL, GLOBAL]))
+    homogeneous = homogeneous_under_local and order.local
+    basis = draw(st.lists(shapes(order, homogeneous), min_size=1, max_size=6))
+    return draw(shapes(order, homogeneous, top=6)), basis
+
+
+class TestReducerScan:
+    @given(reduction_cases(homogeneous_under_local=False))
+    def test_nf_mora_matches_seed_scan(self, case):
+        h, basis = case
+        assert nf_mora(h, basis).terms == seed_nf_mora(h, basis).terms
+
+    @given(reduction_cases(homogeneous_under_local=True))
+    def test_nf_global_matches_seed_scan(self, case):
+        h, basis = case
+        assert nf_global(h, basis).terms == seed_nf_global(h, basis).terms
+
+    @pytest.mark.parametrize("nf", [nf_mora, nf_global])
+    def test_mixed_exponent_lengths_rejected(self, nf):
+        h = monomial((2, 1, 0, 0), LOCAL)
+        with pytest.raises(DimensionError):
+            nf(h, [monomial((1, 0, 0, 0), LOCAL), monomial((1, 0, 0), LOCAL)])
+
+    @pytest.mark.parametrize("nf", [nf_mora, nf_global])
+    def test_zero_input_ignores_the_basis(self, nf):
+        assert nf(zero(LOCAL), [zero(LOCAL), monomial((1, 0, 0), LOCAL)]).is_zero
+
+
+def count_engine_calls(monkeypatch):
+    """Count each call of the engine's stages by (name, whether the result is zero)."""
+    counts = Counter()
+    for name in ("nf_mora", "nf_global", "reduce_step", "spoly"):
+        def wrapper(*args, _fn=getattr(stdbasis, name), _name=name):
+            result = _fn(*args)
+            counts[_name, result.is_zero] += 1
+            return result
+
+        monkeypatch.setattr(stdbasis, name, wrapper)
+    return counts
+
+
+class TestEngineWork:
+    """Which pairs are reduced and which reducer is picked, as call counts.
+
+    The figures were recorded from the engine before leads and ecarts were
+    stored on the polynomial; a change of pair order, pair skipping or
+    reducer choice moves them.
+    """
+
+    def test_local_route_on_6_6_2_4_4(self, monkeypatch):
+        counts = count_engine_calls(monkeypatch)
+        assert len(engine_basis(PseudoSymmetricParams(6, 6, 2, 4, 4))) == 29
+        assert counts == {
+            ("nf_mora", True): 1247, ("nf_mora", False): 49,
+            ("reduce_step", True): 1214, ("reduce_step", False): 5893,
+            ("spoly", True): 33, ("spoly", False): 1263,
+        }
+
+    def test_buchberger_route_on_9_5_3_3_2(self, monkeypatch, engine_bases):
+        G = engine_bases[TUPLE_A4_3]
+        counts = count_engine_calls(monkeypatch)
+        assert not cm.cm_verdict(G).cohen_macaulay
+        assert counts == {
+            ("nf_global", True): 38, ("nf_global", False): 1,
+            ("reduce_step", True): 11, ("reduce_step", False): 1,
+            ("spoly", True): 27, ("spoly", False): 12,
+        }
