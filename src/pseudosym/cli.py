@@ -6,8 +6,13 @@ not a crash), 4 an internal consistency failure.  Each single-tuple
 subcommand reports a slice of the facts `pipeline` produces, and first refuses
 a tuple whose generators are not coprime (exit 2).
 
+Every option is declared once, in `OPTIONS`, with the subcommands that take
+it.  A call builds the options of the invoked subcommand only; the others
+stay bare names for the top-level help and the invalid-choice error.
+
 Output is deterministic for fixed inputs: JSON is emitted with sorted keys
-and stable list orders, and timing is only included when --timing is passed.
+and stable list orders, sweep reports come in lexicographic tuple order under
+any --jobs, and timing is only included when --timing is passed.
 """
 
 from __future__ import annotations
@@ -48,18 +53,6 @@ def _emit(out: dict, fmt: str) -> None:
 
 def _params_from_args(args) -> PseudoSymmetricParams:
     return PseudoSymmetricParams(**{key: getattr(args, key) for key in pipeline.ALPHA_KEYS})
-
-
-def _add_param_args(parser: argparse.ArgumentParser) -> None:
-    for key in pipeline.ALPHA_KEYS:
-        parser.add_argument(f"--{key}", type=int, required=True)
-
-
-def _add_format_args(parser: argparse.ArgumentParser, default: str) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="fmt", action="store_const", const="json")
-    group.add_argument("--text", dest="fmt", action="store_const", const="text")
-    parser.set_defaults(fmt=default)
 
 
 def _semigroup_facts(params: PseudoSymmetricParams) -> tuple[NumericalSemigroup, dict]:
@@ -178,7 +171,8 @@ def _write_out(path: str, text: str, mode: str) -> None:
 
 def cmd_sweep(args) -> int:
     config = SweepConfig(
-        **{key: _parse_range(key, getattr(args, key)) for key in pipeline.ALPHA_KEYS},
+        **{key: _parse_range(key, text) for key in pipeline.ALPHA_KEYS
+           if (text := getattr(args, key)) is not None},
         require_sorted=not args.allow_unsorted,
         require_c4=not args.allow_small_alpha2,
         k_filter=args.k,
@@ -189,8 +183,6 @@ def cmd_sweep(args) -> int:
         # append nothing: fails on a bad path before any tuple is computed
         _write_out(args.out, "", "a")
     summary, reports = run_sweep(config)
-    if args.sorted:
-        reports.sort(key=lambda r: tuple(r["params"][key] for key in pipeline.ALPHA_KEYS))
     payload = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     if args.out:
         _write_out(args.out, payload + ("\n" if payload else ""), "w")
@@ -203,7 +195,51 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line, handler, and the defaults its options start from.
+COMMANDS = {
+    "gens": ("generators, conditions, Frobenius, genus", cmd_gens, {"fmt": "json"}),
+    "basis": ("standard basis (engine and/or closed form)", cmd_basis,
+              {"fmt": "text", "mode": "engine"}),
+    "hilbert": ("Hilbert numerator, second series, H(n)", cmd_hilbert,
+                {"fmt": "json", "mode": "both"}),
+    "verify": ("run every cross-check on one tuple", cmd_verify, {"fmt": "json"}),
+    "oracle": ("brute-force semigroup oracle", cmd_oracle, {"fmt": "json", "max_level": 10}),
+    "sweep": ("run the pipeline over parameter ranges", cmd_sweep, {}),
+}
+SINGLE_TUPLE = ("gens", "basis", "hilbert", "verify", "oracle")
+
+# Every option after the five parameters, declared once and in help order:
+# the flag, the subcommands that take it, and its add_argument keywords.
+# --json and --text exclude each other.
+OPTIONS = (
+    ("--json", SINGLE_TUPLE, {"dest": "fmt", "action": "store_const", "const": "json"}),
+    ("--text", SINGLE_TUPLE, {"dest": "fmt", "action": "store_const", "const": "text"}),
+    ("--engine", ("basis",), {"dest": "mode", "action": "store_const", "const": "engine"}),
+    ("--bayer", ("hilbert",), {"dest": "mode", "action": "store_const", "const": "bayer"}),
+    ("--closed-form", ("basis", "hilbert"),
+     {"dest": "mode", "action": "store_const", "const": "closed"}),
+    ("--verify", ("basis",), {"dest": "mode", "action": "store_const", "const": "both"}),
+    ("--both", ("hilbert",), {"dest": "mode", "action": "store_const", "const": "both"}),
+    ("--k-strict", ("basis", "verify"), {"action": "store_true"}),
+    ("--k", ("sweep",), {"type": int, "help": "keep only tuples with this k"}),
+    ("--allow-unsorted", ("sweep",), {"action": "store_true"}),
+    ("--allow-small-alpha2", ("sweep",),
+     {"action": "store_true", "help": "keep tuples with alpha2 <= alpha21 + 1"}),
+    ("--jobs", ("sweep",), {"type": int, "default": 1}),
+    ("--max-level", ("hilbert", "verify", "oracle", "sweep"), {"type": int}),
+    ("--out", ("sweep",), {}),
+    ("--fixtures", ("verify",),
+     {"help": "fixture directory (defaults to the packaged fixtures)"}),
+    ("--timing", ("verify",), {"action": "store_true"}),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand named and only `command`'s options added.
+
+    The other subcommands stay bare, which is all the top-level help and the
+    invalid-choice error read.
+    """
     parser = argparse.ArgumentParser(
         prog="pseudosym",
         description=(
@@ -212,75 +248,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gens", help="generators, conditions, Frobenius, genus")
-    _add_param_args(p)
-    _add_format_args(p, "json")
-    p.set_defaults(func=cmd_gens)
-
-    p = sub.add_parser("basis", help="standard basis (engine and/or closed form)")
-    _add_param_args(p)
-    _add_format_args(p, "text")
-    p.add_argument("--mode", choices=("engine", "closed", "both"), default="engine")
-    p.add_argument("--engine", dest="mode", action="store_const", const="engine")
-    p.add_argument("--closed-form", dest="mode", action="store_const", const="closed")
-    p.add_argument("--verify", dest="mode", action="store_const", const="both")
-    p.add_argument("--k-strict", action="store_true")
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("hilbert", help="Hilbert numerator, second series, H(n)")
-    _add_param_args(p)
-    _add_format_args(p, "json")
-    p.add_argument("--mode", choices=("bayer", "closed", "both"), default="both")
-    p.add_argument("--bayer", dest="mode", action="store_const", const="bayer")
-    p.add_argument("--closed-form", dest="mode", action="store_const", const="closed")
-    p.add_argument("--both", dest="mode", action="store_const", const="both")
-    p.add_argument("--max-level", type=int, default=None)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("verify", help="run every cross-check on one tuple")
-    _add_param_args(p)
-    _add_format_args(p, "json")
-    p.add_argument("--k-strict", action="store_true")
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--fixtures", type=str, default=None,
-                   help="fixture directory (defaults to the packaged fixtures)")
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="brute-force semigroup oracle")
-    _add_param_args(p)
-    _add_format_args(p, "json")
-    p.add_argument("--max-level", type=int, default=10)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("sweep", help="run the pipeline over parameter ranges")
-    for key, default in (
-        ("--alpha1", "2:8"),
-        ("--alpha2", "2:8"),
-        ("--alpha3", "2:8"),
-        ("--alpha4", "2"),
-        ("--alpha21", "1:7"),
-    ):
-        p.add_argument(key, type=str, default=default, dest=key.lstrip("-"))
-    p.add_argument("--k", type=int, default=None, help="keep only tuples with this k")
-    p.add_argument("--allow-unsorted", action="store_true")
-    p.add_argument("--allow-small-alpha2", action="store_true",
-                   help="keep tuples with alpha2 <= alpha21 + 1")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--sorted", action="store_true",
-                   help="canonicalize report order by parameter tuple")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (help_text, _, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
+        for key in pipeline.ALPHA_KEYS:
+            # sweep takes LO:HI ranges and falls back on SweepConfig's
+            p.add_argument(f"--{key}", type=None if name == "sweep" else int,
+                           required=name != "sweep")
+        fmt = p.add_mutually_exclusive_group() if name in SINGLE_TUPLE else p
+        for flag, commands, kwargs in OPTIONS:
+            if name in commands:
+                (fmt if flag in ("--json", "--text") else p).add_argument(flag, **kwargs)
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first word that is not an option, as argparse reads it
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (ParameterError, UnsupportedParametersError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID

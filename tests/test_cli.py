@@ -1,12 +1,18 @@
 """Exit codes, JSON shapes, and determinism of the command-line front end."""
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pseudosym
 from pseudosym import pipeline, stdbasis
-from pseudosym.cli import main
+from pseudosym.cli import COMMANDS, build_parser, main
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
 EX43 = ["--alpha1", "17", "--alpha2", "25", "--alpha3", "4", "--alpha4", "2", "--alpha21", "10"]
@@ -151,6 +157,27 @@ class TestVerify:
         _, second, _ = run(capsys, ["verify", *EX41])
         assert first == second
 
+    def test_timing_adds_only_elapsed_seconds(self, capsys):
+        _, plain, _ = run(capsys, ["verify", *EX41])
+        code, timed, _ = run(capsys, ["verify", *EX41, "--timing"])
+        assert code == 0
+        timed = json.loads(timed)
+        seconds = timed.pop("timing_seconds")
+        assert isinstance(seconds, float) and seconds >= 0
+        assert timed == json.loads(plain)
+
+    # alpha4 = 2 tuples outside the closed form: (4,4,2,2,1) has unsorted
+    # generators, (4,5,3,2,1) also fails condition (2); the engine and the
+    # oracles still answer
+    @pytest.mark.parametrize("values", [(4, 4, 2, 2, 1), (4, 5, 3, 2, 1)])
+    def test_alpha4_two_outside_closed_form_preconditions(self, capsys, values):
+        argv = [arg for key, v in zip(pipeline.ALPHA_KEYS, values) for arg in (f"--{key}", str(v))]
+        code, out, err = run(capsys, ["verify", *argv])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert "closed_form" not in data
+        assert data["mismatches"] == []
+
 
 class TestOracle:
     def test_shape(self, capsys):
@@ -166,7 +193,7 @@ class TestSweep:
 
     def test_small_sweep_clean(self, capsys, tmp_path):
         out_path = tmp_path / "runs.jsonl"
-        code, out, _ = run(capsys, [*self.SMALL, "--out", str(out_path), "--sorted"])
+        code, out, _ = run(capsys, [*self.SMALL, "--out", str(out_path)])
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["total"] > 0
@@ -191,10 +218,23 @@ class TestSweep:
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["total"] == 0
 
+    def test_allow_unsorted_default_ranges(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--allow-unsorted"])
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["total"] == 138
+        assert summary["mismatches"] == []
+
+    def test_reports_in_lexicographic_tuple_order(self, capsys):
+        code, out, _ = run(capsys, self.SMALL)
+        assert code == 0
+        keys = [tuple(json.loads(line)["params"][key] for key in pipeline.ALPHA_KEYS)
+                for line in out.strip().splitlines()[:-1]]
+        assert len(keys) > 1 and keys == sorted(keys)
+
     def test_parallel_matches_serial(self, capsys):
-        args = [*self.SMALL, "--sorted"]
-        code1, out1, _ = run(capsys, args)
-        code2, out2, _ = run(capsys, [*args, "--jobs", "2"])
+        code1, out1, _ = run(capsys, self.SMALL)
+        code2, out2, _ = run(capsys, [*self.SMALL, "--jobs", "2"])
         assert (code1, out1) == (code2, out2)
 
     @pytest.mark.parametrize("flag, value", [("--alpha1", "x:3"), ("--alpha21", "1:y"),
@@ -366,3 +406,87 @@ class TestFixtureErrors:
         assert code == 0
         data = json.loads(out)
         assert "basis_fixture_match" not in data and "numerator_fixture_match" not in data
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, sha256 of stdout, accepted sha256s of stderr) for help,
+# usage and parse errors at COLUMNS=80, recorded before the parser was built
+# per subcommand.  The basis, hilbert and sweep entries were recorded again
+# when `basis --mode`, `hilbert --mode` and `sweep --sorted` were deleted;
+# the texts differ from the earlier ones only by those flags.  Later argparse
+# releases print the invalid choices unquoted, hence two texts for "bogus".
+CLI_TEXT = [
+    (("--help",), 0, "eccaf478e1a022b8a8875ddd6997c54f1371285e2136d0ee87f6e43273a39d7e", (EMPTY,)),
+    (("-h",), 0, "eccaf478e1a022b8a8875ddd6997c54f1371285e2136d0ee87f6e43273a39d7e", (EMPTY,)),
+    (("gens", "--help"), 0, "8d2d8dd519dc037e71361523d81807b4d2dfa26d0d7cc80f1aab943d249f303a", (EMPTY,)),
+    (("basis", "--help"), 0, "53e9b1b5da596d20ccbae36527a4f698a90133bb34d82c5bbdf4e7c4f14fe8b4", (EMPTY,)),
+    (("hilbert", "--help"), 0, "1370156aeec36c99d338aa54c05f1c087feb0e3649d3071aa2abbebf563d2d70", (EMPTY,)),
+    (("verify", "--help"), 0, "9ccfa345fd053d1aab452c3f55a631fce618705de58bf4b9922ec2d3839ceb65", (EMPTY,)),
+    (("oracle", "--help"), 0, "3a8543bcd08f7134f586e9e89899ec12dee0ab05d2e81100fc5d5426505066fd", (EMPTY,)),
+    (("sweep", "--help"), 0, "d3c4f7ff4bf2bdf4fb2507db61892326732c63b2a5c3fecff60aa6e04db512e7", (EMPTY,)),
+    ((), 2, EMPTY, ("b27e91bda140ea91c7627a285cb8de3a7057f282266abb5cd889f818a8824183",)),
+    (("bogus",), 2, EMPTY, ("dba6bc11b5a092b747130bf89ca7510225c00541e50f6731046116b2dcb579fd",
+                            "6327590c35470b6bd892753669a0f15fea4a06f1e5cc8a624f63c80341ba5c57")),
+    (("verify", *EX41, "--bogus"), 2, EMPTY,
+     ("27fa9eaf999270533e1520a970ae28a7f3c60dd7923bcf8c527ee9904ec349df",)),
+    (("verify", "--alpha1", "x"), 2, EMPTY,
+     ("869bb2e6a89515672ea905ea853b68d53732ae707a419b8cad9ced0e0855db4a",)),
+    (("verify",), 2, EMPTY, ("b1c82188bd43967b6f38a05256f429bba130308ccf22a9b3fb5ca1f02e8ae800",)),
+    (("sweep", "--jobs", "x"), 2, EMPTY,
+     ("41370a29c1f7b946cb7688d0aeb7ea98fc4e9565b75df72f2b8dbf3c82e30a09",)),
+    (("hilbert", *EX41, "--json", "--text"), 2, EMPTY,
+     ("9655daf5734ea8039ce37aafa9fd0c40901be0cc6b0c285f5f2c1898b7d01ddd",)),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_digest, err_digests", CLI_TEXT,
+                         ids=[" ".join(argv).replace(" ".join(EX41), "EX41") or "no-command"
+                              for argv, *_ in CLI_TEXT])
+def test_help_usage_and_errors_are_pinned(capsys, monkeypatch, argv, code, out_digest, err_digests):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == code
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(captured.err.encode()).hexdigest() in err_digests
+
+
+class TestEntryPath:
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, ["gens", *EX41])
+        monkeypatch.setattr(sys, "argv", ["pseudosym", "gens", *EX41])
+        assert run(capsys, None) == (0, expected, "")
+
+    def test_module_entry_matches_in_process(self, capsys, tmp_path):
+        _, expected, _ = run(capsys, ["verify", *EX41])
+        src = str(Path(pseudosym.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "pseudosym.cli", "verify", *EX41],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+    def test_only_the_invoked_subcommand_gets_options(self):
+        (subparsers,) = [a for a in build_parser("verify")._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert list(subparsers.choices) == list(COMMANDS)
+        for name, parser in subparsers.choices.items():
+            flags = [flag for action in parser._actions for flag in action.option_strings]
+            if name == "verify":
+                assert "--timing" in flags
+            else:
+                assert flags == ["-h", "--help"]
+
+    def test_verify_call_makes_few_add_argument_calls(self, capsys, monkeypatch):
+        calls = []
+        real = argparse._ActionsContainer.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        assert run(capsys, ["verify", *EX41])[0] == 0
+        # one -h per parser (7), the five parameters and verify's six options
+        assert len(calls) == 18
