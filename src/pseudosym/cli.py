@@ -7,8 +7,11 @@ subcommand reports a slice of the facts `pipeline` produces, and first refuses
 a tuple whose generators are not coprime (exit 2).
 
 Every option is declared once, in `OPTIONS`, with the subcommands that take
-it.  A call builds the options of the invoked subcommand only; the others
-stay bare names for the top-level help and the invalid-choice error.
+it.  A call that starts with a subcommand builds one parser, with that
+subcommand's options only (`parse_args`).  Anything else, and a call that
+leaves arguments over, goes to `build_parser`, which names every subcommand
+for the top-level help, the invalid-choice and the unrecognized-arguments
+errors.
 
 Output is deterministic for fixed inputs: JSON is emitted with sorted keys
 and stable list orders, sweep reports come in lexicographic tuple order under
@@ -234,6 +237,19 @@ OPTIONS = (
 )
 
 
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add subcommand `name`'s parameters, its `OPTIONS` and its defaults."""
+    for key in pipeline.ALPHA_KEYS:
+        # sweep takes LO:HI ranges and falls back on SweepConfig's
+        parser.add_argument(f"--{key}", type=None if name == "sweep" else int,
+                            required=name != "sweep")
+    fmt = parser.add_mutually_exclusive_group() if name in SINGLE_TUPLE else parser
+    for flag, commands, kwargs in OPTIONS:
+        if name in commands:
+            (fmt if flag in ("--json", "--text") else parser).add_argument(flag, **kwargs)
+    parser.set_defaults(**COMMANDS[name][2])
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand named and only `command`'s options added.
 
@@ -248,27 +264,37 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, defaults) in COMMANDS.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != command:
-            continue
-        for key in pipeline.ALPHA_KEYS:
-            # sweep takes LO:HI ranges and falls back on SweepConfig's
-            p.add_argument(f"--{key}", type=None if name == "sweep" else int,
-                           required=name != "sweep")
-        fmt = p.add_mutually_exclusive_group() if name in SINGLE_TUPLE else p
-        for flag, commands, kwargs in OPTIONS:
-            if name in commands:
-                (fmt if flag in ("--json", "--text") else p).add_argument(flag, **kwargs)
-        p.set_defaults(**defaults)
+        if name == command:
+            _add_options(p, name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace `build_parser` would give, from one parser when argv starts with a command.
+
+    That parser is the subparser `build_parser` makes for the command: the
+    same prog, options and defaults, so the same help and error texts.  No
+    command, an unknown one, options before it, or arguments it leaves over
+    go to `build_parser`, whose top-level parser prints those errors.
+    """
+    command = argv[0] if argv else None
+    if command in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"pseudosym {command}")
+        _add_options(parser, command)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = command
+            return args
+    # the subcommand is the first word that is not an option, as argparse reads it
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    return build_parser(command).parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the subcommand is the first word that is not an option, as argparse reads it
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)
     except (ParameterError, UnsupportedParametersError) as exc:

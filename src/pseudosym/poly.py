@@ -7,6 +7,13 @@ standard-basis computation produces, since the s-polynomial and the
 reduction step of two such polynomials are again one of them.  A polynomial
 carries the ordering its terms are sorted under (leading term first).
 
+`Polynomial(terms, order)` validates outside input: parsed text, `monomial`,
+`binomial` and `lowest_form`.  The engine's own results (`spoly`,
+`reduce_step`, negation and so `normalize`, `with_order`) are ±(x^a - x^b)
+by construction: their two monomials can only cancel, never need
+collecting, so they are built by `_pair`, which decides the lead with one
+`MonomialOrder.greater` call, the comparison `__init__` also uses.
+
 Two ordering kinds are provided:
 
 * global degrevlex: higher total degree wins, so 1 is the smallest monomial;
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -54,6 +61,19 @@ class MonomialOrder:
         tail = tuple(-m[i] for i in reversed(self.precedence))
         return (-deg if self.local else deg, *tail)
 
+    def greater(self, a: Exponent, b: Exponent, deg_a: int, deg_b: int) -> bool:
+        """True iff x^a > x^b, given their total degrees deg_a and deg_b.
+
+        The same rule as `sort_key`, decided by one degree comparison and, on
+        a tie, a scan from the least significant variable.
+        """
+        if deg_a != deg_b:
+            return deg_a < deg_b if self.local else deg_a > deg_b
+        for i in reversed(self.precedence):
+            if a[i] != b[i]:
+                return a[i] < b[i]
+        return False
+
     def compare(self, a: Exponent, b: Exponent) -> int:
         if len(a) != len(b):
             raise DimensionError(f"exponent length mismatch: {len(a)} vs {len(b)}")
@@ -61,12 +81,9 @@ class MonomialOrder:
             raise DimensionError(
                 f"exponent length {len(a)} does not match ordering on {len(self.precedence)} variables"
             )
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        if ka > kb:
-            return GREATER
-        if ka < kb:
-            return LESS
-        return EQUAL
+        if a == b:
+            return EQUAL
+        return GREATER if self.greater(a, b, sum(a), sum(b)) else LESS
 
 
 LOCAL = MonomialOrder(local=True)
@@ -96,16 +113,30 @@ def coprime(a: Exponent, b: Exponent) -> bool:
     return not any(map(mul, a, b))
 
 
+def check_lengths(monos: Iterable[Exponent]) -> None:
+    """Raise `DimensionError` unless all exponent tuples have one length.
+
+    Checking once lets a loop over them compare exponents without `divides`.
+    """
+    lengths = set(map(len, monos))
+    if len(lengths) > 1:
+        raise DimensionError(f"exponent length mismatch: {sorted(lengths)}")
+
+
 def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
     """Minimal generating set of the monomial ideal spanned by `monos`.
 
     Drops duplicates and any monomial divisible by another generator.  The
     result is sorted by (total degree, exponent tuple) for determinism.
     """
-    pool = sorted(set(monos), key=lambda m: (total_deg(m), m))
+    pool = set(monos)
+    check_lengths(pool)
     kept: list[Exponent] = []
-    for m in pool:
-        if not any(divides(g, m) for g in kept):
+    for m in sorted(pool, key=lambda m: (total_deg(m), m)):
+        for g in kept:
+            if all(map(le, g, m)):
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -118,11 +149,13 @@ class Term(NamedTuple):
 class Polynomial:
     """Zero, a monomial ±x^a or a binomial ±(x^lead - x^tail); leading term first.
 
-    Like terms are collected first; anything else that remains (three or
-    more terms, a coefficient other than ±1, two terms of the same sign)
-    raises `ValueError`.  Equality and hashing look only at the signed term
-    set, so two polynomials with the same terms compare equal even if tagged
-    with different orderings.
+    The constructor is the validating entry for outside input.  Like terms
+    are collected first; anything else that remains (three or more terms, a
+    coefficient other than ±1, two terms of the same sign) raises
+    `ValueError`.  The engine's own results (`spoly`, `reduce_step`,
+    negation, `with_order`) skip it and go through `_pair`.  Equality and
+    hashing look only at the signed term set, so two polynomials with the
+    same terms compare equal even if tagged with different orderings.
     """
 
     __slots__ = ("terms", "order", "_lm", "_ecart")
@@ -145,10 +178,11 @@ class Polynomial:
             (c, m), (d, n) = kept
             if c not in (1, -1) or c + d:
                 raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-            if order.sort_key(m) < order.sort_key(n):
-                c, m, d, n = d, n, c, m
+            dm, dn = sum(m), sum(n)
+            if order.greater(n, m, dn, dm):
+                c, m, d, n, dm, dn = d, n, c, m, dn, dm
             self.terms = (Term(int(c), m), Term(int(d), n))
-            self._lm, self._ecart = m, max(sum(n) - sum(m), 0)
+            self._lm, self._ecart = m, max(dn - dm, 0)
         else:
             raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
         self.order = order
@@ -195,7 +229,8 @@ class Polynomial:
         return Polynomial([(c, mono_mul(t, m)) for c, t in self.terms], self.order)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([(-c, m) for c, m in self.terms], self.order)
+        c, lead, tail = _parts(self)
+        return _pair(-c, lead, tail, self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -224,7 +259,7 @@ def binomial(plus: Exponent, minus: Exponent, order: MonomialOrder = LOCAL) -> P
 
 def with_order(f: Polynomial, order: MonomialOrder) -> Polynomial:
     """Same polynomial with its two monomials compared under a different ordering."""
-    return Polynomial(f.terms, order)
+    return _pair(*_parts(f), order)
 
 
 def leading_term(f: Polynomial) -> Term:
@@ -249,13 +284,39 @@ def normalize(f: Polynomial) -> Polynomial:
     return -f
 
 
-def _moved_tail(f: Polynomial, target: Exponent) -> list[Exponent]:
-    """The tail monomial of f times target / LM(f); empty when f is a monomial."""
-    lead = f.lm
-    shift = tuple(map(sub, target, lead))
-    if min(shift, default=0) < 0:
-        raise ValueError(f"{lead} does not divide {target}")
-    return [tuple(map(add, t.mono, shift)) for t in f.terms[1:]]
+def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
+          order: MonomialOrder) -> Polynomial:
+    """coeff * (x^plus - x^minus) without the constructor's checks; None is an absent term.
+
+    For the engine's own results: coeff is ±1 and the two monomials have one
+    length, so there are no like terms to collect and the only collision is
+    cancellation (plus == minus), which gives zero.  One `greater` call
+    decides the lead, and the ecart comes from the degrees it was given.
+    """
+    f = object.__new__(Polynomial)
+    f.order = order
+    if plus == minus:
+        f.terms, f._lm, f._ecart = (), None, None
+    elif minus is None:
+        f.terms, f._lm, f._ecart = (Term(coeff, plus),), plus, 0
+    elif plus is None:
+        f.terms, f._lm, f._ecart = (Term(-coeff, minus),), minus, 0
+    else:
+        d_plus, d_minus = sum(plus), sum(minus)
+        if order.greater(minus, plus, d_minus, d_plus):
+            coeff, plus, minus, d_plus, d_minus = -coeff, minus, plus, d_minus, d_plus
+        f.terms = (Term(coeff, plus), Term(-coeff, minus))
+        f._lm, f._ecart = plus, max(d_minus - d_plus, 0)
+    return f
+
+
+def _parts(f: Polynomial) -> tuple[int, Exponent | None, Exponent | None]:
+    """(lc, lead, tail) with f = lc * (x^lead - x^tail); None for an absent term."""
+    terms = f.terms
+    if not terms:
+        return 1, None, None
+    c, lead = terms[0]
+    return c, lead, terms[1].mono if len(terms) == 2 else None
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -268,9 +329,13 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("spoly of the zero polynomial is undefined")
     if f.order != g.order:
         raise ValueError("operands use different monomial orderings")
-    lcm = mono_lcm(f.lm, g.lm)
-    return Polynomial(
-        [(1, m) for m in _moved_tail(g, lcm)] + [(-1, m) for m in _moved_tail(f, lcm)],
+    _, a, b = _parts(f)
+    _, c, d = _parts(g)
+    lcm = mono_lcm(a, c)
+    return _pair(
+        1,
+        None if d is None else tuple(map(sub, map(add, d, lcm), c)),
+        None if b is None else tuple(map(sub, map(add, b, lcm), a)),
         f.order,
     )
 
@@ -278,10 +343,17 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
     """One cancellation of the leading term of h by a multiple of g.
 
-    What is left is the tail of h plus lc(h) * x^(d + LM(h) - LM(g)) for the
-    tail x^d of g.
+    For h = lc(h)*(x^a - x^b) and the tail x^d of g, what is left is
+    lc(h)*(x^(d + a - LM(g)) - x^b); a term is absent where h or g is a
+    monomial.
     """
-    return Polynomial([*h.terms[1:], *((h.lc, m) for m in _moved_tail(g, h.lm))], h.order)
+    a, lead = h.lm, g.lm
+    shift = tuple(map(sub, a, lead))
+    if min(shift, default=0) < 0:
+        raise ValueError(f"{lead} does not divide {a}")
+    c, _, b = _parts(h)
+    d = _parts(g)[2]
+    return _pair(c, None if d is None else tuple(map(add, d, shift)), b, h.order)
 
 
 def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:

@@ -11,7 +11,9 @@ A `Polynomial` stores its leading monomial and ecart when it is built, so
 the reducer scan runs over ``(lead, ecart, reducer)`` records: exponent
 lengths are checked once per normal form, a reducer whose ecart cannot beat
 the current choice is skipped before its lead is compared, and the scan
-stops at the first divisor of ecart 0.
+stops at the first divisor of ecart 0.  `minimalize` and
+`poly.minimalize_monomials` likewise check lengths once per call and then
+test divisibility with a plain exponent comparison.
 
 The basis loop processes s-polynomial pairs in FIFO creation order and skips
 pairs with coprime leading monomials (the product criterion).  The returned
@@ -28,11 +30,10 @@ from typing import Sequence
 
 from .errors import InconsistencyError
 from .poly import (
-    DimensionError,
     Exponent,
     Polynomial,
+    check_lengths,
     coprime,
-    divides,
     ecart,
     minimalize_monomials,
     normalize,
@@ -67,12 +68,9 @@ def _lead_records(h: Polynomial, basis: Sequence[Polynomial]) -> list[tuple]:
     Every leading monomial must have the length of LM(h); checking once here
     lets the reducer scans compare exponents without a length check.
     """
-    n = len(h.lm)
-    records = [(g.lm, ecart(g), g) for g in basis]
-    for lead, _, _ in records:
-        if len(lead) != n:
-            raise DimensionError(f"exponent length mismatch: {len(lead)} vs {n}")
-    return records
+    leads = [g.lm for g in basis]
+    check_lengths([h.lm, *leads])
+    return list(zip(leads, map(ecart, basis), basis))
 
 
 def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -119,15 +117,22 @@ def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
     """
     if not G:
         return []
+    check_lengths(g.lm for g in G)
     order = G[0].order
     ranked = sorted(
         enumerate(G),
         key=lambda ig: (total_deg(ig[1].lm), ig[1].order.sort_key(ig[1].lm), ig[0]),
     )
     kept: list[Polynomial] = []
+    kept_leads: list[Exponent] = []
     for _, g in ranked:
-        if not any(divides(other.lm, g.lm) for other in kept):
+        lm = g.lm
+        for lead in kept_leads:
+            if all(map(le, lead, lm)):
+                break
+        else:
             kept.append(g)
+            kept_leads.append(lm)
     kept.sort(key=lambda g: order.sort_key(g.lm), reverse=True)
     return kept
 

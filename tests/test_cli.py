@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import pseudosym
-from pseudosym import pipeline, stdbasis
-from pseudosym.cli import COMMANDS, build_parser, main
+from pseudosym import cli, pipeline, stdbasis
+from pseudosym.cli import COMMANDS, build_parser, main, parse_args
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
 EX43 = ["--alpha1", "17", "--alpha2", "25", "--alpha3", "4", "--alpha4", "2", "--alpha21", "10"]
@@ -453,6 +453,28 @@ def test_help_usage_and_errors_are_pinned(capsys, monkeypatch, argv, code, out_d
     assert hashlib.sha256(captured.err.encode()).hexdigest() in err_digests
 
 
+# argvs that start with a subcommand, covering each one's defaults and options
+FRONT_END_ARGVS = [
+    ("gens", *EX41),
+    ("gens", *EX41, "--text"),
+    ("basis", *EX41),
+    ("basis", *EX41, "--closed-form", "--k-strict", "--json"),
+    ("basis", *A4_3, "--verify"),
+    ("basis", "--engine", *EX43),
+    ("hilbert", *EX41),
+    ("hilbert", *EX41, "--bayer", "--max-level", "3", "--text"),
+    ("hilbert", *EX43, "--closed-form", "--max-level=0"),
+    ("verify", *EX41),
+    ("verify", "--text", *A4_3, "--k-strict", "--max-level", "7", "--fixtures", "fx", "--timing"),
+    ("oracle", *EX41),
+    ("oracle", *EX43, "--max-level", "4", "--text"),
+    ("sweep",),
+    ("sweep", "--alpha1", "2:5", "--alpha2", "7", "--alpha4", "2:3", "--alpha21", "1:2"),
+    ("sweep", "--alpha3", "3:4", "--k", "1", "--jobs", "2", "--max-level", "4", "--out", "r.jsonl",
+     "--allow-unsorted", "--allow-small-alpha2"),
+]
+
+
 class TestEntryPath:
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         _, expected, _ = run(capsys, ["gens", *EX41])
@@ -478,6 +500,12 @@ class TestEntryPath:
             else:
                 assert flags == ["-h", "--help"]
 
+    @pytest.mark.parametrize("argv", FRONT_END_ARGVS, ids=lambda argv: " ".join(argv))
+    def test_one_parser_matches_the_full_parser(self, monkeypatch, argv):
+        expected = build_parser(argv[0]).parse_args(argv)
+        monkeypatch.setattr(cli, "build_parser", None)  # the one-parser path must not need it
+        assert parse_args(list(argv)) == expected
+
     def test_verify_call_makes_few_add_argument_calls(self, capsys, monkeypatch):
         calls = []
         real = argparse._ActionsContainer.add_argument
@@ -488,5 +516,5 @@ class TestEntryPath:
 
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
         assert run(capsys, ["verify", *EX41])[0] == 0
-        # one -h per parser (7), the five parameters and verify's six options
-        assert len(calls) == 18
+        # one parser: its -h, the five parameters and verify's six options
+        assert len(calls) == 12

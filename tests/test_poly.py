@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from pseudosym.cm import CM_ORDER
 from pseudosym.poly import (
     EQUAL,
     GLOBAL,
@@ -291,6 +292,93 @@ class TestDivides:
         assert minimalize_monomials([(0, 0, 1, 1), (0, 0, 2, 1)]) == [(0, 0, 1, 1)]
         # a unit generator absorbs everything
         assert minimalize_monomials([(0, 0, 0, 0), (1, 0, 0, 0)]) == [(0, 0, 0, 0)]
+
+    def test_minimalize_monomials_rejects_mixed_lengths(self):
+        with pytest.raises(DimensionError):
+            minimalize_monomials([(1, 0, 0, 0), (1, 0, 0)])
+
+
+# The engine builds its results without the validating constructor; each
+# must equal what the constructor makes of the same terms and ordering.
+
+all_orders = st.sampled_from([LOCAL, GLOBAL, CM_ORDER])
+
+
+def assert_as_validated(R):
+    V = Polynomial(R.terms, R.order)
+    assert R.terms == V.terms and all(type(t) is Term for t in R.terms)
+    assert R.order == V.order
+    if V.is_zero:
+        assert R.is_zero
+        with pytest.raises(ValueError):
+            R.lm
+        with pytest.raises(ValueError):
+            ecart(R)
+    else:
+        assert (R.lm, ecart(R)) == (V.lm, ecart(V))
+
+
+def engine_results(F, G):
+    """spoly, reduce_step, negation, normalize and with_order on F and G."""
+    H = F.mul_term(G.lm)  # LM(G) divides LM(H)
+    yield spoly(F, G)
+    yield spoly(F, F)  # cancels to zero
+    yield reduce_step(H, G)
+    yield reduce_step(F, F)  # cancels to zero
+    yield -F
+    yield -zero(F.order)
+    yield normalize(F)
+    for order in (LOCAL, GLOBAL, CM_ORDER):
+        yield with_order(F, order)
+    yield with_order(zero(F.order), LOCAL)
+
+
+class TestTrustedConstructor:
+    @given(all_orders, monos, monos)
+    def test_greater_agrees_with_sort_key(self, order, a, b):
+        assert order.greater(a, b, sum(a), sum(b)) == (order.sort_key(a) > order.sort_key(b))
+
+    @given(shapes(), shapes(), all_orders)
+    def test_engine_results_match_constructor(self, f, g, order):
+        F, G = build(f, order), build(g, order)
+        for R in engine_results(F, G):
+            assert_as_validated(R)
+
+    @pytest.mark.parametrize("order", [LOCAL, GLOBAL, CM_ORDER], ids=["local", "global", "cm"])
+    @pytest.mark.parametrize("h, g, expect", [
+        # the moved tail of g is the tail of h: zero
+        ("X1*X2-X2*X3", "X1-X3", "0"),
+        # a monomial reduced by a binomial, and a monomial spoly
+        ("X1*X2^2", "X1-X2^2", "monomial"),
+        # equal degrees: the leads are decided by reverse-lex, which LOCAL
+        # (X4 least significant) and CM_ORDER (X1 least) decide differently
+        ("X1^2*X2-X1*X3*X4", "X1-X3", "binomial"),
+    ])
+    def test_cancellation_monomials_and_ties(self, order, h, g, expect):
+        H, G = P(h, order), P(g, order)
+        for R in (reduce_step(H, G), spoly(H, G), -H, normalize(H)):
+            assert_as_validated(R)
+        R = reduce_step(H, G)
+        assert len(R.terms) == {"0": 0, "monomial": 1, "binomial": 2}[expect]
+
+    def test_degree_tie_follows_precedence(self):
+        f = P("X1*X2-X3*X4")
+        assert with_order(f, LOCAL).lm == (1, 1, 0, 0)
+        assert with_order(f, CM_ORDER).lm == (0, 0, 1, 1)
+        assert with_order(with_order(f, CM_ORDER), GLOBAL).lm == (1, 1, 0, 0)
+
+    @pytest.mark.parametrize("order", [LOCAL, GLOBAL, CM_ORDER], ids=["local", "global", "cm"])
+    def test_refusals_kept(self, order):
+        with pytest.raises(ValueError, match="does not divide"):
+            reduce_step(P("X1-X2^2", order), P("X1^2-X3^2", order))
+        with pytest.raises(ValueError):
+            reduce_step(zero(order), P("X1-X2^2", order))
+        with pytest.raises(ValueError):
+            reduce_step(P("X1-X2^2", order), zero(order))
+        with pytest.raises(ValueError):
+            spoly(P("X1-X2^2", order), zero(order))
+        with pytest.raises(ValueError, match="different monomial orderings"):
+            spoly(P("X1-X2^2", order), P("X1-X2^2", LOCAL if order != LOCAL else GLOBAL))
 
 
 class TestTextFormat:

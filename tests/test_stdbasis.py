@@ -286,6 +286,10 @@ class TestReducerScan:
         with pytest.raises(DimensionError):
             nf(h, [monomial((1, 0, 0, 0), LOCAL), monomial((1, 0, 0), LOCAL)])
 
+    def test_minimalize_rejects_mixed_lengths(self):
+        with pytest.raises(DimensionError):
+            stdbasis.minimalize([monomial((1, 0, 0, 0), LOCAL), monomial((1, 0, 0), LOCAL)])
+
     @pytest.mark.parametrize("nf", [nf_mora, nf_global])
     def test_zero_input_ignores_the_basis(self, nf):
         assert nf(zero(LOCAL), [zero(LOCAL), monomial((1, 0, 0), LOCAL)]).is_zero
