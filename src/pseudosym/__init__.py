@@ -12,7 +12,6 @@ from .cm import CmVerdict, cm_by_divisibility, cm_verdict, colon_stability
 from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
 from .hilbert import (
     HilbertReport,
-    UniPoly,
     closed_form_numerator,
     closed_form_second_series,
     hilbert_function,

@@ -67,9 +67,10 @@ def load_fixture_basis(params: PseudoSymmetricParams,
 
 
 def load_fixture_numerator(params: PseudoSymmetricParams,
-                           fixtures_dir: str | Path | None = None) -> hilbert.UniPoly | None:
+                           fixtures_dir: str | Path | None = None) -> list[list[int]] | None:
+    """The stored numerator as the `[exponent, coefficient]` pairs a report prints as "P"."""
     return _load_fixture(fixture_stem(params) + ".numerator.txt", fixtures_dir,
-                         lambda text: hilbert.parse_unipoly(text.strip()))
+                         lambda text: hilbert.parse_numerator(text.strip()))
 
 
 def basis_set(elements: Sequence[Polynomial]) -> frozenset[Polynomial]:
@@ -80,8 +81,8 @@ def render_basis(elements: Sequence[Polynomial]) -> list[str]:
     return [render_poly(f) for f in elements]
 
 
-def _unipoly_pairs(p: hilbert.UniPoly) -> list[list[int]]:
-    return [[e, v] for e, v in p.items()]
+def _sparse_pairs(p: list[int]) -> list[list[int]]:
+    return [[e, v] for e, v in enumerate(p) if v]
 
 
 def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
@@ -114,13 +115,13 @@ def k_readings(params: PseudoSymmetricParams) -> dict[str, int | None]:
     return ks
 
 
-def hilbert_section(P: hilbert.UniPoly, max_level: int | None) -> dict:
+def hilbert_section(P: list[int], max_level: int | None) -> dict:
     """Everything read off a Hilbert numerator P: Q = P/(1-t)^3, H(n) and its summary."""
     Q = hilbert.second_series(P)
     hreport = hilbert.hilbert_function(Q, max_level)
     return {
-        "P": _unipoly_pairs(P),
-        "Q": _unipoly_pairs(Q),
+        "P": _sparse_pairs(P),
+        "Q": _sparse_pairs(Q),
         "H": list(hreport.hilbert_function),
         "regularity_index": hreport.regularity_index,
         "multiplicity": hreport.multiplicity,
@@ -179,7 +180,7 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
 
     fixture_P = load_fixture_numerator(params, fixtures_dir)
     if fixture_P is not None:
-        report["numerator_fixture_match"] = fixture_P == P
+        report["numerator_fixture_match"] = fixture_P == report["P"]
         if not report["numerator_fixture_match"]:
             mismatches.append("stored numerator fixture differs from computed one")
     fixture_basis = load_fixture_basis(params, fixtures_dir)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,25 @@ class TestFixtureErrors:
         assert code == 2
         assert out == ""
         assert "empty fixture" in err and str(path) in err
+
+    def test_far_exponent_numerator_fixture_is_a_mismatch(self, capsys, tmp_path):
+        # one sparse pair per term: a dense coefficient list would need gigabytes
+        (tmp_path / "a1-16_a2-20_a3-7_a4-2_a21-8.numerator.txt").write_text("1-t^1000000000\n")
+        params = pseudosym.PseudoSymmetricParams(16, 20, 7, 2, 8)
+        tracemalloc.start()
+        try:
+            parsed = pipeline.load_fixture_numerator(params, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == [[0, 1], [1000000000, -1]]
+        assert peak < 1 << 20
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert code == 3
+        assert "Traceback" not in err
+        data = json.loads(out)
+        assert data["numerator_fixture_match"] is False
+        assert "stored numerator fixture differs from computed one" in data["mismatches"]
 
     def test_empty_directory_skips_fixture_checks(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])

@@ -3,29 +3,25 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pseudosym.errors import InconsistencyError, ParameterError
+import reference as ref
+from pseudosym.errors import InconsistencyError, ParameterError, UnsupportedParametersError
 from pseudosym.hilbert import (
-    UniPoly,
+    add_shifted,
     closed_form_numerator,
     closed_form_second_series,
-    count_standard_monomials,
     divide_by_one_minus_t,
-    geom,
     hilbert_function,
     hilbert_numerator,
     monomial_colon,
-    parse_unipoly,
-    quotient_hilbert_coeffs,
-    regrouped_second_series,
-    render_unipoly,
+    parse_numerator,
     second_series,
-    tpow,
 )
-from pseudosym.pipeline import load_fixture_numerator
-from pseudosym.semigroup import construct_generators, hilbert_oracle
+from pseudosym.pipeline import basis_set, engine_basis, load_fixture_numerator
+from pseudosym.semigroup import PseudoSymmetricParams, check_conditions, construct_generators, hilbert_oracle
 from pseudosym.stdbasis import leading_ideal
-from pseudosym.toric import compute_k
+from pseudosym.toric import closed_form_basis, compute_k
 
 from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
 
@@ -41,40 +37,52 @@ def random_ideal(rng, max_gens=5, max_deg=6):
     return gens
 
 
+def stored(params) -> list[int]:
+    """The stored numerator fixture of `params` as a coefficient list."""
+    return ref.to_list(dict(load_fixture_numerator(params)))
+
+
+def pairs(p: list[int]) -> list[list[int]]:
+    return [[e, v] for e, v in enumerate(p) if v]
+
+
 class TestUniPoly:
     def test_parse_render_roundtrip(self):
         text = "1-3*t^2+3*t^3-t^4-t^7+t^8"
-        assert render_unipoly(parse_unipoly(text)) == text
+        assert parse_numerator(text) == [[0, 1], [2, -3], [3, 3], [4, -1], [7, -1], [8, 1]]
+        # like terms are collected and a zero sum is dropped
+        assert parse_numerator("1-t+2*t^3+t-3*t^3+t^3") == [[0, 1]]
 
     @pytest.mark.parametrize("text", ["1--t", "1-t-", "1+-t^2", "1-t^", "1-t^2^3"])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ValueError):
-            parse_unipoly(text)
+            parse_numerator(text)
 
     def test_geom_blocks(self):
-        assert geom(3) == UniPoly({0: 1, 1: 1, 2: 1})
-        assert geom(0).is_zero
-        assert (1 - tpow(1)) * geom(5) == 1 - tpow(5)
+        assert divide_by_one_minus_t([1, 0, 0, -1]) == [1, 1, 1]
+        assert add_shifted([1], -1, 0, [1]) == []
+        assert add_shifted([1] * 5, -1, 1, [1] * 5) == [1, 0, 0, 0, 0, -1]
 
 
 class TestPivotRecursion:
     def test_empty_ideal(self):
-        assert hilbert_numerator([]) == 1
+        assert hilbert_numerator([]) == [1]
 
     def test_principal_ideal(self):
-        assert hilbert_numerator([(1, 0, 0, 0)]) == 1 - tpow(1)
+        assert hilbert_numerator([(1, 0, 0, 0)]) == [1, -1]
 
     def test_unit_ideal(self):
-        assert hilbert_numerator([(0, 0, 0, 0)]).is_zero
+        assert hilbert_numerator([(0, 0, 0, 0)]) == []
 
     def test_complete_intersection(self):
         P = hilbert_numerator([(0, 0, 0, 1), (0, 2, 0, 0), (0, 0, 1, 0)])
-        assert P == (1 - tpow(1)) ** 2 * (1 - tpow(2))
+        assert P == [1, -2, 0, 2, -1]
+        assert P == ref.to_list(ref.mul(ref.ONE_MINUS_T, ref.ONE_MINUS_T, {0: 1, 2: -1}))
 
     @pytest.mark.parametrize("params", FAMILY_TUPLES)
     def test_matches_stored_numerators(self, engine_bases, params):
         P = hilbert_numerator(leading_ideal(engine_bases[params]))
-        assert P == load_fixture_numerator(params)
+        assert pairs(P) == load_fixture_numerator(params)
 
     def test_pivot_invariance_on_random_ideals(self):
         rng = random.Random(5)
@@ -91,8 +99,8 @@ class TestPivotRecursion:
         for _ in range(25):
             gens = random_ideal(rng)
             P = hilbert_numerator(gens)
-            coeffs = quotient_hilbert_coeffs(P, 4, 8)
-            brute = [count_standard_monomials(gens, n) for n in range(9)]
+            coeffs = ref.quotient_hilbert_coeffs(ref.from_list(P), 4, 8)
+            brute = [ref.count_standard_monomials(gens, n) for n in range(9)]
             assert coeffs == brute, gens
 
 
@@ -120,7 +128,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("params", FAMILY_TUPLES)
     def test_numerator_formula_matches_stored_text(self, params):
         P = closed_form_numerator(params, compute_k(params))
-        assert P == load_fixture_numerator(params)
+        assert pairs(P) == load_fixture_numerator(params)
 
     def test_rejects_other_alpha4(self):
         from conftest import TUPLE_A4_3
@@ -133,55 +141,54 @@ class TestClosedForms:
         k = compute_k(params)
         by_division = second_series(closed_form_numerator(params, k))
         assert closed_form_second_series(params, k) == by_division
-        assert regrouped_second_series(params, k) == by_division
+        assert ref.to_list(ref.regrouped_second_series(params, k)) == by_division
 
     def test_low_exponent_block_absorbs_the_negative_term(self):
         # for k = 1 the t^(a21+1) coefficient stays nonnegative after expansion
         Q = closed_form_second_series(TUPLE_41, 1)
-        assert Q.coeff(TUPLE_41.alpha21 + 1) >= 0
+        assert Q[TUPLE_41.alpha21 + 1] >= 0
 
 
 class TestDivision:
     def test_cube_divides_exactly(self):
-        omt = UniPoly({0: 1, 1: -1})
-        assert second_series(omt**3) == 1
+        assert second_series([1, -3, 3, -1]) == [1]
 
     def test_remainder_detected(self):
         with pytest.raises(InconsistencyError):
-            divide_by_one_minus_t(UniPoly({0: 1, 1: 1}))
+            divide_by_one_minus_t([1, 1])
 
     def test_multiplicity_of_first_example(self):
-        Q = second_series(load_fixture_numerator(TUPLE_41))
-        assert Q(1) == 141
+        Q = second_series(stored(TUPLE_41))
+        assert sum(Q) == 141
 
     @pytest.mark.parametrize("params", FAMILY_TUPLES)
     def test_vanishing_order_exactly_three(self, params):
-        P = load_fixture_numerator(params)
+        P = stored(params)
         Q = second_series(P)
-        assert P(1) == 0
-        assert Q(1) == min(construct_generators(params).generators) != 0
+        assert sum(P) == 0
+        assert sum(Q) == min(construct_generators(params).generators) != 0
 
 
 class TestHilbertFunction:
     def test_embedding_dimension_start(self):
-        Q = second_series(load_fixture_numerator(TUPLE_41))
+        Q = second_series(stored(TUPLE_41))
         rep = hilbert_function(Q)
         assert rep.hilbert_function[0] == 1
         assert rep.hilbert_function[1] == 4
 
     def test_first_example_non_decreasing(self):
-        rep = hilbert_function(second_series(load_fixture_numerator(TUPLE_41)))
+        rep = hilbert_function(second_series(stored(TUPLE_41)))
         assert rep.non_decreasing
         assert rep.first_decrease_level is None
 
     def test_function_matches_oracle(self):
-        Q = second_series(load_fixture_numerator(TUPLE_41))
+        Q = second_series(stored(TUPLE_41))
         rep = hilbert_function(Q)
         S = construct_generators(TUPLE_41)
         assert list(rep.hilbert_function) == hilbert_oracle(S, len(rep.hilbert_function) - 1)
 
     def test_plateau_and_regularity_index(self):
-        Q = second_series(load_fixture_numerator(TUPLE_42))
+        Q = second_series(stored(TUPLE_42))
         rep = hilbert_function(Q)
         idx = rep.regularity_index
         assert rep.hilbert_function[idx - 1] != rep.multiplicity
@@ -189,7 +196,114 @@ class TestHilbertFunction:
 
 
     def test_negative_level_rejected(self):
-        Q = second_series(load_fixture_numerator(TUPLE_41))
+        Q = second_series(stored(TUPLE_41))
         with pytest.raises(ParameterError, match=r"\(-3\)"):
             hilbert_function(Q, -3)
         assert hilbert_function(Q, 0).hilbert_function == (1,)
+
+
+def no_trailing_zero(p: list[int]) -> bool:
+    return not p or p[-1] != 0
+
+
+small_polys = st.lists(st.integers(-3, 3), max_size=8).map(lambda c: ref.to_list(ref.from_list(c)))
+monomials = st.tuples(*[st.integers(0, 4)] * 4).filter(lambda m: sum(m) <= 6)
+
+
+class TestListHelpersAgainstReference:
+    """The coefficient-list helpers against the dict arithmetic of tests/reference.py."""
+
+    @given(small_polys, st.integers(-3, 3), st.integers(0, 6), small_polys, st.booleans())
+    def test_add_shifted(self, p, c, d, q, alias):
+        if alias:
+            q = p
+        p_before, q_before = list(p), list(q)
+        got = add_shifted(p, c, d, q)
+        expected = ref.add(ref.from_list(p), ref.mul(ref.tpow(d, c), ref.from_list(q)))
+        assert got == ref.to_list(expected) and no_trailing_zero(got)
+        assert (p, q) == (p_before, q_before)
+
+    @given(small_polys, st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+    def test_second_series(self, base, r0, r1, r2):
+        # base * (1-t)^3 plus a remainder of degree < 3, which (1-t)^3 divides only when 0
+        P = ref.to_list(ref.add(ref.mul(ref.from_list(base), *[ref.ONE_MINUS_T] * 3),
+                                ref.from_list([r0, r1, r2])))
+        before = list(P)
+        expected = ref.second_series(ref.from_list(P))
+        if expected is None:
+            with pytest.raises(InconsistencyError):
+                second_series(P)
+        else:
+            got = second_series(P)
+            assert got == ref.to_list(expected) and no_trailing_zero(got)
+        assert P == before
+        assert (expected is None) == bool(r0 or r1 or r2)
+
+    @given(small_polys.filter(bool), st.one_of(st.none(), st.integers(0, 12)))
+    def test_hilbert_function(self, Q, level):
+        before = list(Q)
+        rep = hilbert_function(Q, level)
+        dense = ref.from_list(Q)
+        deg = max(dense)
+        up_to = deg + 5 if level is None else level
+        negatives = [e for e, v in dense.items() if v < 0]
+        assert list(rep.hilbert_function) == ref.quotient_hilbert_coeffs(dense, 1, up_to)
+        assert rep.regularity_index == deg
+        assert rep.multiplicity == ref.evaluate(dense, 1)
+        assert rep.non_decreasing == (not negatives)
+        assert rep.first_decrease_level == (min(negatives) if negatives else None)
+        assert Q == before
+
+    @given(st.lists(monomials, max_size=5), st.sampled_from(["first", "maxdeg", "random"]),
+           st.integers(0, 9))
+    def test_pivot_recursion(self, gens, pivot, seed):
+        before = list(gens)
+        got = hilbert_numerator(gens, pivot=pivot, seed=seed)
+        assert got == ref.to_list(ref.taylor_numerator(gens)) and no_trailing_zero(got)
+        assert gens == before
+
+
+def family_sample(seed: int = 30, draws: int = 20000, per_k: int = 6) -> list[PseudoSymmetricParams]:
+    """A seeded draw of alpha4 = 2 family tuples with alphas <= 30, at most `per_k` for each k.
+
+    Family tuples satisfy (1)-(4), have sorted coprime generators and a
+    non-strict k; a uniform draw finds mostly k = 1 and 2, so every k found
+    is capped at `per_k` tuples, in draw order.
+    """
+    rng = random.Random(seed)
+    strata: dict[int, list[PseudoSymmetricParams]] = {}
+    for _ in range(draws):
+        a1 = rng.randint(3, 30)
+        params = PseudoSymmetricParams(a1, rng.randint(2, 30), rng.randint(2, 30), 2,
+                                       rng.randint(1, a1 - 2))
+        conds = check_conditions(params)
+        if not all(conds[c] for c in ("c1", "c2", "c3", "c4", "sorted", "coprime")):
+            continue
+        try:
+            k = compute_k(params)
+        except UnsupportedParametersError:
+            continue
+        strata.setdefault(k, []).append(params)
+    return [params for k in sorted(strata) for params in strata[k][:per_k]]
+
+
+WIDE_SAMPLE = family_sample()
+
+
+def test_wide_sample_is_stratified():
+    ks = [compute_k(params) for params in WIDE_SAMPLE]
+    assert 40 <= len(WIDE_SAMPLE) <= 60
+    assert max(ks) >= 6 and all(ks.count(k) == 6 for k in range(1, 7))
+    assert max(max(p.as_dict().values()) for p in WIDE_SAMPLE) > 20
+
+
+@pytest.mark.parametrize("params", WIDE_SAMPLE, ids=lambda p: "-".join(map(str, p.as_dict().values())))
+def test_closed_forms_on_wide_sample(params):
+    k = compute_k(params)
+    engine = engine_basis(params)
+    assert basis_set(closed_form_basis(params).elements) == basis_set(engine)
+    P = hilbert_numerator(leading_ideal(engine))
+    assert closed_form_numerator(params, k) == P
+    Q = second_series(P)
+    assert closed_form_second_series(params, k) == Q
+    assert ref.to_list(ref.regrouped_second_series(params, k)) == Q
