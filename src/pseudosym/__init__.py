@@ -8,7 +8,7 @@ and Cohen-Macaulayness verdicts, all cross-checked against independent
 brute-force routes.
 """
 
-from .cm import CmVerdict, cm_by_divisibility, cm_verdict, colon_stability
+from .cm import CmVerdict, cm_verdict
 from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
 from .hilbert import (
     HilbertReport,
@@ -49,10 +49,8 @@ from .semigroup import (
     membership_table,
 )
 from .stdbasis import (
-    TangentConeIdeal,
     buchberger_homogeneous,
     leading_ideal,
-    lowest_form,
     nf_mora,
     standard_basis,
     tangent_cone_ideal,

@@ -2,13 +2,13 @@
 
 The associated graded ring is Cohen-Macaulay exactly when X1 (the initial
 form of the multiplicity element) is a nonzerodivisor.  For a monomial ideal
-that is a divisibility check on the minimal generators, equivalently the
-colon-stability test (M : X1) = M.
+that is a divisibility check on the minimal generators: X1 divides none.
 
 When the tangent-cone generators are not all monomials the check runs on the
 leading ideal of a Groebner basis computed under degrevlex with X1 last in
 precedence; with X1 smallest, the initial ideal commutes with the colon by
-X1, so the divisibility test on it is still exact.
+X1, so the divisibility test on it is still exact.  Both cases end in the
+same test in `cm_verdict`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import Exponent, MonomialOrder, minimalize_monomials, with_order
-from .stdbasis import TangentConeIdeal, buchberger_homogeneous, leading_ideal, tangent_cone_ideal
+from .stdbasis import buchberger_homogeneous, leading_ideal, tangent_cone_ideal
 
 # Global degrevlex with precedence X2 > X3 > X4 > X1 (X1 least significant).
 CM_ORDER = MonomialOrder(local=False, precedence=(1, 2, 3, 0))
@@ -29,42 +29,18 @@ class CmVerdict:
     witness: Exponent | None  # a minimal generator divisible by X1, if any
 
 
-def _divisibility_verdict(gens: Sequence[Exponent], var: int) -> CmVerdict:
-    minimal = minimalize_monomials(gens)
-    bad = [m for m in minimal if m[var] > 0]
-    if bad:
-        return CmVerdict(False, min(bad))
-    return CmVerdict(True, None)
-
-
-def cm_by_divisibility(tc: TangentConeIdeal, var: int = 0) -> CmVerdict:
-    """Verdict for a monomial tangent cone; rejects non-monomial input."""
-    if not tc.monomial_flag:
-        raise ValueError(
-            "divisibility criterion needs monomial generators; "
-            "use cm_verdict to route through the leading ideal"
-        )
-    return _divisibility_verdict([g.lm for g in tc.generators], var)
-
-
-def colon_stability(gens: Sequence[Exponent], var: int) -> bool:
-    """True iff (M : X_var) = M, i.e. X_var is a nonzerodivisor mod M."""
-    from .hilbert import monomial_colon
-
-    step = tuple(1 if i == var else 0 for i in range(len(gens[0])))
-    return set(monomial_colon(gens, step)) == set(minimalize_monomials(gens))
-
-
 def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
-    """Full pipeline verdict from a local standard basis.
+    """Verdict from a local standard basis.
 
-    Monomial tangent cones are tested directly; otherwise the lowest forms
-    are re-sorted under `CM_ORDER`, closed into a Groebner basis, and the
-    test runs on its leading ideal.
+    The test runs on the leads of a monomial tangent cone, and otherwise on
+    the leading ideal of the Groebner basis of its lowest forms re-sorted
+    under `CM_ORDER`.
     """
-    tc = tangent_cone_ideal(standard_basis_elements)
-    if tc.monomial_flag:
-        return cm_by_divisibility(tc)
-    regraded = [with_order(g, CM_ORDER) for g in tc.generators]
-    basis = buchberger_homogeneous(regraded)
-    return _divisibility_verdict(leading_ideal(basis), var=0)
+    cone = tangent_cone_ideal(standard_basis_elements)
+    if all(len(g.terms) == 1 for g in cone):
+        leads = [g.lm for g in cone]
+    else:
+        leads = leading_ideal(buchberger_homogeneous([with_order(g, CM_ORDER) for g in cone]))
+    var = 0  # X1, last in CM_ORDER's precedence
+    bad = [m for m in minimalize_monomials(leads) if m[var] > 0]
+    return CmVerdict(not bad, min(bad, default=None))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, ParameterError
@@ -72,15 +73,14 @@ def parse_numerator(text: str) -> list[list[int]]:
 
 def monomial_colon(gens: Iterable[Exponent], w: Exponent) -> list[Exponent]:
     """Minimal generators of (M : w) for a monomial ideal M."""
-    quotients = [tuple(max(g - x, 0) for g, x in zip(m, w)) for m in gens]
-    return minimalize_monomials(quotients)
+    return minimalize_monomials(tuple(map(sub, map(max, m, w), w)) for m in gens)
 
 
 def _pick_pivot(gens: Sequence[Exponent], pivot: str, rng) -> Exponent:
     if pivot == "first":
         return gens[0]
     if pivot == "maxdeg":
-        return max(gens, key=lambda m: (total_deg(m), [-e for e in m]))
+        return min(gens, key=lambda m: (-sum(m), m))
     if pivot == "random":
         return rng.choice(gens)
     raise ValueError(f"unknown pivot strategy {pivot!r}")

@@ -7,12 +7,12 @@ standard-basis computation produces, since the s-polynomial and the
 reduction step of two such polynomials are again one of them.  A polynomial
 carries the ordering its terms are sorted under (leading term first).
 
-`Polynomial(terms, order)` validates outside input: parsed text, `monomial`,
-`binomial` and `lowest_form`.  The engine's own results (`spoly`,
-`reduce_step`, negation and so `normalize`, `with_order`) are ±(x^a - x^b)
-by construction: their two monomials can only cancel, never need
-collecting, so they are built by `_pair`, which decides the lead with one
-`MonomialOrder.greater` call, the comparison `__init__` also uses.
+`Polynomial(terms, order)` validates outside input: parsed text, `monomial`
+and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
+and so `normalize`, `with_order`) are ±(x^a - x^b) by construction: their
+two monomials can only cancel, never need collecting, so they are built by
+`_pair`.  Both routes end in `_fill`, whose one `MonomialOrder.greater`
+call decides the lead and the ecart.
 
 Two ordering kinds are provided:
 
@@ -152,8 +152,9 @@ class Polynomial:
     The constructor is the validating entry for outside input.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
-    `ValueError`.  The engine's own results (`spoly`, `reduce_step`,
-    negation, `with_order`) skip it and go through `_pair`.  Equality and
+    `ValueError`; what passes sets its slots through `_fill`.  The engine's
+    own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
+    checks and go through `_pair`, which calls `_fill` too.  Equality and
     hashing look only at the signed term set, so two polynomials with the
     same terms compare equal even if tagged with different orderings.
     """
@@ -165,27 +166,11 @@ class Polynomial:
         for coeff, mono in terms:
             acc[mono] = acc.get(mono, 0) + coeff
         kept = [(c, m) for m, c in acc.items() if c]
-        if not kept:
-            self.terms: tuple[Term, ...] = ()
-            self._lm = self._ecart = None
-        elif len(kept) == 1:
-            (c, m), = kept
-            if c not in (1, -1):
-                raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-            self.terms = (Term(int(c), m),)
-            self._lm, self._ecart = m, 0
-        elif len(kept) == 2:
-            (c, m), (d, n) = kept
-            if c not in (1, -1) or c + d:
-                raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-            dm, dn = sum(m), sum(n)
-            if order.greater(n, m, dn, dm):
-                c, m, d, n, dm, dn = d, n, c, m, dn, dm
-            self.terms = (Term(int(c), m), Term(int(d), n))
-            self._lm, self._ecart = m, max(dn - dm, 0)
-        else:
+        # At most one term of each sign survives here, and only as ±1.
+        signed = {c: m for c, m in kept if c in (1, -1)}
+        if len(signed) != len(kept):
             raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-        self.order = order
+        _fill(self, 1, signed.get(1), signed.get(-1), order)
 
     @property
     def is_zero(self) -> bool:
@@ -222,7 +207,9 @@ class Polynomial:
         return min(total_deg(t.mono) for t in self.terms)
 
     def is_homogeneous(self) -> bool:
-        return self.is_zero or self.degree == self.min_degree
+        """True for zero, a monomial, and a binomial whose two terms have one degree."""
+        terms = self.terms
+        return len(terms) < 2 or sum(terms[0].mono) == sum(terms[1].mono)
 
     def mul_term(self, m: Exponent) -> "Polynomial":
         """The product with the monomial x^m."""
@@ -284,16 +271,13 @@ def normalize(f: Polynomial) -> Polynomial:
     return -f
 
 
-def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
+def _fill(f: Polynomial, coeff: int, plus: Exponent | None, minus: Exponent | None,
           order: MonomialOrder) -> Polynomial:
-    """coeff * (x^plus - x^minus) without the constructor's checks; None is an absent term.
+    """Set the slots of f to coeff * (x^plus - x^minus); None is an absent term.
 
-    For the engine's own results: coeff is ±1 and the two monomials have one
-    length, so there are no like terms to collect and the only collision is
-    cancellation (plus == minus), which gives zero.  One `greater` call
+    coeff is ±1, and equal monomials cancel to zero.  One `greater` call
     decides the lead, and the ecart comes from the degrees it was given.
     """
-    f = object.__new__(Polynomial)
     f.order = order
     if plus == minus:
         f.terms, f._lm, f._ecart = (), None, None
@@ -308,6 +292,12 @@ def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
         f.terms = (Term(coeff, plus), Term(-coeff, minus))
         f._lm, f._ecart = plus, max(d_minus - d_plus, 0)
     return f
+
+
+def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
+          order: MonomialOrder) -> Polynomial:
+    """coeff * (x^plus - x^minus) without the constructor's checks, for the engine's results."""
+    return _fill(object.__new__(Polynomial), coeff, plus, minus, order)
 
 
 def _parts(f: Polynomial) -> tuple[int, Exponent | None, Exponent | None]:

@@ -11,19 +11,22 @@ A `Polynomial` stores its leading monomial and ecart when it is built, so
 the reducer scan runs over ``(lead, ecart, reducer)`` records: exponent
 lengths are checked once per normal form, a reducer whose ecart cannot beat
 the current choice is skipped before its lead is compared, and the scan
-stops at the first divisor of ecart 0.  `minimalize` and
-`poly.minimalize_monomials` likewise check lengths once per call and then
-test divisibility with a plain exponent comparison.
+stops at the first divisor of ecart 0.  `minimalize` keeps the elements
+whose leads `poly.minimalize_monomials` keeps, so one divisibility scan
+serves bases, leading ideals and monomial colons.
 
 The basis loop processes s-polynomial pairs in FIFO creation order and skips
 pairs with coprime leading monomials (the product criterion).  The returned
 basis is minimal: no leading monomial divides another.
+
+The lowest forms of a local standard basis generate the tangent-cone ideal.
+A ±1 monomial or homogeneous binomial is its own lowest form; any other
+binomial's is its lower-degree term, the lead under the local ordering.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import inf
 from operator import le
 from typing import Sequence
@@ -32,6 +35,7 @@ from .errors import InconsistencyError
 from .poly import (
     Exponent,
     Polynomial,
+    _pair,
     check_lengths,
     coprime,
     ecart,
@@ -39,27 +43,10 @@ from .poly import (
     normalize,
     reduce_step,
     spoly,
-    total_deg,
 )
 
 # Safety valve only; the ecart argument guarantees termination long before this.
 MAX_REDUCTION_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class TangentConeIdeal:
-    """Lowest-degree forms of a basis; monomial_flag marks the all-monomial case."""
-
-    generators: tuple[Polynomial, ...]
-    monomial_flag: bool
-
-
-def lowest_form(f: Polynomial) -> Polynomial:
-    """The terms of minimal total degree: f itself or its lower monomial."""
-    if f.is_zero:
-        raise ValueError("zero polynomial has no lowest form")
-    d = f.min_degree
-    return Polynomial([t for t in f.terms if total_deg(t.mono) == d], f.order)
 
 
 def _lead_records(h: Polynomial, basis: Sequence[Polynomial]) -> list[tuple]:
@@ -108,31 +95,16 @@ def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
-    """Drop elements whose leading monomial is divisible by another's.
+    """The first element of `G` for each minimal generator of its leading ideal.
 
-    Candidates are scanned by increasing leading-monomial degree so that a
-    divisor is always seen before its multiples; the survivors are returned
-    with the largest leading monomial first, which for a local ordering puts
-    the lowest-degree elements at the front.
+    They are returned with the largest leading monomial first, which for a
+    local ordering puts the lowest-degree elements at the front.
     """
     if not G:
         return []
-    check_lengths(g.lm for g in G)
+    first = {g.lm: g for g in reversed(G)}  # earlier elements overwrite later
     order = G[0].order
-    ranked = sorted(
-        enumerate(G),
-        key=lambda ig: (total_deg(ig[1].lm), ig[1].order.sort_key(ig[1].lm), ig[0]),
-    )
-    kept: list[Polynomial] = []
-    kept_leads: list[Exponent] = []
-    for _, g in ranked:
-        lm = g.lm
-        for lead in kept_leads:
-            if all(map(le, lead, lm)):
-                break
-        else:
-            kept.append(g)
-            kept_leads.append(lm)
+    kept = [first[lm] for lm in minimalize_monomials(first)]
     kept.sort(key=lambda g: order.sort_key(g.lm), reverse=True)
     return kept
 
@@ -210,7 +182,13 @@ def leading_ideal(G: Sequence[Polynomial]) -> list[Exponent]:
     return minimalize_monomials(g.lm for g in G)
 
 
-def tangent_cone_ideal(G: Sequence[Polynomial]) -> TangentConeIdeal:
-    """Lowest forms of a standard basis; they generate the tangent-cone ideal."""
-    lows = tuple(normalize(lowest_form(g)) for g in G)
-    return TangentConeIdeal(lows, all(len(g.terms) == 1 for g in lows))
+def tangent_cone_ideal(G: Sequence[Polynomial]) -> list[Polynomial]:
+    """Normalized lowest forms of a standard basis, by the ±1 rule above."""
+    cone = []
+    for g in G:
+        if g.is_zero:
+            raise ValueError("zero polynomial has no lowest form")
+        if not g.is_homogeneous():
+            g = _pair(1, min((t.mono for t in g.terms), key=sum), None, g.order)
+        cone.append(normalize(g))
+    return cone

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from pseudosym import PseudoSymmetricParams
+from pseudosym.semigroup import check_conditions
 
 # The regression tuples used throughout the suite, as (params, basis size).
 TUPLE_41 = PseudoSymmetricParams(16, 20, 7, 2, 8)
@@ -19,6 +22,19 @@ ALL_FIXTURE_TUPLES = [
     (TUPLE_A4_3, 10),
     (TUPLE_A4_5, 14),
 ]
+
+# The off-family box: alpha1 3..7, alpha2 2..6, alpha3 2..5, alpha4 3..5,
+# alpha21 1..5, coprime generators in any order.
+ENGINE_BOX_RANGES = (range(3, 8), range(2, 7), range(2, 6), range(3, 6), range(1, 6))
+
+
+def engine_box() -> list[PseudoSymmetricParams]:
+    """The coprime tuples of the off-family box, sorted generators or not."""
+    return [
+        PseudoSymmetricParams(*t)
+        for t in itertools.product(*ENGINE_BOX_RANGES)
+        if t[4] < t[0] - 1 and check_conditions(PseudoSymmetricParams(*t))["coprime"]
+    ]
 
 
 @pytest.fixture(scope="session")

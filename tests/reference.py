@@ -3,7 +3,7 @@
 Nothing here imports from `pseudosym`, so a shared defect cannot make both
 sides agree.  A polynomial in t is a dict from exponent to nonzero integer
 coefficient; `from_list` and `to_list` convert from and to the package's
-dense coefficient lists.
+dense coefficient lists.  A monomial is a tuple of exponents.
 """
 
 from __future__ import annotations
@@ -130,3 +130,49 @@ def regrouped_second_series(params, k: int) -> dict[int, int]:
     for j in range(1, k):
         bracket = add(bracket, tpow(j * a2 + 1), tpow((j - 1) * a1 + (j + 1) * a21 + a3 + 1 - j, -1))
     return add({0: 1}, tpow(1), tpow(a21 + 1, -1), mul(geom(a2), bracket))
+
+
+def minimal_monomials(gens) -> set[tuple[int, ...]]:
+    """Minimal generators of the monomial ideal spanned by `gens`, by pairwise division."""
+    gens = set(gens)
+    return {m for m in gens
+            if not any(g != m and all(a <= b for a, b in zip(g, m)) for g in gens)}
+
+
+def colon_stability(gens, var: int) -> bool:
+    """True iff (M : X_var) = M, i.e. X_var is a nonzerodivisor mod M.
+
+    (M : X_var) is generated by the generators of M with the exponent of
+    X_var lowered by one where it is positive.
+    """
+    quotients = [tuple(max(e - (i == var), 0) for i, e in enumerate(m)) for m in gens]
+    return minimal_monomials(quotients) == minimal_monomials(gens)
+
+
+def apery_set(gens) -> list[int]:
+    """Ap(S, m) for the smallest generator m, by residue, from a membership sieve.
+
+    Every element of Ap(S, m) is at most (m - 1) * max(gens), so the sieve
+    stops there.  `gens` must have gcd 1.
+    """
+    m = min(gens)
+    bound = (m - 1) * max(gens)
+    member = [True] + [False] * bound
+    for x in range(1, bound + 1):
+        member[x] = any(x >= g and member[x - g] for g in gens)
+    ap: list[int | None] = [None] * m
+    for x in range(bound + 1):
+        if member[x] and ap[x % m] is None:
+            ap[x % m] = x
+    return ap
+
+
+def pseudo_symmetric_by_apery_maxima(gens) -> bool:
+    """S is pseudo-symmetric iff F is even and the maximal elements of Ap(S, m)
+    under a <=_S b (b - a in S) are exactly F + m and F/2 + m."""
+    ap = apery_set(gens)
+    m = len(ap)
+    frobenius = max(ap) - m
+    maximal = {a for a in ap
+               if not any(b != a and b >= a and b - a >= ap[(b - a) % m] for b in ap)}
+    return frobenius % 2 == 0 and maximal == {frobenius + m, frobenius // 2 + m}

@@ -4,54 +4,75 @@ import random
 
 import pytest
 
-from pseudosym.cm import cm_by_divisibility, cm_verdict, colon_stability
-from pseudosym.poly import LOCAL, minimalize_monomials, monomial, parse_poly
+import reference as ref
+from pseudosym import cm
+from pseudosym.cm import cm_verdict
+from pseudosym.poly import LOCAL, monomial, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
-from pseudosym.stdbasis import standard_basis, tangent_cone_ideal
+from pseudosym.stdbasis import leading_ideal, standard_basis, tangent_cone_ideal
 from pseudosym.toric import toric_generators
 
-from conftest import FAMILY_TUPLES, TUPLE_41
+from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
 
 
 def mono_ideal(*monos):
-    return tangent_cone_ideal([monomial(m, LOCAL) for m in monos])
+    return [monomial(m, LOCAL) for m in monos]
 
 
 class TestDivisibilityCriterion:
     def test_first_example_not_cm(self, engine_bases):
-        verdict = cm_by_divisibility(tangent_cone_ideal(engine_bases[TUPLE_41]))
+        G = engine_bases[TUPLE_41]
+        assert all(len(g.terms) == 1 for g in tangent_cone_ideal(G))
+        verdict = cm_verdict(G)
         assert not verdict.cohen_macaulay
         assert verdict.witness == (8, 0, 0, 1)
 
     def test_ideal_without_x1_is_cm(self):
-        verdict = cm_by_divisibility(mono_ideal((0, 2, 0, 0), (0, 0, 1, 1)))
+        verdict = cm_verdict(mono_ideal((0, 2, 0, 0), (0, 0, 1, 1)))
         assert verdict.cohen_macaulay
         assert verdict.witness is None
 
-    def test_non_monomial_input_rejected(self):
-        tc = tangent_cone_ideal([parse_poly("X1*X2-X3^2", LOCAL)])
-        with pytest.raises(ValueError, match="monomial"):
-            cm_by_divisibility(tc)
+    def test_non_monomial_input_rejected(self, monkeypatch):
+        # The local lead X1*X2 of a binomial cone is not tested: the cone goes
+        # through the Groebner basis under CM_ORDER, whose lead is X3^2.
+        calls = []
+
+        def traced(gens):
+            calls.append(gens)
+            return buchberger(gens)
+
+        buchberger = cm.buchberger_homogeneous
+        monkeypatch.setattr(cm, "buchberger_homogeneous", traced)
+        f = parse_poly("X1*X2-X3^2", LOCAL)
+        assert f.lm == (1, 1, 0, 0)
+        verdict = cm_verdict([f])
+        assert len(calls) == 1
+        assert verdict.cohen_macaulay and verdict.witness is None
 
 
 class TestColonStability:
+    """The test reference `colon_stability` against `cm_verdict` on monomial ideals."""
+
     def test_stable_without_the_variable(self):
-        assert colon_stability([(0, 2, 0, 0)], 0)
+        assert ref.colon_stability([(0, 2, 0, 0)], 0)
+        assert cm_verdict(mono_ideal((0, 2, 0, 0))).cohen_macaulay
 
     def test_unstable_with_it(self):
-        assert not colon_stability([(1, 1, 0, 0)], 0)
+        assert not ref.colon_stability([(1, 1, 0, 0)], 0)
+        assert not cm_verdict(mono_ideal((1, 1, 0, 0))).cohen_macaulay
 
     def test_agrees_with_divisibility_on_random_ideals(self):
         rng = random.Random(13)
         for _ in range(200):
-            gens = minimalize_monomials(
-                tuple(rng.randrange(0, 4) for _ in range(4))
-                for _ in range(rng.randrange(1, 6))
-            )
-            if gens == [(0, 0, 0, 0)]:
+            gens = [tuple(rng.randrange(0, 4) for _ in range(4))
+                    for _ in range(rng.randrange(1, 6))]
+            if (0, 0, 0, 0) in gens:
                 continue
-            tc = mono_ideal(*gens)
-            assert cm_by_divisibility(tc).cohen_macaulay == colon_stability(gens, 0)
+            verdict = cm_verdict(mono_ideal(*gens))
+            assert verdict.cohen_macaulay == ref.colon_stability(gens, 0)
+            if not verdict.cohen_macaulay:
+                assert verdict.witness in ref.minimal_monomials(gens)
+                assert verdict.witness[0] > 0
 
 
 class TestPipelineVerdicts:
@@ -62,12 +83,8 @@ class TestPipelineVerdicts:
             assert verdict.witness == (params.alpha21, 0, 0, 1)
 
     def test_second_example_cone_is_colon_unstable(self, engine_bases):
-        from pseudosym.stdbasis import leading_ideal
-
-        from conftest import TUPLE_42
-
         gens = leading_ideal(engine_bases[TUPLE_42])
-        assert not colon_stability(gens, 0)
+        assert not ref.colon_stability(gens, 0)
 
     def test_small_alpha2_controls_are_cm(self):
         # alpha2 <= alpha21 + 1 leaves X1 out of the tangent cone's socle

@@ -1,7 +1,9 @@
 """The per-stage producers that `build_report` and the subcommands share."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference as ref
 from pseudosym import hilbert, stdbasis
 from pseudosym.errors import ParameterError
 from pseudosym.pipeline import (
@@ -15,9 +17,9 @@ from pseudosym.pipeline import (
     load_fixture_numerator,
     numerical_semigroup,
 )
-from pseudosym.semigroup import PseudoSymmetricParams
+from pseudosym.semigroup import PseudoSymmetricParams, is_pseudo_symmetric
 
-from conftest import TUPLE_41, TUPLE_43, TUPLE_A4_3
+from conftest import TUPLE_41, TUPLE_43, TUPLE_A4_3, engine_box
 
 NONCOPRIME = PseudoSymmetricParams(5, 4, 2, 2, 2)
 
@@ -103,3 +105,33 @@ class TestSweepConfig:
             assert list(iter_sweep(SweepConfig(k_filter=k))) == [
                 p for p in everything if k_readings(p)["nonstrict"] == k
             ]
+
+
+class TestOffFamilyGate:
+    """Invariants of `build_report` on the off-family box, unsorted tuples included."""
+
+    @settings(deadline=5000)
+    @example(PseudoSymmetricParams(6, 6, 2, 4, 4))
+    @given(st.sampled_from(engine_box()))
+    def test_report_invariants(self, params):
+        report = build_report(params)
+        assert report["mismatches"] == []
+        m = min(report["n"])
+        lead = stdbasis.leading_ideal(engine_basis(params))
+        numerators = [hilbert.hilbert_numerator(lead, pivot=p) for p in ("first", "maxdeg", "random")]
+        assert numerators[0] == numerators[1] == numerators[2]
+        P = numerators[0]
+        assert report["P"] == [[e, c] for e, c in enumerate(P) if c]
+        assert sum(P) == 0
+        assert sum(c for _, c in report["Q"]) == m
+        assert report["H"][-1] == m
+        S = numerical_semigroup(params)
+        assert is_pseudo_symmetric(S) == ref.pseudo_symmetric_by_apery_maxima(S.generators)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "cm_verdict tests X1, not the variable of the smallest generator "
+        "(here X4, n4 = 9); see ROADMAP item 1"))
+    def test_unsorted_cm_tuple_reported_cm(self):
+        report = build_report(PseudoSymmetricParams(3, 2, 2, 4, 1))
+        assert report["n"] == [13, 11, 12, 9]
+        assert report["cm"] == {"cohen_macaulay": True, "witness": None}

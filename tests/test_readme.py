@@ -1,0 +1,43 @@
+"""README.md against the package: its Python examples run, and its removed names are gone."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import pseudosym
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+
+
+def removed_names() -> list[str]:
+    """The backticked names that open each bullet of the "Removed names" section."""
+    section = README.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0]
+    heads = re.findall(r"^\* ((?:`\w+`,?\s*)+)", section, re.M)
+    return [name for head in heads for name in re.findall(r"`(\w+)`", head)]
+
+
+@pytest.mark.parametrize("index", range(len(python_blocks())))
+def test_python_block_runs(index):
+    exec(compile(python_blocks()[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_a_python_block():
+    assert python_blocks()
+
+
+def test_removed_names_are_gone():
+    names = removed_names()
+    assert {"UniPoly", "TangentConeIdeal", "lowest_form", "cm_by_divisibility",
+            "colon_stability"} <= set(names)
+    modules = [pseudosym] + [importlib.import_module(f"pseudosym.{info.name}")
+                             for info in pkgutil.iter_modules(pseudosym.__path__)]
+    for module in modules:
+        present = [name for name in names if hasattr(module, name)]
+        assert not present, f"{module.__name__} still has {present}"

@@ -14,18 +14,19 @@ from pseudosym.poly import (
     DimensionError,
     Polynomial,
     divides,
+    minimalize_monomials,
     monomial,
     normalize,
     parse_poly,
     reduce_step,
     spoly,
+    with_order,
     zero,
 )
-from pseudosym.semigroup import construct_generators
+from pseudosym.semigroup import check_conditions, construct_generators
 from pseudosym.stdbasis import (
     buchberger_homogeneous,
     leading_ideal,
-    lowest_form,
     nf_global,
     nf_mora,
     standard_basis,
@@ -33,7 +34,7 @@ from pseudosym.stdbasis import (
 )
 from pseudosym.toric import sdegree, toric_generators
 
-from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_A4_3
+from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_A4_3, engine_box
 
 
 def P(text, order=LOCAL):
@@ -110,10 +111,20 @@ class TestStandardBasis:
                         assert not divides(g.lm, h.lm)
 
 
+def lowest_form(f):
+    """The one lowest form `tangent_cone_ideal` makes of f."""
+    low, = tangent_cone_ideal([f])
+    return low
+
+
+def is_monomial_cone(cone):
+    return all(len(g.terms) == 1 for g in cone)
+
+
 class TestLowestForm:
     def test_mixed_binomial(self):
         f2 = P("X2^20-X1^8*X4")
-        assert lowest_form(f2) == P("-X1^8*X4")
+        assert lowest_form(f2) == P("X1^8*X4")
 
     def test_homogeneous_is_unchanged(self):
         f = P("X1*X2-X3^2")
@@ -136,8 +147,8 @@ class TestLowestForm:
 class TestTangentCone:
     def test_first_example_is_monomial(self, engine_bases):
         tc = tangent_cone_ideal(engine_bases[TUPLE_41])
-        assert tc.monomial_flag
-        got = {g.lm for g in tc.generators}
+        assert is_monomial_cone(tc)
+        got = {g.lm for g in tc}
         assert got == {
             (0, 0, 1, 1), (8, 0, 0, 1), (0, 0, 7, 0), (0, 0, 0, 2),
             (0, 1, 0, 1), (0, 20, 1, 0), (0, 21, 0, 0),
@@ -146,12 +157,12 @@ class TestTangentCone:
     def test_homogeneous_input_passes_through(self):
         f = P("X1*X2-X3^2")
         tc = tangent_cone_ideal([f])
-        assert tc.generators == (normalize(f),)
-        assert not tc.monomial_flag
+        assert tc == [normalize(f)]
+        assert not is_monomial_cone(tc)
 
     def test_second_example_keeps_intermediate_tail_monomial(self, engine_bases):
         tc = tangent_cone_ideal(engine_bases[TUPLE_42])
-        assert (9, 0, 4, 0) in {g.lm for g in tc.generators}
+        assert (9, 0, 4, 0) in {g.lm for g in tc}
 
 
 class TestLeadingIdeal:
@@ -186,10 +197,16 @@ class TestBuchbergerHomogeneous:
         with pytest.raises(ValueError, match="global"):
             buchberger_homogeneous([P("X1*X2-X3^2", LOCAL)])
 
-    def test_dispatch_rule_monomial_cones_skip_it(self, engine_bases):
+    def test_dispatch_rule_monomial_cones_skip_it(self, engine_bases, monkeypatch):
         # the monomial tangent cone of the first example never needs it
-        tc = tangent_cone_ideal(engine_bases[TUPLE_41])
-        assert tc.monomial_flag
+        G = engine_bases[TUPLE_41]
+        assert is_monomial_cone(tangent_cone_ideal(G))
+
+        def refuse(gens):
+            raise AssertionError("monomial cone sent to buchberger_homogeneous")
+
+        monkeypatch.setattr(cm, "buchberger_homogeneous", refuse)
+        assert not cm.cm_verdict(G).cohen_macaulay
 
 
 class TestAgainstClosedForm:
@@ -201,6 +218,80 @@ class TestAgainstClosedForm:
                 continue
             predicted = closed_form_basis(params)
             assert basis_set(predicted.elements) == basis_set(engine_bases[params])
+
+
+# The minimalization and Cohen-Macaulay route as they were before each became
+# one function: a divisibility scan of its own in `minimalize`, lowest forms
+# re-collected from the terms, and the verdict split over three functions.
+
+def old_minimalize(G):
+    if not G:
+        return []
+    order = G[0].order
+    ranked = sorted(enumerate(G), key=lambda ig: (sum(ig[1].lm), order.sort_key(ig[1].lm), ig[0]))
+    kept = []
+    for _, g in ranked:
+        if not any(divides(k.lm, g.lm) for k in kept):
+            kept.append(g)
+    kept.sort(key=lambda g: order.sort_key(g.lm), reverse=True)
+    return kept
+
+
+def old_cm_verdict(G):
+    lows = []
+    for g in G:
+        d = g.min_degree
+        lows.append(normalize(Polynomial([t for t in g.terms if sum(t.mono) == d], g.order)))
+    if all(len(g.terms) == 1 for g in lows):
+        gens = [g.lm for g in lows]
+    else:
+        regraded = [with_order(g, cm.CM_ORDER) for g in lows]
+        gens = [g.lm for g in old_minimalize(stdbasis._closure(regraded, nf_global))]
+    bad = [m for m in minimalize_monomials(gens) if m[0] > 0]
+    return cm.CmVerdict(False, min(bad)) if bad else cm.CmVerdict(True, None)
+
+
+def terms_of(G):
+    return [g.terms for g in G]
+
+
+class TestFoldAgainstOldRoutes:
+    """`minimalize` and `cm_verdict` against the copies above: same survivors
+    in the same order, same verdict and witness."""
+
+    def check(self, params, basis, rng):
+        """Compare on the closure, shuffled too, and the basis; return (route, verdict).
+
+        The lead monomials of the basis, put before or after it, share their
+        leads with basis elements, so the first element per lead matters.
+        """
+        closure = stdbasis._closure(toric_generators(params).generators, nf_mora)
+        shuffled = rng.sample(closure, len(closure))
+        leads = [monomial(g.lm, g.order) for g in basis]
+        for G in (closure, shuffled, basis, leads + shuffled, shuffled + leads):
+            assert terms_of(stdbasis.minimalize(G)) == terms_of(old_minimalize(G))
+        cone = tangent_cone_ideal(basis)
+        if not is_monomial_cone(cone):
+            regraded = [with_order(g, cm.CM_ORDER) for g in cone]
+            closure = stdbasis._closure(regraded, nf_global)
+            assert terms_of(stdbasis.minimalize(closure)) == terms_of(old_minimalize(closure))
+        verdict = cm.cm_verdict(basis)
+        assert verdict == old_cm_verdict(basis)
+        return is_monomial_cone(cone), verdict.cohen_macaulay
+
+    def test_fixture_bases(self, engine_bases):
+        rng = random.Random(5)
+        for params, _ in ALL_FIXTURE_TUPLES:
+            self.check(params, engine_bases[params], rng)
+
+    def test_engine_box_sample(self):
+        rng = random.Random(9)
+        sample = rng.sample(engine_box(), 100)
+        assert sum(not check_conditions(p)["sorted"] for p in sample) >= 50
+        seen = {self.check(params, engine_basis(params), rng) for params in sample}
+        # both routes, and both verdicts, occur in the sample
+        assert {route for route, _ in seen} == {True, False}
+        assert {cm_ok for _, cm_ok in seen} == {True, False}
 
 
 # The reducer scan as it was before leads and ecarts were stored: every
