@@ -29,7 +29,6 @@ from .poly import (
     binomial,
     divides,
     ecart,
-    leading_term,
     normalize,
     parse_poly,
     render_poly,

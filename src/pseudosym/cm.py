@@ -37,7 +37,7 @@ def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
     under `CM_ORDER`.
     """
     cone = tangent_cone_ideal(standard_basis_elements)
-    if all(len(g.terms) == 1 for g in cone):
+    if all(g.tail is None for g in cone):
         leads = [g.lm for g in cone]
     else:
         leads = leading_ideal(buchberger_homogeneous([with_order(g, CM_ORDER) for g in cone]))

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 from .errors import InconsistencyError, ParameterError
 from .poly import Exponent, coprime, minimalize_monomials, scan_terms, total_deg
 from .semigroup import PseudoSymmetricParams
+from .toric import check_closed_form_regime
 
 
 def add_shifted(p: list[int], c: int, d: int, q: list[int]) -> list[int]:
@@ -127,9 +128,9 @@ def closed_form_numerator(params: PseudoSymmetricParams, k: int) -> list[int]:
     """First-series numerator predicted for the alpha4 = 2 family.
 
     The sum of the terms c * t^e * prod(1 - t^d) listed below as (c, e, ds).
+    Outside `toric.check_closed_form_regime` it raises `ParameterError`.
     """
-    if params.alpha4 != 2:
-        raise ParameterError(f"alpha4 = 2 violated (alpha4={params.alpha4})")
+    check_closed_form_regime(params)
     a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
     terms = [
         (1, 0, ()), (-3, 2, ()), (3, 3, ()), (-1, 4, ()),
@@ -152,8 +153,10 @@ def closed_form_second_series(params: PseudoSymmetricParams, k: int) -> list[int
 
     Q = 1 + t + t*(1 + ... + t^(k*a2-1)) + t*(1 + ... + t^(a2-1))*(1 + ... + t^(a3-2))
     - t^(a21+1), minus the tail blocks t^e * (1 + ... + t^(a2-1)): they come
-    from -r2(t) divided by (1-t).
+    from -r2(t) divided by (1-t).  Outside `toric.check_closed_form_regime`
+    it raises `ParameterError`.
     """
+    check_closed_form_regime(params)
     a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
     block = [1] * a2
     Q = add_shifted([1, 1], 1, 1, [1] * (k * a2))

@@ -151,9 +151,11 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
     }
     _check_binomial_closure(engine, S, mismatches)
 
-    # the closed forms' own preconditions (see toric.closed_form_basis)
-    closed_regime = params.alpha4 == 2 and all(
-        conds[c] for c in ("c1", "c2", "c3", "c4", "sorted"))
+    try:
+        toric.check_closed_form_regime(params)
+        closed_regime = True
+    except ParameterError:
+        closed_regime = False
     if closed_regime:
         _closed_form_section(params, engine, report, mismatches, k_strict)
 

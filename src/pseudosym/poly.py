@@ -4,15 +4,16 @@ Monomials are fixed-length tuples of nonnegative integer exponents, one entry
 per variable.  A `Polynomial` is zero, a signed monomial ±x^a, or a binomial
 ±(x^lead - x^tail) with integer coefficients ±1: the only shapes a toric
 standard-basis computation produces, since the s-polynomial and the
-reduction step of two such polynomials are again one of them.  A polynomial
-carries the ordering its terms are sorted under (leading term first).
+reduction step of two such polynomials are again one of them.  So a
+polynomial is stored as those parts, with the ordering that decided which
+monomial leads; its `terms`, leading term first, are computed from them.
 
 `Polynomial(terms, order)` validates outside input: parsed text, `monomial`
 and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
 and so `normalize`, `with_order`) are ±(x^a - x^b) by construction: their
 two monomials can only cancel, never need collecting, so they are built by
-`_pair`.  Both routes end in `_fill`, whose one `MonomialOrder.greater`
-call decides the lead and the ecart.
+`_pair` straight from the operands' parts.  Both routes end in `_fill`,
+whose one `MonomialOrder.greater` call decides the lead and the ecart.
 
 Two ordering kinds are provided:
 
@@ -147,19 +148,19 @@ class Term(NamedTuple):
 
 
 class Polynomial:
-    """Zero, a monomial ±x^a or a binomial ±(x^lead - x^tail); leading term first.
+    """coeff * (x^lead - x^tail) with coeff ±1; `lead` is None for zero, `tail` for a monomial.
 
     The constructor is the validating entry for outside input.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
-    `ValueError`; what passes sets its slots through `_fill`.  The engine's
+    `ValueError`; what passes sets the fields through `_fill`.  The engine's
     own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
     checks and go through `_pair`, which calls `_fill` too.  Equality and
     hashing look only at the signed term set, so two polynomials with the
     same terms compare equal even if tagged with different orderings.
     """
 
-    __slots__ = ("terms", "order", "_lm", "_ecart")
+    __slots__ = ("coeff", "lead", "tail", "ecart", "order")
 
     def __init__(self, terms: Iterable[tuple], order: MonomialOrder):
         acc: dict[Exponent, int] = {}
@@ -173,56 +174,52 @@ class Polynomial:
         _fill(self, 1, signed.get(1), signed.get(-1), order)
 
     @property
+    def terms(self) -> tuple[Term, ...]:
+        """The nonzero terms, leading term first."""
+        if self.lead is None:
+            return ()
+        if self.tail is None:
+            return (Term(self.coeff, self.lead),)
+        return (Term(self.coeff, self.lead), Term(-self.coeff, self.tail))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.lead is None
 
     @property
     def leading_term(self) -> Term:
-        if not self.terms:
+        if self.lead is None:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        return Term(self.coeff, self.lead)
 
     @property
     def lm(self) -> Exponent:
         """The leading monomial, fixed at construction."""
-        if self._lm is None:
+        if self.lead is None:
             raise ValueError("zero polynomial has no leading monomial")
-        return self._lm
+        return self.lead
 
     @property
     def lc(self) -> int:
         return self.leading_term.coeff
 
-    @property
-    def degree(self) -> int:
-        """Total degree (maximum over terms)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(total_deg(t.mono) for t in self.terms)
-
-    @property
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return min(total_deg(t.mono) for t in self.terms)
-
     def is_homogeneous(self) -> bool:
         """True for zero, a monomial, and a binomial whose two terms have one degree."""
-        terms = self.terms
-        return len(terms) < 2 or sum(terms[0].mono) == sum(terms[1].mono)
+        return self.tail is None or sum(self.lead) == sum(self.tail)
 
     def mul_term(self, m: Exponent) -> "Polynomial":
         """The product with the monomial x^m."""
         return Polynomial([(c, mono_mul(t, m)) for c, t in self.terms], self.order)
 
     def __neg__(self) -> "Polynomial":
-        c, lead, tail = _parts(self)
-        return _pair(-c, lead, tail, self.order)
+        return _pair(-self.coeff, self.lead, self.tail, self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return frozenset(self.terms) == frozenset(other.terms)
+        # One term set: the same parts, or lead and tail swapped by another ordering.
+        parts, o = (self.coeff, self.lead, self.tail), other
+        return parts == (o.coeff, o.lead, o.tail) or parts == (-o.coeff, o.tail, o.lead)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms))
@@ -246,11 +243,7 @@ def binomial(plus: Exponent, minus: Exponent, order: MonomialOrder = LOCAL) -> P
 
 def with_order(f: Polynomial, order: MonomialOrder) -> Polynomial:
     """Same polynomial with its two monomials compared under a different ordering."""
-    return _pair(*_parts(f), order)
-
-
-def leading_term(f: Polynomial) -> Term:
-    return f.leading_term
+    return _pair(f.coeff, f.lead, f.tail, order)
 
 
 def ecart(f: Polynomial) -> int:
@@ -259,38 +252,37 @@ def ecart(f: Polynomial) -> int:
     Nonnegative under a local ordering, where the leading monomial sits in
     the lowest-degree part.
     """
-    if f._ecart is None:
+    if f.ecart is None:
         raise ValueError("zero polynomial has no ecart")
-    return f._ecart
+    return f.ecart
 
 
 def normalize(f: Polynomial) -> Polynomial:
     """Flip the overall sign so the leading coefficient is +1."""
-    if f.is_zero or f.lc > 0:
+    if f.is_zero or f.coeff > 0:
         return f
     return -f
 
 
 def _fill(f: Polynomial, coeff: int, plus: Exponent | None, minus: Exponent | None,
           order: MonomialOrder) -> Polynomial:
-    """Set the slots of f to coeff * (x^plus - x^minus); None is an absent term.
+    """Set the fields of f to coeff * (x^plus - x^minus); None is an absent term.
 
     coeff is ±1, and equal monomials cancel to zero.  One `greater` call
     decides the lead, and the ecart comes from the degrees it was given.
     """
     f.order = order
     if plus == minus:
-        f.terms, f._lm, f._ecart = (), None, None
+        f.coeff, f.lead, f.tail, f.ecart = 1, None, None, None
     elif minus is None:
-        f.terms, f._lm, f._ecart = (Term(coeff, plus),), plus, 0
+        f.coeff, f.lead, f.tail, f.ecart = coeff, plus, None, 0
     elif plus is None:
-        f.terms, f._lm, f._ecart = (Term(-coeff, minus),), minus, 0
+        f.coeff, f.lead, f.tail, f.ecart = -coeff, minus, None, 0
     else:
         d_plus, d_minus = sum(plus), sum(minus)
         if order.greater(minus, plus, d_minus, d_plus):
             coeff, plus, minus, d_plus, d_minus = -coeff, minus, plus, d_minus, d_plus
-        f.terms = (Term(coeff, plus), Term(-coeff, minus))
-        f._lm, f._ecart = plus, max(d_minus - d_plus, 0)
+        f.coeff, f.lead, f.tail, f.ecart = coeff, plus, minus, max(d_minus - d_plus, 0)
     return f
 
 
@@ -298,15 +290,6 @@ def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
           order: MonomialOrder) -> Polynomial:
     """coeff * (x^plus - x^minus) without the constructor's checks, for the engine's results."""
     return _fill(object.__new__(Polynomial), coeff, plus, minus, order)
-
-
-def _parts(f: Polynomial) -> tuple[int, Exponent | None, Exponent | None]:
-    """(lc, lead, tail) with f = lc * (x^lead - x^tail); None for an absent term."""
-    terms = f.terms
-    if not terms:
-        return 1, None, None
-    c, lead = terms[0]
-    return c, lead, terms[1].mono if len(terms) == 2 else None
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -319,8 +302,7 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("spoly of the zero polynomial is undefined")
     if f.order != g.order:
         raise ValueError("operands use different monomial orderings")
-    _, a, b = _parts(f)
-    _, c, d = _parts(g)
+    a, b, c, d = f.lead, f.tail, g.lead, g.tail
     lcm = mono_lcm(a, c)
     return _pair(
         1,
@@ -341,9 +323,8 @@ def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
     shift = tuple(map(sub, a, lead))
     if min(shift, default=0) < 0:
         raise ValueError(f"{lead} does not divide {a}")
-    c, _, b = _parts(h)
-    d = _parts(g)[2]
-    return _pair(c, None if d is None else tuple(map(add, d, shift)), b, h.order)
+    d = g.tail
+    return _pair(h.coeff, None if d is None else tuple(map(add, d, shift)), h.tail, h.order)
 
 
 def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:

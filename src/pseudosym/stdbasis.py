@@ -7,13 +7,15 @@ ecart than h itself, h joins the reducer list before the cancellation.  The
 growing reducer list is what makes reduction terminate under local
 orderings, where plain division may loop forever.
 
-A `Polynomial` stores its leading monomial and ecart when it is built, so
-the reducer scan runs over ``(lead, ecart, reducer)`` records: exponent
-lengths are checked once per normal form, a reducer whose ecart cannot beat
-the current choice is skipped before its lead is compared, and the scan
-stops at the first divisor of ecart 0.  `minimalize` keeps the elements
-whose leads `poly.minimalize_monomials` keeps, so one divisibility scan
-serves bases, leading ideals and monomial colons.
+A `Polynomial` is stored as its parts, lead, tail and ecart among them, so
+the reducer scan reads them off the reducers directly: exponent lengths are
+checked once per normal form, a reducer whose ecart cannot beat the current
+choice is skipped before its lead is compared, and the scan stops at the
+first divisor of ecart 0.  Under a global ordering every ecart is 0, so the
+same scan is plain leading-term reduction: `nf_global` is `nf_mora`.
+`minimalize` keeps the elements whose leads `poly.minimalize_monomials`
+keeps, so one divisibility scan serves bases, leading ideals and monomial
+colons.
 
 The basis loop processes s-polynomial pairs in FIFO creation order and skips
 pairs with coprime leading monomials (the product criterion).  The returned
@@ -38,7 +40,6 @@ from .poly import (
     _pair,
     check_lengths,
     coprime,
-    ecart,
     minimalize_monomials,
     normalize,
     reduce_step,
@@ -47,17 +48,6 @@ from .poly import (
 
 # Safety valve only; the ecart argument guarantees termination long before this.
 MAX_REDUCTION_STEPS = 1_000_000
-
-
-def _lead_records(h: Polynomial, basis: Sequence[Polynomial]) -> list[tuple]:
-    """(LM(g), ecart(g), g) for each g in `basis`, in order.
-
-    Every leading monomial must have the length of LM(h); checking once here
-    lets the reducer scans compare exponents without a length check.
-    """
-    leads = [g.lm for g in basis]
-    check_lengths([h.lm, *leads])
-    return list(zip(leads, map(ecart, basis), basis))
 
 
 def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -69,24 +59,26 @@ def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """
     if h.is_zero:
         return h
-    reducers = _lead_records(h, basis)
+    # One length check lets the scan compare exponents without `divides`.
+    check_lengths([h.lm, *(g.lm for g in basis)])
+    reducers = list(basis)
     steps = 0
     while not h.is_zero:
-        lm = h.lm
+        lm = h.lead
         chosen = None
         chosen_ecart = inf
-        for lead, e, g in reducers:
+        for g in reducers:
             # Only a strictly smaller ecart displaces the current choice, so
             # the first divisor of minimal ecart wins; ecart is never below 0.
-            if e < chosen_ecart and all(map(le, lead, lm)):
+            e = g.ecart
+            if e < chosen_ecart and all(map(le, g.lead, lm)):
                 chosen, chosen_ecart = g, e
                 if not e:
                     break
         if chosen is None:
             break
-        h_ecart = ecart(h)
-        if chosen_ecart > h_ecart:
-            reducers.append((lm, h_ecart, h))
+        if chosen_ecart > h.ecart:
+            reducers.append(h)
         h = reduce_step(h, chosen)
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
@@ -118,19 +110,17 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
                 G.append(nf_f)
     if not G:
         raise ValueError("need at least one nonzero polynomial")
-    leads = [g.lm for g in G]
     pairs: deque[tuple[int, int]] = deque(
         (i, j) for j in range(len(G)) for i in range(j)
     )
     while pairs:
         i, j = pairs.popleft()
-        if coprime(leads[i], leads[j]):
+        if coprime(G[i].lead, G[j].lead):
             continue
         h = nf(spoly(G[i], G[j]), G)
         if h.is_zero:
             continue
         G.append(normalize(h))
-        leads.append(G[-1].lm)
         new = len(G) - 1
         pairs.extend((i, new) for i in range(new))
     return G
@@ -141,23 +131,10 @@ def standard_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return minimalize(_closure(gens, nf_mora))
 
 
-def nf_global(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Leading-term reduction under a global ordering; always terminates.
-
-    The first element of `basis` whose leading monomial divides LM(h) reduces it.
-    """
-    if h.is_zero:
-        return h
-    reducers = _lead_records(h, basis)
-    while not h.is_zero:
-        lm = h.lm
-        for lead, _, g in reducers:
-            if all(map(le, lead, lm)):
-                h = reduce_step(h, g)
-                break
-        else:
-            return h
-    return h
+# Under a global ordering the lead has the highest degree, so every ecart is
+# 0: Mora's scan takes the first divisor, never adds h to the reducers, and
+# is plain leading-term reduction.  The name stays for the global route.
+nf_global = nf_mora
 
 
 def buchberger_homogeneous(gens: Sequence[Polynomial]) -> list[Polynomial]:
@@ -189,6 +166,6 @@ def tangent_cone_ideal(G: Sequence[Polynomial]) -> list[Polynomial]:
         if g.is_zero:
             raise ValueError("zero polynomial has no lowest form")
         if not g.is_homogeneous():
-            g = _pair(1, min((t.mono for t in g.terms), key=sum), None, g.order)
+            g = _pair(1, min(g.lead, g.tail, key=sum), None, g.order)
         cone.append(normalize(g))
     return cone

@@ -116,15 +116,10 @@ def has_c6_tie(params: PseudoSymmetricParams) -> bool:
     return params.alpha1 + params.alpha21 + 1 == params.alpha2 + params.alpha4
 
 
-def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> ClosedFormBasis:
-    """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2.
+def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
+    """Raise `ParameterError` unless the closed forms' preconditions hold.
 
-    Preconditions: alpha4 = 2, conditions (1)-(4), sorted generators.  Inputs
-    where the leading monomials do not follow the pattern the formula
-    presumes are rejected with `UnsupportedParametersError`: equality in
-    condition (6), and any tail element whose leading monomial lands on the
-    wrong side of a degree tie.  Such inputs are reported rather than
-    silently mispredicted.
+    They are alpha4 = 2, conditions (1)-(4), and sorted, coprime generators.
     """
     if params.alpha4 != 2:
         raise ParameterError(f"alpha4 = 2 violated (alpha4={params.alpha4})")
@@ -136,6 +131,18 @@ def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> Cl
         raise ParameterError(f"n1 < n2 < n3 < n4 violated for {params.as_dict()}")
     if not conds["coprime"]:
         raise ParameterError(f"gcd of generators is not 1 for {params.as_dict()}")
+
+
+def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> ClosedFormBasis:
+    """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2.
+
+    Preconditions: those of `check_closed_form_regime`.  Inputs where the
+    leading monomials do not follow the pattern the formula presumes are
+    rejected with `UnsupportedParametersError`: equality in condition (6),
+    and any tail element whose leading monomial lands on the wrong side of a
+    degree tie.  Such inputs are reported rather than silently mispredicted.
+    """
+    check_closed_form_regime(params)
     if has_c6_tie(params):
         raise UnsupportedParametersError(
             "equality in condition (6): LM(f6) is decided by a degree tie, "

@@ -118,6 +118,28 @@ class TestHilbert:
         assert code == 2
         assert "alpha4" in err
 
+    # (3,4,3,2,1) has alpha4 = 2 and an admissible k but fails condition
+    # (2); its generators are (13,11,8,31) and its multiplicity is 8, where
+    # the closed-form numerator would give 13
+    OUTSIDE_CLOSED_FORM = ["--alpha1", "3", "--alpha2", "4", "--alpha3", "3",
+                           "--alpha4", "2", "--alpha21", "1"]
+
+    @pytest.mark.parametrize("mode", [["--closed-form"], [], ["--both"]])
+    def test_closed_form_refused_outside_its_preconditions(self, capsys, mode):
+        code, out, err = run(capsys, ["hilbert", *self.OUTSIDE_CLOSED_FORM, *mode])
+        assert (code, out) == (2, "")
+        assert "condition (2)" in err
+
+    def test_bayer_mode_matches_oracle_outside_closed_form(self, capsys):
+        code, out, _ = run(capsys, ["hilbert", *self.OUTSIDE_CLOSED_FORM, "--bayer"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["multiplicity"] == 8
+        code, out, _ = run(capsys, ["oracle", *self.OUTSIDE_CLOSED_FORM,
+                                    "--max-level", str(len(data["H"]) - 1)])
+        assert code == 0
+        assert json.loads(out)["H_oracle"] == data["H"]
+
     def test_bayer_mode_works_outside_family(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,5 +1,6 @@
 """Pivot recursion, closed-form series, division, and the function reports."""
 
+import itertools
 import random
 
 import pytest
@@ -135,6 +136,32 @@ class TestClosedForms:
 
         with pytest.raises(ParameterError):
             closed_form_numerator(TUPLE_A4_3, 1)
+
+    def test_rejects_alpha4_two_outside_the_regime(self):
+        # every alpha4 = 2 tuple with alphas <= 8, coprime generators and an
+        # admissible k: the closed forms answer exactly where conditions
+        # (1)-(4) hold and the generators are sorted
+        box = [PseudoSymmetricParams(a1, a2, a3, 2, a21)
+               for a1, a2, a3 in itertools.product(range(2, 9), repeat=3)
+               for a21 in range(1, a1 - 1)]
+        refused = 0
+        for params in box:
+            conds = check_conditions(params)
+            try:
+                k = compute_k(params)
+            except (ParameterError, UnsupportedParametersError):
+                continue
+            if not conds["coprime"]:
+                continue
+            if all(conds[c] for c in ("c1", "c2", "c3", "c4", "sorted")):
+                closed_form_numerator(params, k)
+                closed_form_second_series(params, k)
+                continue
+            refused += 1
+            for closed_form in (closed_form_numerator, closed_form_second_series):
+                with pytest.raises(ParameterError, match="violated"):
+                    closed_form(params, k)
+        assert refused == 358
 
     @pytest.mark.parametrize("params", FAMILY_TUPLES)
     def test_second_series_formula_and_regrouping_agree(self, params):

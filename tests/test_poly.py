@@ -219,6 +219,7 @@ def shapes(draw):
 
 
 orders = st.sampled_from([LOCAL, GLOBAL])
+all_orders = st.sampled_from([LOCAL, GLOBAL, CM_ORDER])
 
 
 def build(f, order):
@@ -231,6 +232,14 @@ class TestBinomialFormulas:
         F = build(f, order)
         assert as_dict(F) == f
         assert F.lm == ref_lead(f, order.local)
+
+    @given(shapes(), shapes(), all_orders, all_orders)
+    def test_equality_and_hash_follow_the_term_set(self, f, g, order_f, order_g):
+        F, G = build(f, order_f), build(g, order_g)
+        assert (F == G) == (f == g)
+        assert F == build(f, order_g) and hash(F) == hash(build(f, order_g))
+        assert F == -build({m: -c for m, c in f.items()}, order_g)
+        assert zero(order_f) == zero(order_g) != F
 
     @given(shapes(), shapes(), orders)
     def test_spoly_matches_reference(self, f, g, order):
@@ -304,8 +313,6 @@ class TestDivides:
 # The engine builds its results without the validating constructor; each
 # must equal what the constructor makes of the same terms and ordering.
 
-all_orders = st.sampled_from([LOCAL, GLOBAL, CM_ORDER])
-
 
 def assert_as_validated(R):
     V = Polynomial(R.terms, R.order)
@@ -346,6 +353,15 @@ class TestTrustedConstructor:
         F, G = build(f, order), build(g, order)
         for R in engine_results(F, G):
             assert_as_validated(R)
+
+    @given(shapes(), shapes(), st.sampled_from([GLOBAL, CM_ORDER]))
+    def test_global_orderings_have_ecart_zero(self, f, g, order):
+        # what lets nf_global be nf_mora: under a global ordering the lead
+        # has the top degree, so every nonzero polynomial has ecart 0
+        F, G = build(f, order), build(g, order)
+        for R in (F, G, *engine_results(F, G)):
+            if not R.is_zero and not R.order.local:
+                assert ecart(R) == 0
 
     @pytest.mark.parametrize("order", [LOCAL, GLOBAL, CM_ORDER], ids=["local", "global", "cm"])
     @pytest.mark.parametrize("h, g, expect", [

@@ -35,7 +35,7 @@ def test_readme_has_a_python_block():
 def test_removed_names_are_gone():
     names = removed_names()
     assert {"UniPoly", "TangentConeIdeal", "lowest_form", "cm_by_divisibility",
-            "colon_stability"} <= set(names)
+            "colon_stability", "leading_term"} <= set(names)
     modules = [pseudosym] + [importlib.import_module(f"pseudosym.{info.name}")
                              for info in pkgutil.iter_modules(pseudosym.__path__)]
     for module in modules:
