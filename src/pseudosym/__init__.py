@@ -1,11 +1,12 @@
 """Computer algebra for 4-generated pseudo-symmetric numerical semigroups.
 
 The pipeline: parameters -> generators and semigroup oracles -> defining
-binomials of the monomial curve -> local standard basis (ecart-guided weak
-normal forms) -> tangent cone and leading ideal -> Hilbert numerator (pivot
-recursion and closed forms) -> second series, Hilbert function, monotonicity
-and Cohen-Macaulayness verdicts, all cross-checked against independent
-brute-force routes.
+binomials of the monomial curve -> local standard basis (leading-term
+division, which terminates because the binomials are homogeneous for the
+grading Xi -> ni; ecart only picks the reducer) -> tangent cone and leading
+ideal -> Hilbert numerator (pivot recursion and closed forms) -> second
+series, Hilbert function, monotonicity and Cohen-Macaulayness verdicts, all
+cross-checked against independent brute-force routes.
 """
 
 from .cm import CmVerdict, cm_verdict

@@ -9,6 +9,15 @@ leading ideal of a Groebner basis computed under degrevlex with X1 last in
 precedence; with X1 smallest, the initial ideal commutes with the colon by
 X1, so the divisibility test on it is still exact.  Both cases end in the
 same test in `cm_verdict`.
+
+Known defect: the criterion needs the variable of the smallest generator,
+and this module always tests X1.  That is right whenever n1 is the smallest
+generator, as on every sorted tuple, but `verify` and `sweep
+--allow-unsorted` accept tuples where it is not, and there the verdict can
+be wrong.  (3,2,2,4,1), with generators (13,11,12,9), is reported not
+Cohen-Macaulay with witness X1*X2*X3, though its tangent cone is
+Cohen-Macaulay.  The fix changes reported verdicts and witnesses, so it
+waits for the change that re-records the benchmark's output digests.
 """
 
 from __future__ import annotations

@@ -100,8 +100,9 @@ def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
 
 
 def engine_basis(params: PseudoSymmetricParams) -> list[Polynomial]:
-    """The local standard basis of the curve's defining binomials."""
-    return stdbasis.standard_basis(toric.toric_generators(params).generators)
+    """The local standard basis of the curve's defining binomials, graded by n."""
+    system = toric.toric_generators(params)
+    return stdbasis.standard_basis(system.generators, system.semigroup.generators)
 
 
 def k_readings(params: PseudoSymmetricParams) -> dict[str, int | None]:

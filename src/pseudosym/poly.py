@@ -23,6 +23,11 @@ Two ordering kinds are provided:
 
 Degree ties are broken reverse-lexicographically against a variable
 precedence list, X1 > X2 > X3 > X4 by default.
+
+Every monomial has exactly four exponents: `MonomialOrder` takes only a
+permutation of the four variables as its precedence, and the validating
+constructor rejects any other exponent length, so the engine, which builds
+its results from its operands' parts, never has to check a length again.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from typing import Iterable, NamedTuple, Sequence
 Exponent = tuple[int, ...]
 
 VAR_NAMES = ("X1", "X2", "X3", "X4")
+N_VARS = len(VAR_NAMES)
+STANDARD_GRADING = (1,) * N_VARS
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -47,12 +54,20 @@ class DimensionError(ValueError):
 class MonomialOrder:
     """Degree-reverse-lexicographic comparator, global or local.
 
-    `precedence` lists variable indices from most to least significant.
+    `precedence` lists the four variable indices from most to least
+    significant, each once; anything else raises `ValueError`, since a
+    repeated or missing index leaves some pairs of monomials unordered.
     The comparator is total and multiplicative: a > b implies a+q > b+q.
     """
 
     local: bool
     precedence: tuple[int, ...] = (0, 1, 2, 3)
+
+    def __post_init__(self):
+        if sorted(self.precedence) != list(range(N_VARS)):
+            raise ValueError(
+                f"precedence must be a permutation of 0..{N_VARS - 1}, got {self.precedence!r}"
+            )
 
     def sort_key(self, m: Exponent):
         deg = sum(m)
@@ -76,12 +91,8 @@ class MonomialOrder:
         return False
 
     def compare(self, a: Exponent, b: Exponent) -> int:
-        if len(a) != len(b):
-            raise DimensionError(f"exponent length mismatch: {len(a)} vs {len(b)}")
-        if len(a) != len(self.precedence):
-            raise DimensionError(
-                f"exponent length {len(a)} does not match ordering on {len(self.precedence)} variables"
-            )
+        if len(a) != N_VARS or len(b) != N_VARS:
+            raise DimensionError(f"exponent lengths {len(a)} and {len(b)}, not {N_VARS}")
         if a == b:
             return EQUAL
         return GREATER if self.greater(a, b, sum(a), sum(b)) else LESS
@@ -93,6 +104,11 @@ GLOBAL = MonomialOrder(local=False)
 
 def total_deg(m: Exponent) -> int:
     return sum(m)
+
+
+def weighted_degree(m: Exponent, weights: Sequence[int]) -> int:
+    """Degree of x^m under the grading Xi -> weights[i]."""
+    return sum(map(mul, m, weights))
 
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
@@ -114,24 +130,18 @@ def coprime(a: Exponent, b: Exponent) -> bool:
     return not any(map(mul, a, b))
 
 
-def check_lengths(monos: Iterable[Exponent]) -> None:
-    """Raise `DimensionError` unless all exponent tuples have one length.
-
-    Checking once lets a loop over them compare exponents without `divides`.
-    """
-    lengths = set(map(len, monos))
-    if len(lengths) > 1:
-        raise DimensionError(f"exponent length mismatch: {sorted(lengths)}")
-
-
 def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
     """Minimal generating set of the monomial ideal spanned by `monos`.
 
     Drops duplicates and any monomial divisible by another generator.  The
     result is sorted by (total degree, exponent tuple) for determinism.
+    Mixed exponent lengths raise `DimensionError`; checked once, they let
+    the scan compare exponents without `divides`.
     """
     pool = set(monos)
-    check_lengths(pool)
+    lengths = set(map(len, pool))
+    if len(lengths) > 1:
+        raise DimensionError(f"exponent length mismatch: {sorted(lengths)}")
     kept: list[Exponent] = []
     for m in sorted(pool, key=lambda m: (total_deg(m), m)):
         for g in kept:
@@ -150,7 +160,8 @@ class Term(NamedTuple):
 class Polynomial:
     """coeff * (x^lead - x^tail) with coeff ±1; `lead` is None for zero, `tail` for a monomial.
 
-    The constructor is the validating entry for outside input.  Like terms
+    The constructor is the validating entry for outside input.  An exponent
+    tuple whose length is not four raises `DimensionError`.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
     `ValueError`; what passes sets the fields through `_fill`.  The engine's
@@ -165,6 +176,8 @@ class Polynomial:
     def __init__(self, terms: Iterable[tuple], order: MonomialOrder):
         acc: dict[Exponent, int] = {}
         for coeff, mono in terms:
+            if len(mono) != N_VARS:
+                raise DimensionError(f"exponent length {len(mono)}, not {N_VARS}: {mono}")
             acc[mono] = acc.get(mono, 0) + coeff
         kept = [(c, m) for m, c in acc.items() if c]
         # At most one term of each sign survives here, and only as ±1.
@@ -203,9 +216,9 @@ class Polynomial:
     def lc(self) -> int:
         return self.leading_term.coeff
 
-    def is_homogeneous(self) -> bool:
-        """True for zero, a monomial, and a binomial whose two terms have one degree."""
-        return self.tail is None or sum(self.lead) == sum(self.tail)
+    def is_homogeneous(self, weights: Sequence[int] = STANDARD_GRADING) -> bool:
+        """True for zero, a monomial, and a binomial whose two terms have one degree under `weights`."""
+        return self.tail is None or weighted_degree(self.lead, weights) == weighted_degree(self.tail, weights)
 
     def mul_term(self, m: Exponent) -> "Polynomial":
         """The product with the monomial x^m."""

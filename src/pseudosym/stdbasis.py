@@ -1,21 +1,24 @@
 """Standard bases for local orderings, tangent cones, and leading ideals.
 
-The reduction engine is the ecart-guided weak normal form: among the current
-reducers whose leading monomial divides LM(h), one of minimal ecart is used
-(ties broken by insertion order), and when even that reducer has larger
-ecart than h itself, h joins the reducer list before the cancellation.  The
-growing reducer list is what makes reduction terminate under local
-orderings, where plain division may loop forever.
+Every ideal the engine is given is homogeneous for a positive weight
+vector: the curve's binomials for the grading Xi -> ni, a tangent cone for
+the standard one.  `standard_basis` and `buchberger_homogeneous` check that
+once, where input enters (`check_graded`).  A reduction step keeps the
+weighted degree and lowers the lead, and one weighted degree holds finitely
+many monomials, so plain leading-term division terminates even under the
+local ordering.  That is why the normal form needs none of Mora's
+bookkeeping: no reducer list that grows with the polynomial being reduced,
+and no exponent-length checks, since every polynomial has four exponents
+by construction (see `poly`).
 
-A `Polynomial` is stored as its parts, lead, tail and ecart among them, so
-the reducer scan reads them off the reducers directly: exponent lengths are
-checked once per normal form, a reducer whose ecart cannot beat the current
-choice is skipped before its lead is compared, and the scan stops at the
-first divisor of ecart 0.  Under a global ordering every ecart is 0, so the
-same scan is plain leading-term reduction: `nf_global` is `nf_mora`.
-`minimalize` keeps the elements whose leads `poly.minimalize_monomials`
-keeps, so one divisibility scan serves bases, leading ideals and monomial
-colons.
+Ecart only picks the reducer: among those whose leading monomial divides
+LM(h), the first of minimal ecart in insertion order, and the scan stops
+at the first divisor of ecart 0.  The choice decides which normal form
+comes back, and so which elements the basis loop appends.  Under a global
+ordering every ecart is 0 and the same scan is plain first-divisor
+reduction: `nf_global` is `nf_mora`.  `minimalize` keeps the elements whose
+leads `poly.minimalize_monomials` keeps, so one divisibility scan serves
+bases, leading ideals and monomial colons.
 
 The basis loop processes s-polynomial pairs in FIFO creation order and skips
 pairs with coprime leading monomials (the product criterion).  The returned
@@ -35,10 +38,11 @@ from typing import Sequence
 
 from .errors import InconsistencyError
 from .poly import (
+    N_VARS,
+    STANDARD_GRADING,
     Exponent,
     Polynomial,
     _pair,
-    check_lengths,
     coprime,
     minimalize_monomials,
     normalize,
@@ -46,8 +50,20 @@ from .poly import (
     spoly,
 )
 
-# Safety valve only; the ecart argument guarantees termination long before this.
+# Safety valve only: on graded input every normal form ends within the
+# monomials of one weighted degree, long before this many steps.
 MAX_REDUCTION_STEPS = 1_000_000
+
+
+def check_graded(gens: Sequence[Polynomial], weights: Sequence[int]) -> None:
+    """Raise `ValueError` unless `weights` are four positive integers and
+    every element of `gens` is homogeneous for the grading Xi -> weights[i].
+    """
+    if len(weights) != N_VARS or not all(isinstance(w, int) and w > 0 for w in weights):
+        raise ValueError(f"weights must be {N_VARS} positive integers, got {weights!r}")
+    for f in gens:
+        if not f.is_homogeneous(weights):
+            raise ValueError(f"non-homogeneous input for weights {tuple(weights)}: {f!r}")
 
 
 def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -56,18 +72,16 @@ def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     Returns 0 or a polynomial whose leading monomial no leading monomial of
     `basis` divides.  The result represents u*h modulo the ideal for some
     unit u, which is exactly what membership tests and the basis loop need.
+    h and `basis` must be homogeneous for one positive weight vector; on
+    other input under the local ordering the division may never end, and
+    the step budget raises `InconsistencyError`.
     """
-    if h.is_zero:
-        return h
-    # One length check lets the scan compare exponents without `divides`.
-    check_lengths([h.lm, *(g.lm for g in basis)])
-    reducers = list(basis)
     steps = 0
     while not h.is_zero:
         lm = h.lead
         chosen = None
         chosen_ecart = inf
-        for g in reducers:
+        for g in basis:
             # Only a strictly smaller ecart displaces the current choice, so
             # the first divisor of minimal ecart wins; ecart is never below 0.
             e = g.ecart
@@ -77,12 +91,12 @@ def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
                     break
         if chosen is None:
             break
-        if chosen_ecart > h.ecart:
-            reducers.append(h)
         h = reduce_step(h, chosen)
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
-            raise InconsistencyError("reduction exceeded the step budget; ordering bug?")
+            raise InconsistencyError(
+                "reduction exceeded the step budget; is the input homogeneous for positive weights?"
+            )
     return h
 
 
@@ -126,14 +140,19 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
     return G
 
 
-def standard_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Minimal standard basis of the ideal generated by `gens` (local ordering)."""
+def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[Polynomial]:
+    """Minimal standard basis of the ideal generated by `gens` (local ordering).
+
+    `gens` must be homogeneous for the positive `weights`, for a monomial
+    curve its generators n; other input raises `ValueError`.
+    """
+    check_graded(gens, weights)
     return minimalize(_closure(gens, nf_mora))
 
 
 # Under a global ordering the lead has the highest degree, so every ecart is
-# 0: Mora's scan takes the first divisor, never adds h to the reducers, and
-# is plain leading-term reduction.  The name stays for the global route.
+# 0 and the scan takes the first divisor: plain leading-term reduction.  The
+# name stays for the global route.
 nf_global = nf_mora
 
 
@@ -144,11 +163,9 @@ def buchberger_homogeneous(gens: Sequence[Polynomial]) -> list[Polynomial]:
     this is the fallback route when tangent-cone generators fail to be
     monomials.
     """
-    for f in gens:
-        if not f.is_zero and f.order.local:
-            raise ValueError("buchberger_homogeneous needs a global ordering")
-        if not f.is_homogeneous():
-            raise ValueError(f"non-homogeneous input: {f!r}")
+    if any(not f.is_zero and f.order.local for f in gens):
+        raise ValueError("buchberger_homogeneous needs a global ordering")
+    check_graded(gens, STANDARD_GRADING)
     return minimalize(_closure(gens, nf_global))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
-from .poly import Exponent, Polynomial, binomial, normalize
+from .poly import Exponent, Polynomial, binomial, normalize, weighted_degree
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
 
 
@@ -40,7 +40,7 @@ class ClosedFormBasis:
 
 def sdegree(m: Exponent, S: NumericalSemigroup) -> int:
     """Weighted degree of a monomial under the grading Xi -> ni."""
-    return sum(e * n for e, n in zip(m, S.generators))
+    return weighted_degree(m, S.generators)
 
 
 def _check_sdegrees(f: Polynomial, S: NumericalSemigroup, label: str) -> None:

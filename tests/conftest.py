@@ -28,11 +28,11 @@ ALL_FIXTURE_TUPLES = [
 ENGINE_BOX_RANGES = (range(3, 8), range(2, 7), range(2, 6), range(3, 6), range(1, 6))
 
 
-def engine_box() -> list[PseudoSymmetricParams]:
-    """The coprime tuples of the off-family box, sorted generators or not."""
+def engine_box(ranges=ENGINE_BOX_RANGES) -> list[PseudoSymmetricParams]:
+    """The coprime tuples of a box (the off-family one by default), sorted generators or not."""
     return [
         PseudoSymmetricParams(*t)
-        for t in itertools.product(*ENGINE_BOX_RANGES)
+        for t in itertools.product(*ranges)
         if t[4] < t[0] - 1 and check_conditions(PseudoSymmetricParams(*t))["coprime"]
     ]
 

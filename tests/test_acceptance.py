@@ -17,12 +17,13 @@ from pseudosym.pipeline import (
     basis_set,
     iter_sweep,
     build_report,
+    engine_basis,
     load_fixture_basis,
     load_fixture_numerator,
 )
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions, construct_generators
-from pseudosym.stdbasis import leading_ideal, standard_basis
-from pseudosym.toric import compute_k, toric_generators
+from pseudosym.stdbasis import leading_ideal
+from pseudosym.toric import compute_k
 
 from conftest import ALL_FIXTURE_TUPLES, FAMILY_TUPLES, TUPLE_43, TUPLE_44
 
@@ -180,7 +181,7 @@ def test_criterion_7_cm_verdicts(engine_bases):
             break
     controls = controls[:3]
     cm_ok = all(
-        cm.cm_verdict(standard_basis(toric_generators(p).generators)).cohen_macaulay
+        cm.cm_verdict(engine_basis(p)).cohen_macaulay
         for p in controls
     )
     _verdict(

@@ -334,3 +334,31 @@ def test_closed_forms_on_wide_sample(params):
     Q = second_series(P)
     assert closed_form_second_series(params, k) == Q
     assert ref.to_list(ref.regrouped_second_series(params, k)) == Q
+
+
+def test_closed_form_monotone_for_every_k():
+    """The argument that the closed-form Q has no negative coefficient, for every k.
+
+    Q = 1 + t + t*[k*a2] + sum_{i < a3-1} t^(1+i)*[a2] - t^(a21+1) - sum_{j=2..k} t^(e_j)*[a2]
+    with [L] = 1 + ... + t^(L-1) and e_j = (k-j)*a1 + (k-j+2)*a21 + a3 + j - k:
+    (a) the negative blocks lie inside the long block t*[k*a2], (b) they are
+    pairwise disjoint, and (c) t^(a21+1) lies below all of them, where the
+    i = 0 block and the long block both cover it.  So every Q_n >= 0.
+    """
+    sample = family_sample(seed=4, per_k=40)
+    assert len(sample) > 150 and max(map(compute_k, sample)) >= 8
+    for params in sample:
+        k = compute_k(params)
+        conds = check_conditions(params)
+        assert conds["c5"] and conds["c6"], params
+        a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
+        starts = [(k - j) * a1 + (k - j + 2) * a21 + a3 + j - k for j in range(2, k + 1)]
+        # (a): e_2, the largest start, ends by k*a2 - 1
+        assert all(e >= 1 for e in starts) and all(e + a2 - 1 <= k * a2 - 1 for e in starts), params
+        # (b): consecutive starts are a1 + a21 - 1 >= a2 apart
+        assert all(x - y == a1 + a21 - 1 >= a2 for x, y in zip(starts, starts[1:])), params
+        # (c): a21 + 1 < e_k = 2*a21 + a3, and a21 + 1 <= a2 by c4
+        assert a21 + 1 <= a2 and all(a21 + 1 < e for e in starts), params
+        Q = closed_form_second_series(params, k)
+        assert min(Q) >= 0, params
+        assert Q == second_series(closed_form_numerator(params, k)), params

@@ -1,6 +1,7 @@
 """Ordering comparators, the binomial type and its formulas, ecart, text format."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from pseudosym.poly import (
     LESS,
     LOCAL,
     DimensionError,
+    MonomialOrder,
     Polynomial,
     Term,
     binomial,
@@ -60,6 +62,20 @@ class TestCompare:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             LOCAL.compare((1, 2, 3), (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("precedence", [(0, 0, 0, 0), (0, 1, 2), (0, 1, 2, 4), (0, 1, 2, 3, 3)])
+    def test_precedence_must_be_a_permutation(self, precedence):
+        # with (0, 0, 0, 0), X2 < X3 and X3 < X2 both held, so a binomial's
+        # lead depended on the order its terms were written in
+        with pytest.raises(ValueError, match="permutation"):
+            MonomialOrder(True, precedence)
+
+    def test_every_permutation_is_antisymmetric(self):
+        variables = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        for precedence in permutations(range(4)):
+            for order in (MonomialOrder(True, precedence), MonomialOrder(False, precedence)):
+                for a, b in permutations(variables, 2):
+                    assert order.compare(a, b) == -order.compare(b, a) != EQUAL
 
     @given(monos, monos)
     def test_antisymmetric_total(self, a, b):

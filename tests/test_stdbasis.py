@@ -1,5 +1,6 @@
 """The reduction engine: weak normal forms, basis computation, tangent cones."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pseudosym import PseudoSymmetricParams, cm, stdbasis
+from pseudosym.errors import InconsistencyError
 from pseudosym.pipeline import basis_set, engine_basis, load_fixture_basis
 from pseudosym.poly import (
     GLOBAL,
@@ -20,6 +22,7 @@ from pseudosym.poly import (
     parse_poly,
     reduce_step,
     spoly,
+    weighted_degree,
     with_order,
     zero,
 )
@@ -35,6 +38,7 @@ from pseudosym.stdbasis import (
 from pseudosym.toric import sdegree, toric_generators
 
 from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_A4_3, engine_box
+from seed_engine import closure_differs, seed_nf_global, seed_nf_mora
 
 
 def P(text, order=LOCAL):
@@ -75,7 +79,7 @@ class TestStandardBasis:
 
     def test_single_monomial_is_its_own_basis(self):
         f = monomial((2, 0, 1, 0), LOCAL)
-        assert standard_basis([f]) == [f]
+        assert standard_basis([f], (1, 1, 1, 1)) == [f]
 
     def test_certificate_every_pair_reduces(self, engine_bases):
         # definition-level check on every stored tuple, with no coprime skip
@@ -294,88 +298,63 @@ class TestFoldAgainstOldRoutes:
         assert {cm_ok for _, cm_ok in seen} == {True, False}
 
 
-# The reducer scan as it was before leads and ecarts were stored: every
-# reducer is tested with `divides`, and leads and ecarts are read off the terms.
-
-def seed_ecart(f):
-    return max(sum(t.mono) for t in f.terms) - sum(f.terms[0].mono)
-
-
-def seed_nf_mora(h, basis):
-    reducers = list(basis)
-    while not h.is_zero:
-        lm = h.terms[0].mono
-        chosen = None
-        chosen_ecart = -1
-        for g in reducers:
-            if divides(g.terms[0].mono, lm):
-                e = seed_ecart(g)
-                if chosen is None or e < chosen_ecart:
-                    chosen, chosen_ecart = g, e
-        if chosen is None:
-            break
-        if chosen_ecart > seed_ecart(h):
-            reducers.append(h)
-        h = reduce_step(h, chosen)
-    return h
-
-
-def seed_nf_global(h, basis):
-    while not h.is_zero:
-        for g in basis:
-            if divides(g.terms[0].mono, h.terms[0].mono):
-                h = reduce_step(h, g)
-                break
-        else:
-            return h
-    return h
-
-
 @st.composite
-def shapes(draw, order, homogeneous, top=3):
-    """A nonzero signed monomial or ±1 binomial; a homogeneous one permutes one monomial."""
+def shapes(draw, order, weights=None, top=3):
+    """A nonzero signed monomial or ±1 binomial, homogeneous for `weights` when given.
+
+    A graded binomial pairs its first monomial with any monomial of the
+    same weighted degree and exponents up to `top`.
+    """
     sign = draw(st.sampled_from([1, -1]))
     a = draw(st.tuples(*([st.integers(0, top)] * 4)))
     if draw(st.booleans()):
         return Polynomial([(sign, a)], order)
-    if homogeneous:
-        b = tuple(draw(st.permutations(a)))
-    else:
+    if weights is None:
         b = draw(st.tuples(*([st.integers(0, top)] * 4)))
+    else:
+        degree = weighted_degree(a, weights)
+        b = draw(st.sampled_from([
+            m for m in itertools.product(range(top + 1), repeat=4) if weighted_degree(m, weights) == degree
+        ]))
     if b == a:
         return Polynomial([(sign, a)], order)
     return Polynomial([(sign, a), (-sign, b)], order)
 
 
 @st.composite
-def reduction_cases(draw, homogeneous_under_local):
+def reduction_cases(draw, graded):
     """(h, reducers) under LOCAL or GLOBAL.
 
-    Plain leading-term reduction need not terminate under LOCAL, except on
-    homogeneous input, which `homogeneous_under_local` asks for.
+    Under LOCAL the normal form terminates only on graded input, so a
+    `graded` case draws a positive weight vector and keeps every element
+    homogeneous for it; otherwise only LOCAL cases are graded, by degree.
     """
     order = draw(st.sampled_from([LOCAL, GLOBAL]))
-    homogeneous = homogeneous_under_local and order.local
-    basis = draw(st.lists(shapes(order, homogeneous), min_size=1, max_size=6))
-    return draw(shapes(order, homogeneous, top=6)), basis
+    if graded:
+        weights = draw(st.tuples(*([st.integers(1, 4)] * 4)))
+    else:
+        weights = (1, 1, 1, 1) if order.local else None
+    basis = draw(st.lists(shapes(order, weights), min_size=1, max_size=6))
+    return draw(shapes(order, weights, top=6)), basis
 
 
 class TestReducerScan:
-    @given(reduction_cases(homogeneous_under_local=False))
+    @given(reduction_cases(graded=True))
     def test_nf_mora_matches_seed_scan(self, case):
         h, basis = case
         assert nf_mora(h, basis).terms == seed_nf_mora(h, basis).terms
 
-    @given(reduction_cases(homogeneous_under_local=True))
+    @given(reduction_cases(graded=False))
     def test_nf_global_matches_seed_scan(self, case):
         h, basis = case
         assert nf_global(h, basis).terms == seed_nf_global(h, basis).terms
 
-    @pytest.mark.parametrize("nf", [nf_mora, nf_global])
-    def test_mixed_exponent_lengths_rejected(self, nf):
-        h = monomial((2, 1, 0, 0), LOCAL)
+    def test_mixed_exponent_lengths_rejected(self):
+        # every polynomial has four exponents, so the scan checks no length
         with pytest.raises(DimensionError):
-            nf(h, [monomial((1, 0, 0, 0), LOCAL), monomial((1, 0, 0), LOCAL)])
+            monomial((1, 0, 0), LOCAL)
+        with pytest.raises(DimensionError):
+            Polynomial([(1, (1, 0, 0, 0, 0)), (-1, (0, 0, 0, 0, 1))], LOCAL)
 
     def test_minimalize_rejects_mixed_lengths(self):
         with pytest.raises(DimensionError):
@@ -383,7 +362,39 @@ class TestReducerScan:
 
     @pytest.mark.parametrize("nf", [nf_mora, nf_global])
     def test_zero_input_ignores_the_basis(self, nf):
-        assert nf(zero(LOCAL), [zero(LOCAL), monomial((1, 0, 0), LOCAL)]).is_zero
+        assert nf(zero(LOCAL), [zero(LOCAL), monomial((1, 0, 0, 0), LOCAL)]).is_zero
+
+
+class TestGradedInput:
+    """The grading is checked where input enters; the normal form relies on it."""
+
+    def test_ungraded_input_rejected(self):
+        with pytest.raises(ValueError, match="non-homogeneous"):
+            standard_basis([P("X1-X1^2")], (1, 1, 1, 1))
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 1, 0), (2, -1, 1, 1), (1, 1, 1, 1, 1)])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="positive integers"):
+            standard_basis([P("X1*X2-X3^2")], weights)
+
+    def test_curve_generators_pass_under_n_only(self):
+        system = toric_generators(TUPLE_41)
+        assert standard_basis(system.generators, system.semigroup.generators)
+        with pytest.raises(ValueError, match="non-homogeneous"):
+            standard_basis(system.generators, (1, 1, 1, 1))
+
+    def test_ungraded_reduction_hits_the_step_budget(self, monkeypatch):
+        # X1 = (1 - X1)^-1 * (X1 - X1^2) lies in the ideal, but plain division
+        # by X1 - X1^2 walks X1 -> X1^2 -> X1^3 ... under the local ordering,
+        # which is why `standard_basis` refuses ungraded input.
+        monkeypatch.setattr(stdbasis, "MAX_REDUCTION_STEPS", 50)
+        with pytest.raises(InconsistencyError, match="step budget"):
+            nf_mora(P("X1"), [P("X1-X1^2")])
+
+    def test_closure_matches_seed_driven_closure(self):
+        # the whole box runs in CI: PYTHONPATH=src python tests/seed_engine.py
+        sample = random.Random(13).sample(engine_box(), 60)
+        assert [p for p in sample if closure_differs(p)] == []
 
 
 def count_engine_calls(monkeypatch):
