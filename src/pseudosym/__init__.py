@@ -28,8 +28,6 @@ from .poly import (
     Polynomial,
     Term,
     binomial,
-    divides,
-    ecart,
     normalize,
     parse_poly,
     render_poly,
@@ -38,7 +36,6 @@ from .poly import (
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
-    SemigroupTable,
     apery_set,
     check_conditions,
     construct_generators,
@@ -55,6 +52,6 @@ from .stdbasis import (
     standard_basis,
     tangent_cone_ideal,
 )
-from .toric import ClosedFormBasis, ToricSystem, closed_form_basis, compute_k, sdegree, toric_generators
+from .toric import ClosedFormBasis, ToricSystem, closed_form_basis, compute_k, toric_generators
 
 __version__ = "0.1.0"

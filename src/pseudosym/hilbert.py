@@ -32,7 +32,7 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, ParameterError
-from .poly import Exponent, coprime, minimalize_monomials, scan_terms, total_deg
+from .poly import Exponent, coprime, minimalize_monomials, scan_terms
 from .semigroup import PseudoSymmetricParams
 from .toric import check_closed_form_regime
 
@@ -102,18 +102,18 @@ def hilbert_numerator(gens: Iterable[Exponent], pivot: str = "maxdeg",
     def run(ideal: tuple[Exponent, ...]) -> list[int]:
         if not ideal:
             return [1]
-        if any(total_deg(m) == 0 for m in ideal):
+        if any(sum(m) == 0 for m in ideal):
             return []  # unit ideal, empty quotient
         cached = memo.get(ideal)
         if cached is not None:
             return cached
         if all(coprime(a, b) for a, b in combinations(ideal, 2)):
-            result = _product(total_deg(m) for m in ideal)
+            result = _product(map(sum, ideal))
         else:
             w = _pick_pivot(ideal, pivot, rng)
             rest = tuple(m for m in ideal if m != w)
             colon = tuple(monomial_colon(rest, w))
-            result = add_shifted(run(rest), -1, total_deg(w), run(colon))
+            result = add_shifted(run(rest), -1, sum(w), run(colon))
         memo[ideal] = result
         return result
 

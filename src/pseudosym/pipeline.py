@@ -49,7 +49,10 @@ def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
         ref = Path(fixtures_dir) / name
     if not ref.is_file():
         return None
-    text = ref.read_text()
+    try:
+        text = ref.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"unreadable fixture {ref}: {exc}") from None
     if not text.strip():
         raise ParameterError(f"empty fixture {ref}")
     try:
@@ -219,9 +222,9 @@ def _witness_text(witness) -> str | None:
 
 def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str]) -> None:
     for f in basis:
-        if len(f.terms) != 2:
+        if f.tail is None:
             mismatches.append(f"non-binomial basis element {f!r}")
-        elif len({toric.sdegree(t.mono, S) for t in f.terms}) != 1:
+        elif not f.is_homogeneous(S.generators):
             mismatches.append(f"basis element {f!r} has unequal S-degrees")
 
 

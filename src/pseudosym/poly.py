@@ -15,6 +15,13 @@ two monomials can only cancel, never need collecting, so they are built by
 `_pair` straight from the operands' parts.  Both routes end in `_fill`,
 whose one `MonomialOrder.greater` call decides the lead and the ecart.
 
+Each fact the engine uses has one function: `MonomialOrder.greater`
+compares two monomials (`sort_key` is the same order as a sort key),
+`weighted_degree` grades a monomial, and `Polynomial.is_homogeneous` tests
+a polynomial against a grading.  A polynomial's `coeff`, `lead`, `tail` and
+`ecart` are read as fields; total degree is `sum`, and divisibility is
+`all(map(le, a, b))`.
+
 Two ordering kinds are provided:
 
 * global degrevlex: higher total degree wins, so 1 is the smallest monomial;
@@ -42,8 +49,6 @@ Exponent = tuple[int, ...]
 VAR_NAMES = ("X1", "X2", "X3", "X4")
 N_VARS = len(VAR_NAMES)
 STANDARD_GRADING = (1,) * N_VARS
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class DimensionError(ValueError):
@@ -90,20 +95,9 @@ class MonomialOrder:
                 return a[i] < b[i]
         return False
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        if len(a) != N_VARS or len(b) != N_VARS:
-            raise DimensionError(f"exponent lengths {len(a)} and {len(b)}, not {N_VARS}")
-        if a == b:
-            return EQUAL
-        return GREATER if self.greater(a, b, sum(a), sum(b)) else LESS
-
 
 LOCAL = MonomialOrder(local=True)
 GLOBAL = MonomialOrder(local=False)
-
-
-def total_deg(m: Exponent) -> int:
-    return sum(m)
 
 
 def weighted_degree(m: Exponent, weights: Sequence[int]) -> int:
@@ -111,19 +105,8 @@ def weighted_degree(m: Exponent, weights: Sequence[int]) -> int:
     return sum(map(mul, m, weights))
 
 
-def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
-
-
-def divides(a: Exponent, b: Exponent) -> bool:
-    """True iff the monomial with exponents a divides the one with exponents b."""
-    if len(a) != len(b):
-        raise DimensionError(f"exponent length mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
 
 
 def coprime(a: Exponent, b: Exponent) -> bool:
@@ -136,14 +119,14 @@ def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
     Drops duplicates and any monomial divisible by another generator.  The
     result is sorted by (total degree, exponent tuple) for determinism.
     Mixed exponent lengths raise `DimensionError`; checked once, they let
-    the scan compare exponents without `divides`.
+    the scan compare exponents with no per-pair length check.
     """
     pool = set(monos)
     lengths = set(map(len, pool))
     if len(lengths) > 1:
         raise DimensionError(f"exponent length mismatch: {sorted(lengths)}")
     kept: list[Exponent] = []
-    for m in sorted(pool, key=lambda m: (total_deg(m), m)):
+    for m in sorted(pool, key=lambda m: (sum(m), m)):
         for g in kept:
             if all(map(le, g, m)):
                 break
@@ -164,7 +147,8 @@ class Polynomial:
     tuple whose length is not four raises `DimensionError`.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
-    `ValueError`; what passes sets the fields through `_fill`.  The engine's
+    `ValueError`; what passes sets the fields through `_fill`.  `ecart` is
+    the total degree of f minus that of its lead, None for zero.  The engine's
     own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
     checks and go through `_pair`, which calls `_fill` too.  Equality and
     hashing look only at the signed term set, so two polynomials with the
@@ -200,29 +184,15 @@ class Polynomial:
         return self.lead is None
 
     @property
-    def leading_term(self) -> Term:
-        if self.lead is None:
-            raise ValueError("zero polynomial has no leading term")
-        return Term(self.coeff, self.lead)
-
-    @property
     def lm(self) -> Exponent:
         """The leading monomial, fixed at construction."""
         if self.lead is None:
             raise ValueError("zero polynomial has no leading monomial")
         return self.lead
 
-    @property
-    def lc(self) -> int:
-        return self.leading_term.coeff
-
     def is_homogeneous(self, weights: Sequence[int] = STANDARD_GRADING) -> bool:
         """True for zero, a monomial, and a binomial whose two terms have one degree under `weights`."""
         return self.tail is None or weighted_degree(self.lead, weights) == weighted_degree(self.tail, weights)
-
-    def mul_term(self, m: Exponent) -> "Polynomial":
-        """The product with the monomial x^m."""
-        return Polynomial([(c, mono_mul(t, m)) for c, t in self.terms], self.order)
 
     def __neg__(self) -> "Polynomial":
         return _pair(-self.coeff, self.lead, self.tail, self.order)
@@ -257,17 +227,6 @@ def binomial(plus: Exponent, minus: Exponent, order: MonomialOrder = LOCAL) -> P
 def with_order(f: Polynomial, order: MonomialOrder) -> Polynomial:
     """Same polynomial with its two monomials compared under a different ordering."""
     return _pair(f.coeff, f.lead, f.tail, order)
-
-
-def ecart(f: Polynomial) -> int:
-    """Total degree of f minus total degree of its leading monomial.
-
-    Nonnegative under a local ordering, where the leading monomial sits in
-    the lowest-degree part.
-    """
-    if f.ecart is None:
-        raise ValueError("zero polynomial has no ecart")
-    return f.ecart
 
 
 def normalize(f: Polynomial) -> Polynomial:

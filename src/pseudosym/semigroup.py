@@ -7,8 +7,8 @@ can arbitrate results produced by the algebraic route.  One kernel answers
 every semigroup question: the Apery set Ap(S, m) of the smallest generator m
 gives the Frobenius number, the gaps, the genus, the pseudo-symmetry test and,
 through per-level residue minima, the order-counting Hilbert oracle.  The
-membership/order table is kept as the brute-force dynamic-programming
-reference that the kernel is tested against.
+maximal-order table `membership_table` is kept as the brute-force
+dynamic-programming reference that the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -58,23 +58,21 @@ class PseudoSymmetricParams:
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
+    """The semigroup generated by positive integers.
+
+    An empty tuple or a generator below 1 raises `ParameterError`: the
+    Apery set needs a positive smallest generator as its modulus, and its
+    Dijkstra search needs edges of nonnegative weight.
+    """
+
     generators: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.generators or min(self.generators) < 1:
+            raise ParameterError(f"generators must be positive integers (got {self.generators!r})")
 
     def gcd(self) -> int:
         return math.gcd(*self.generators)
-
-
-@dataclass(frozen=True)
-class SemigroupTable:
-    """Membership and maximal-order tables for 0..bound.
-
-    order[s] is the largest number of generators (with repetition) summing to
-    s, or -1 when s is not in the semigroup.  order[0] = 0.
-    """
-
-    bound: int
-    member: list[bool]
-    order: list[int]
 
 
 def construct_generators(params: PseudoSymmetricParams) -> NumericalSemigroup:
@@ -122,25 +120,21 @@ def check_conditions(params: PseudoSymmetricParams) -> dict[str, bool]:
     }
 
 
-def membership_table(S: NumericalSemigroup, bound: int) -> SemigroupTable:
+def membership_table(S: NumericalSemigroup, bound: int) -> list[int]:
+    """The maximal-order table of 0..bound, by dynamic programming.
+
+    order[s] is the largest number of generators (with repetition) summing
+    to s, or -1 when s is not in the semigroup, so s is in S iff
+    order[s] >= 0.  order[0] = 0.
+    """
     if bound < 0:
         raise ParameterError(f"bound >= 0 violated (bound={bound})")
-    member = [False] * (bound + 1)
     order = [-1] * (bound + 1)
-    member[0] = True
     order[0] = 0
     gens = S.generators
     for s in range(1, bound + 1):
-        best = -1
-        for g in gens:
-            if g <= s and member[s - g]:
-                prev = order[s - g]
-                if prev + 1 > best:
-                    best = prev + 1
-        if best >= 0:
-            member[s] = True
-            order[s] = best
-    return SemigroupTable(bound, member, order)
+        order[s] = max((order[s - g] + 1 for g in gens if g <= s and order[s - g] >= 0), default=-1)
+    return order
 
 
 def apery_set(S: NumericalSemigroup) -> list[int]:

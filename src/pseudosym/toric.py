@@ -38,14 +38,10 @@ class ClosedFormBasis:
     elements: tuple[Polynomial, ...]
 
 
-def sdegree(m: Exponent, S: NumericalSemigroup) -> int:
-    """Weighted degree of a monomial under the grading Xi -> ni."""
-    return weighted_degree(m, S.generators)
-
-
 def _check_sdegrees(f: Polynomial, S: NumericalSemigroup, label: str) -> None:
-    degs = {sdegree(t.mono, S) for t in f.terms}
-    if len(degs) > 1:
+    """Raise `InconsistencyError` unless f is homogeneous for the grading Xi -> ni."""
+    if not f.is_homogeneous(S.generators):
+        degs = {weighted_degree(t.mono, S.generators) for t in f.terms}
         raise InconsistencyError(
             f"S-degree mismatch in {label}: monomials grade to {sorted(degs)}"
         )

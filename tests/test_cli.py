@@ -424,6 +424,29 @@ class TestFixtureErrors:
         assert out == ""
         assert "empty fixture" in err and str(path) in err
 
+    @pytest.mark.parametrize("suffix", ["basis.txt", "numerator.txt"])
+    def test_fixture_that_is_not_utf8_is_invalid_input(self, capsys, tmp_path, suffix):
+        path = tmp_path / f"a1-16_a2-20_a3-7_a4-2_a21-8.{suffix}"
+        path.write_bytes(b"\xff\xfe X1")
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert "unreadable fixture" in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_fixture_read_error_is_invalid_input(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "a1-16_a2-20_a3-7_a4-2_a21-8.basis.txt"
+        path.write_text("X1^16-X3*X4\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert "unreadable fixture" in err and str(path) in err
+
     def test_far_exponent_numerator_fixture_is_a_mismatch(self, capsys, tmp_path):
         # one sparse pair per term: a dense coefficient list would need gigabytes
         (tmp_path / "a1-16_a2-20_a3-7_a4-2_a21-8.numerator.txt").write_text("1-t^1000000000\n")

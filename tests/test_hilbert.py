@@ -362,3 +362,31 @@ def test_closed_form_monotone_for_every_k():
         Q = closed_form_second_series(params, k)
         assert min(Q) >= 0, params
         assert Q == second_series(closed_form_numerator(params, k)), params
+
+
+def test_regime_implies_c5_and_c6():
+    """The README lemma: conditions (5) and (6) follow from the closed-form regime.
+
+    c5 is a21 + a3 > 2 from a21 >= 1 and a3 >= 2.  c6 with alpha4 = 2 reads
+    a2 < a1 + a21, and follows from n1 < n2 alone: with b = a1 - a21 - 1,
+    a2*a3 + 1 < 2*a21*a3 + b*(a3 - 1) + a3 gives a2 < 2*a21 + b + 1.  Checked
+    on every regime tuple with alphas <= 14, and on every alpha4 = 2 tuple
+    with n1 < n2, a1 and a3 <= 14 and a2 <= 28.
+    """
+    regime = ordered = 0
+    for a1, a2, a3 in itertools.product(range(3, 15), range(2, 29), range(2, 15)):
+        for a21 in range(1, a1 - 1):
+            params = PseudoSymmetricParams(a1, a2, a3, 2, a21)
+            n1, n2 = construct_generators(params).generators[:2]
+            if n1 >= n2:
+                continue
+            ordered += 1
+            conds = check_conditions(params)
+            assert conds["c6"], params
+            b = a1 - a21 - 1
+            assert b > 0 and a2 * a3 < a3 * (2 * a21 + b + 1), params
+            if a2 <= 14 and all(conds[c] for c in ("c1", "c2", "c3", "c4", "sorted", "coprime")):
+                regime += 1
+                assert conds["c5"], params
+    # 1,092 is also the count of the alphas <= 14 family sweep
+    assert (regime, ordered) == (1092, 12602)

@@ -8,6 +8,7 @@ from pseudosym import hilbert, stdbasis
 from pseudosym.errors import ParameterError
 from pseudosym.pipeline import (
     SweepConfig,
+    _check_binomial_closure,
     build_report,
     engine_basis,
     hilbert_section,
@@ -17,7 +18,8 @@ from pseudosym.pipeline import (
     load_fixture_numerator,
     numerical_semigroup,
 )
-from pseudosym.semigroup import PseudoSymmetricParams, is_pseudo_symmetric
+from pseudosym.poly import parse_poly, zero
+from pseudosym.semigroup import PseudoSymmetricParams, construct_generators, is_pseudo_symmetric
 
 from conftest import TUPLE_41, TUPLE_43, TUPLE_A4_3, engine_box
 
@@ -30,6 +32,18 @@ def test_noncoprime_tuple_refused_before_any_stage():
     with pytest.raises(ParameterError, match="gcd of generators"):
         build_report(NONCOPRIME)
     assert numerical_semigroup(TUPLE_41).generators == (141, 161, 164, 2092)
+
+
+def test_binomial_closure_mismatches():
+    S = construct_generators(TUPLE_41)
+    basis = [parse_poly("X2^20-X1^8*X4"), parse_poly("X1^3"), zero(), parse_poly("X1-X2")]
+    mismatches = []
+    _check_binomial_closure(basis, S, mismatches)
+    assert mismatches == [
+        "non-binomial basis element X1^3",
+        "non-binomial basis element 0",
+        "basis element X1-X2 has unequal S-degrees",
+    ]
 
 
 def test_k_readings():

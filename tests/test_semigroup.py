@@ -68,28 +68,36 @@ def test_sorted_plus_c4_imply_c5_and_c6():
         assert conds["c6"], params
 
 
+@pytest.mark.parametrize("gens", [(), (0, 1), (-2, 3)])
+def test_numerical_semigroup_needs_positive_generators(gens):
+    # (0, 1) made apery_set divide by zero, and (-2, 3) kept its Dijkstra
+    # search running forever on a negative edge; both now fail on construction
+    with pytest.raises(ParameterError, match="positive"):
+        NumericalSemigroup(gens)
+
+
 class TestMembershipTable:
     def test_order_of_generators_is_one(self):
         S = construct_generators(TUPLE_41)
-        table = membership_table(S, 2500)
-        assert table.order[0] == 0
+        order = membership_table(S, 2500)
+        assert len(order) == 2501 and order[0] == 0
         for n in S.generators[:3]:
-            assert table.order[n] == 1
-        assert table.member[1] is False
+            assert order[n] == 1
+        assert order[1] == -1
 
     def test_double_smallest_generator(self):
         S = construct_generators(TUPLE_41)
-        table = membership_table(S, 300)
-        assert table.order[282] == 2
+        order = membership_table(S, 300)
+        assert order[282] == 2
 
     def test_order_superadditive(self):
         S = NumericalSemigroup((5, 6, 7, 8))
-        table = membership_table(S, 200)
-        members = [s for s in range(1, 80) if table.member[s]]
+        order = membership_table(S, 200)
+        members = [s for s in range(1, 80) if order[s] >= 0]
         rng = random.Random(0)
         for _ in range(200):
             a, b = rng.choice(members), rng.choice(members)
-            assert table.order[a + b] >= table.order[a] + table.order[b]
+            assert order[a + b] >= order[a] + order[b]
 
 
 class TestGapsAndPseudoSymmetry:
@@ -183,26 +191,26 @@ class TestAperyKernelAgainstTable:
         m = min(S.generators)
         bound = 2 * max(S.generators)
         while True:
-            table = membership_table(S, bound)
+            order = membership_table(S, bound)
             run = 0
             for s in range(bound + 1):
-                run = run + 1 if table.member[s] else 0
+                run = run + 1 if order[s] >= 0 else 0
                 if run == m:
-                    return table, [x for x in range(s - m + 1) if not table.member[x]]
+                    return order, [x for x in range(s - m + 1) if order[x] < 0]
             bound *= 2
 
     @staticmethod
     def reference_counts(S, level):
-        orders = membership_table(S, (level + 1) * max(S.generators)).order
+        orders = membership_table(S, (level + 1) * max(S.generators))
         return [orders.count(n) for n in range(level + 1)]
 
     @pytest.mark.parametrize("S", KERNEL_CASES, ids=lambda S: str(S.generators))
     def test_matches_dp(self, S):
-        table, gaps = self.reference_table(S)
+        order, gaps = self.reference_table(S)
         ap = apery_set(S)
         m = min(S.generators)
         for r in range(m):
-            first = next(s for s in range(r, table.bound + 1, m) if table.member[s])
+            first = next(s for s in range(r, len(order), m) if order[s] >= 0)
             assert ap[r] == first
         frobenius = gaps[-1] if gaps else -1
         assert frobenius_and_gaps(S) == (frobenius, gaps)
@@ -217,9 +225,9 @@ class TestAperyKernelAgainstTable:
         ap = apery_set(S)
         m = len(ap)
         frobenius = max(ap) - m
-        table = membership_table(S, max(ap))
+        order = membership_table(S, max(ap))
         maximal = {a for a in ap
-                   if not any(b != a and b >= a and table.member[b - a] for b in ap)}
+                   if not any(b != a and b >= a and order[b - a] >= 0 for b in ap)}
         criterion = frobenius % 2 == 0 and maximal == {frobenius + m, frobenius // 2 + m}
         assert is_pseudo_symmetric(S) == criterion
 

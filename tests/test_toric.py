@@ -2,14 +2,14 @@
 
 import pytest
 
-from pseudosym.errors import ParameterError, UnsupportedParametersError
-from pseudosym.poly import LOCAL, normalize, parse_poly
+from pseudosym.errors import InconsistencyError, ParameterError, UnsupportedParametersError
+from pseudosym.poly import LOCAL, normalize, parse_poly, weighted_degree
 from pseudosym.semigroup import PseudoSymmetricParams, construct_generators
 from pseudosym.toric import (
+    _check_sdegrees,
     closed_form_basis,
     compute_k,
     has_c6_tie,
-    sdegree,
     tail_monomials,
     toric_generators,
 )
@@ -41,22 +41,27 @@ class TestToricGenerators:
         for params in FAMILY_TUPLES + [TUPLE_A4_3]:
             system = toric_generators(params)
             for f in system.generators:
-                degs = {sdegree(t.mono, system.semigroup) for t in f.terms}
-                assert len(degs) == 1, (params, f)
+                assert f.is_homogeneous(system.semigroup.generators), (params, f)
 
     def test_f2_sdegree_identity(self):
-        S = construct_generators(TUPLE_41)
-        assert sdegree((0, 20, 0, 0), S) == sdegree((8, 0, 0, 1), S) == 20 * 161
+        n = construct_generators(TUPLE_41).generators
+        assert weighted_degree((0, 20, 0, 0), n) == weighted_degree((8, 0, 0, 1), n) == 20 * 161
 
 
 class TestSdegree:
     def test_empty_monomial(self):
-        assert sdegree((0, 0, 0, 0), construct_generators(TUPLE_41)) == 0
+        assert weighted_degree((0, 0, 0, 0), construct_generators(TUPLE_41).generators) == 0
 
     def test_tail_element_membership(self):
+        n = construct_generators(TUPLE_41).generators
+        assert weighted_degree((0, 21, 0, 0), n) == 21 * 161 == 3381
+        assert weighted_degree((17, 0, 6, 0), n) == 17 * 141 + 6 * 164 == 3381
+
+    def test_check_names_the_unequal_degrees(self):
         S = construct_generators(TUPLE_41)
-        assert sdegree((0, 21, 0, 0), S) == 21 * 161 == 3381
-        assert sdegree((17, 0, 6, 0), S) == 17 * 141 + 6 * 164 == 3381
+        _check_sdegrees(B("X2^20-X1^8*X4"), S, "f2")
+        with pytest.raises(InconsistencyError, match=r"in f2: monomials grade to \[141, 161\]"):
+            _check_sdegrees(B("X1-X2"), S, "f2")
 
 
 class TestComputeK:
@@ -94,8 +99,7 @@ class TestClosedFormBasis:
         S = construct_generators(TUPLE_44)
         for f in closed_form_basis(TUPLE_44).elements:
             assert len(f.terms) == 2
-            degs = {sdegree(t.mono, S) for t in f.terms}
-            assert len(degs) == 1
+            assert f.is_homogeneous(S.generators)
 
     def test_leading_pattern_below_and_at_k(self):
         # j < k leads with the X1-X3 monomial, j = k with the pure X2 power
