@@ -1,11 +1,11 @@
 """Computer algebra for 4-generated pseudo-symmetric numerical semigroups.
 
 The pipeline: parameters -> generators and semigroup oracles -> defining
-binomials of the monomial curve -> local standard basis (leading-term
-division, which terminates because the binomials are homogeneous for the
-grading Xi -> ni; ecart only picks the reducer) -> tangent cone and leading
-ideal -> Hilbert numerator (pivot recursion and closed forms) -> second
-series, Hilbert function, monotonicity and Cohen-Macaulayness verdicts, all
+binomials of the monomial curve -> local standard basis (plain division
+against reducers in Mora's ecart order; it terminates because the binomials
+are homogeneous for the grading Xi -> ni) -> tangent cone and leading ideal
+-> Hilbert numerator (pivot recursion and closed forms) -> second series,
+Hilbert function, monotonicity and Cohen-Macaulayness verdicts, all
 cross-checked against independent brute-force routes.
 """
 

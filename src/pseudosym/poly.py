@@ -13,14 +13,15 @@ and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
 and so `normalize`, `with_order`) are ±(x^a - x^b) by construction: their
 two monomials can only cancel, never need collecting, so they are built by
 `_pair` straight from the operands' parts.  Both routes end in `_fill`,
-whose one `MonomialOrder.greater` call decides the lead and the ecart.
+whose one `MonomialOrder.greater` call decides the lead.
 
 Each fact the engine uses has one function: `MonomialOrder.greater`
 compares two monomials (`sort_key` is the same order as a sort key),
 `weighted_degree` grades a monomial, and `Polynomial.is_homogeneous` tests
-a polynomial against a grading.  A polynomial's `coeff`, `lead`, `tail` and
-`ecart` are read as fields; total degree is `sum`, and divisibility is
-`all(map(le, a, b))`.
+a polynomial against a grading.  A polynomial's `coeff`, `lead` and `tail`
+are read as fields; total degree is `sum`, and divisibility is
+`all(map(le, a, b))`.  A polynomial carries no ecart; only the order of the
+engine's reducer list uses one (see `stdbasis`).
 
 Two ordering kinds are provided:
 
@@ -82,12 +83,13 @@ class MonomialOrder:
         tail = tuple(-m[i] for i in reversed(self.precedence))
         return (-deg if self.local else deg, *tail)
 
-    def greater(self, a: Exponent, b: Exponent, deg_a: int, deg_b: int) -> bool:
-        """True iff x^a > x^b, given their total degrees deg_a and deg_b.
+    def greater(self, a: Exponent, b: Exponent) -> bool:
+        """True iff x^a > x^b.
 
-        The same rule as `sort_key`, decided by one degree comparison and, on
-        a tie, a scan from the least significant variable.
+        The same rule as `sort_key`, decided by one total-degree comparison
+        and, on a tie, a scan from the least significant variable.
         """
+        deg_a, deg_b = sum(a), sum(b)
         if deg_a != deg_b:
             return deg_a < deg_b if self.local else deg_a > deg_b
         for i in reversed(self.precedence):
@@ -147,15 +149,14 @@ class Polynomial:
     tuple whose length is not four raises `DimensionError`.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
-    `ValueError`; what passes sets the fields through `_fill`.  `ecart` is
-    the total degree of f minus that of its lead, None for zero.  The engine's
+    `ValueError`; what passes sets the fields through `_fill`.  The engine's
     own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
     checks and go through `_pair`, which calls `_fill` too.  Equality and
     hashing look only at the signed term set, so two polynomials with the
     same terms compare equal even if tagged with different orderings.
     """
 
-    __slots__ = ("coeff", "lead", "tail", "ecart", "order")
+    __slots__ = ("coeff", "lead", "tail", "order")
 
     def __init__(self, terms: Iterable[tuple], order: MonomialOrder):
         acc: dict[Exponent, int] = {}
@@ -241,20 +242,19 @@ def _fill(f: Polynomial, coeff: int, plus: Exponent | None, minus: Exponent | No
     """Set the fields of f to coeff * (x^plus - x^minus); None is an absent term.
 
     coeff is ±1, and equal monomials cancel to zero.  One `greater` call
-    decides the lead, and the ecart comes from the degrees it was given.
+    decides the lead.
     """
     f.order = order
     if plus == minus:
-        f.coeff, f.lead, f.tail, f.ecart = 1, None, None, None
+        f.coeff, f.lead, f.tail = 1, None, None
     elif minus is None:
-        f.coeff, f.lead, f.tail, f.ecart = coeff, plus, None, 0
+        f.coeff, f.lead, f.tail = coeff, plus, None
     elif plus is None:
-        f.coeff, f.lead, f.tail, f.ecart = -coeff, minus, None, 0
+        f.coeff, f.lead, f.tail = -coeff, minus, None
+    elif order.greater(minus, plus):
+        f.coeff, f.lead, f.tail = -coeff, minus, plus
     else:
-        d_plus, d_minus = sum(plus), sum(minus)
-        if order.greater(minus, plus, d_minus, d_plus):
-            coeff, plus, minus, d_plus, d_minus = -coeff, minus, plus, d_minus, d_plus
-        f.coeff, f.lead, f.tail, f.ecart = coeff, plus, minus, max(d_minus - d_plus, 0)
+        f.coeff, f.lead, f.tail = coeff, plus, minus
     return f
 
 

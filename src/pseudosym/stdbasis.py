@@ -1,28 +1,21 @@
 """Standard bases for local orderings, tangent cones, and leading ideals.
 
 Every ideal the engine is given is homogeneous for a positive weight
-vector: the curve's binomials for the grading Xi -> ni, a tangent cone for
-the standard one.  `standard_basis` and `buchberger_homogeneous` check that
-once, where input enters (`check_graded`).  A reduction step keeps the
-weighted degree and lowers the lead, and one weighted degree holds finitely
-many monomials, so plain leading-term division terminates even under the
-local ordering.  That is why the normal form needs none of Mora's
-bookkeeping: no reducer list that grows with the polynomial being reduced,
-and no exponent-length checks, since every polynomial has four exponents
-by construction (see `poly`).
+vector: the curve's binomials for Xi -> ni, a tangent cone for the standard
+grading; `check_graded` checks that where input enters.  A reduction step
+keeps the weighted degree and lowers the lead, and one weighted degree
+holds finitely many monomials, so plain division terminates even under the
+local ordering: `nf_mora` cancels LM(h) by the first reducer whose lead
+divides it, and needs none of Mora's bookkeeping.
 
-Ecart only picks the reducer: among those whose leading monomial divides
-LM(h), the first of minimal ecart in insertion order, and the scan stops
-at the first divisor of ecart 0.  The choice decides which normal form
-comes back, and so which elements the basis loop appends.  Under a global
-ordering every ecart is 0 and the same scan is plain first-divisor
-reduction: `nf_global` is `nf_mora`.  `minimalize` keeps the elements whose
-leads `poly.minimalize_monomials` keeps, so one divisibility scan serves
-bases, leading ideals and monomial colons.
-
-The basis loop processes s-polynomial pairs in FIFO creation order and skips
-pairs with coprime leading monomials (the product criterion).  The returned
-basis is minimal: no leading monomial divides another.
+Mora's choice survives only as the order of the reducers.  The basis loop
+keeps its elements in creation order, for pairs and `minimalize`, and a
+reducer list sorted stably by `_ecart`, so the first divisor is the first
+of least ecart in creation order: the reducer Mora's rule picks.  Under a
+global ordering every ecart is 0, and `nf_global` is `nf_mora`.  Pairs run
+in FIFO creation order, the product criterion skips those with coprime
+leads, and `minimalize` keeps the elements whose leads
+`poly.minimalize_monomials` keeps, so the returned basis is minimal.
 
 The lowest forms of a local standard basis generate the tangent-cone ideal.
 A ±1 monomial or homogeneous binomial is its own lowest form; any other
@@ -31,8 +24,8 @@ binomial's is its lower-degree term, the lead under the local ordering.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from math import inf
 from operator import le
 from typing import Sequence
 
@@ -66,32 +59,30 @@ def check_graded(gens: Sequence[Polynomial], weights: Sequence[int]) -> None:
             raise ValueError(f"non-homogeneous input for weights {tuple(weights)}: {f!r}")
 
 
-def nf_mora(h: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Weak normal form of h against `basis`.
+def _ecart(g: Polynomial) -> int:
+    """Total degree of g above that of its lead: 0 for a monomial and under a global ordering."""
+    return 0 if g.tail is None else max(sum(g.tail) - sum(g.lead), 0)
+
+
+def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+    """Weak normal form of h: cancel LM(h) by the first of `reducers` whose lead divides it.
 
     Returns 0 or a polynomial whose leading monomial no leading monomial of
-    `basis` divides.  The result represents u*h modulo the ideal for some
+    `reducers` divides.  The result represents u*h modulo the ideal for some
     unit u, which is exactly what membership tests and the basis loop need.
-    h and `basis` must be homogeneous for one positive weight vector; on
+    h and `reducers` must be homogeneous for one positive weight vector; on
     other input under the local ordering the division may never end, and
     the step budget raises `InconsistencyError`.
     """
     steps = 0
     while not h.is_zero:
         lm = h.lead
-        chosen = None
-        chosen_ecart = inf
-        for g in basis:
-            # Only a strictly smaller ecart displaces the current choice, so
-            # the first divisor of minimal ecart wins; ecart is never below 0.
-            e = g.ecart
-            if e < chosen_ecart and all(map(le, g.lead, lm)):
-                chosen, chosen_ecart = g, e
-                if not e:
-                    break
-        if chosen is None:
+        for g in reducers:
+            if all(map(le, g.lead, lm)):
+                break
+        else:
             break
-        h = reduce_step(h, chosen)
+        h = reduce_step(h, g)
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
             raise InconsistencyError(
@@ -116,6 +107,7 @@ def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
+    """The basis loop: `gens` and every nonzero reduced s-polynomial, in creation order."""
     G = []
     for f in gens:
         if not f.is_zero:
@@ -124,6 +116,7 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
                 G.append(nf_f)
     if not G:
         raise ValueError("need at least one nonzero polynomial")
+    reducers = sorted(G, key=_ecart)
     pairs: deque[tuple[int, int]] = deque(
         (i, j) for j in range(len(G)) for i in range(j)
     )
@@ -131,10 +124,11 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
         i, j = pairs.popleft()
         if coprime(G[i].lead, G[j].lead):
             continue
-        h = nf(spoly(G[i], G[j]), G)
+        h = nf(spoly(G[i], G[j]), reducers)
         if h.is_zero:
             continue
         G.append(normalize(h))
+        insort(reducers, G[-1], key=_ecart)
         new = len(G) - 1
         pairs.extend((i, new) for i in range(new))
     return G
@@ -151,8 +145,8 @@ def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[P
 
 
 # Under a global ordering the lead has the highest degree, so every ecart is
-# 0 and the scan takes the first divisor: plain leading-term reduction.  The
-# name stays for the global route.
+# 0 and the reducers stay in creation order.  The name stays for the global
+# route.
 nf_global = nf_mora
 
 

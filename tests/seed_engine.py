@@ -1,17 +1,29 @@
-"""The reducer scans as they were before leads and ecarts were stored.
+"""The basis loop and reducer scans as the engine first ran them.
 
 `seed_nf_mora` is Mora's weak normal form as the engine first ran it: every
 reducer is tested with `divides`, leads and ecarts are read off the terms,
-and h joins the reducers when the chosen ecart exceeds its own.  On input
-that is homogeneous for positive weights an appended h can never be chosen:
-every h of one normal form has the same weighted degree, and of two distinct
-monomials of one positive degree neither divides the other.  So
-`stdbasis.nf_mora`, which keeps no such list, must return the same normal
-form, and `closure_differs` checks that through the whole basis loop.
+the first divisor of least ecart in the given order wins, and h joins the
+reducers when the chosen ecart exceeds its own.  On input that is
+homogeneous for positive weights an appended h can never be chosen: every h
+of one normal form has the same weighted degree, and of two distinct
+monomials of one positive degree neither divides the other.
+`seed_nf_global` is plain first-divisor reduction.
+
+`seed_closure` is the basis loop frozen as it was when the normal form
+still chose the reducer itself: it hands the normal form the elements in
+creation order.  The engine's `stdbasis._closure` hands `nf_mora`, a plain
+first-divisor scan, a reducer list kept in stable ecart order instead, and
+must build the same closure, element by element, on both routes:
+
+* the local route, the curve's binomials against `seed_nf_mora`;
+* the CM route, taken where the tangent cone is not monomial: the cone's
+  lowest forms under `cm.CM_ORDER` against `seed_nf_global`.
 
 Run as a script, it compares the closures on every coprime tuple with
 alpha1..3 in 2..10, alpha4 in 2..5 and alpha21 in 1..9 (10,189 tuples),
-prints a one-line JSON summary and exits 1 on any difference:
+prints a one-line JSON summary (the tuple count, how many of them take the
+CM route, and each differing tuple with the route that differs) and exits 1
+on any difference:
 
     PYTHONPATH=src python tests/seed_engine.py --jobs 2
 """
@@ -21,10 +33,12 @@ import json
 import multiprocessing
 import os
 import sys
+from collections import deque
 from operator import le
 
 from pseudosym import stdbasis
-from pseudosym.poly import reduce_step
+from pseudosym.cm import CM_ORDER
+from pseudosym.poly import coprime, normalize, reduce_step, spoly, with_order
 from pseudosym.toric import toric_generators
 
 from conftest import engine_box
@@ -71,16 +85,46 @@ def seed_nf_global(h, basis):
     return h
 
 
-def closure_differs(params) -> bool:
-    """True iff the basis loop's closure, element by element, depends on the normal form."""
+def seed_closure(gens, nf):
+    G = []
+    for f in gens:
+        if not f.is_zero:
+            nf_f = normalize(f)
+            if nf_f not in G:
+                G.append(nf_f)
+    pairs = deque((i, j) for j in range(len(G)) for i in range(j))
+    while pairs:
+        i, j = pairs.popleft()
+        if coprime(G[i].lead, G[j].lead):
+            continue
+        h = nf(spoly(G[i], G[j]), G)
+        if h.is_zero:
+            continue
+        G.append(normalize(h))
+        new = len(G) - 1
+        pairs.extend((i, new) for i in range(new))
+    return G
+
+
+def terms(G):
+    return [g.terms for g in G]
+
+
+def closure_differs(params) -> dict[str, bool]:
+    """Each route the tuple takes, mapped to whether its closure differs from the frozen loop's."""
     gens = toric_generators(params).generators
-    new = stdbasis._closure(gens, stdbasis.nf_mora)
-    old = stdbasis._closure(gens, seed_nf_mora)
-    return [g.terms for g in new] != [g.terms for g in old]
+    local = stdbasis._closure(gens, stdbasis.nf_mora)
+    routes = {"local": terms(local) != terms(seed_closure(gens, seed_nf_mora))}
+    cone = stdbasis.tangent_cone_ideal(stdbasis.minimalize(local))
+    if not all(g.tail is None for g in cone):
+        cone = [with_order(g, CM_ORDER) for g in cone]
+        routes["cm"] = terms(stdbasis._closure(cone, stdbasis.nf_global)) != terms(seed_closure(cone, seed_nf_global))
+    return routes
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Closure identity of nf_mora and seed_nf_mora on the 10,189-tuple box.")
+    parser = argparse.ArgumentParser(
+        description="Closure identity of the engine's basis loop and the frozen one, on both routes of the 10,189-tuple box.")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     args = parser.parse_args(argv)
     if not 1 <= args.jobs <= (os.cpu_count() or 1):
@@ -88,11 +132,13 @@ def main(argv=None) -> int:
     box = engine_box(CLOSURE_BOX_RANGES)
     if args.jobs > 1:
         with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
-            flags = pool.map(closure_differs, box, chunksize=64)
+            results = pool.map(closure_differs, box, chunksize=64)
     else:
-        flags = list(map(closure_differs, box))
-    differing = [list(p.as_dict().values()) for p, bad in zip(box, flags) if bad]
-    print(json.dumps({"total": len(box), "differing": differing}))
+        results = list(map(closure_differs, box))
+    differing = [[*p.as_dict().values(), route]
+                 for p, routes in zip(box, results) for route, bad in routes.items() if bad]
+    print(json.dumps({"total": len(box), "cm_route": sum("cm" in routes for routes in results),
+                      "differing": differing}))
     return 1 if differing else 0
 
 

@@ -400,6 +400,14 @@ class TestFixtureErrors:
         assert out == ""
         assert str(missing) in err
 
+    def test_empty_directory_value_is_invalid_input(self, capsys):
+        # Path("") is the working directory, where no fixture is found: the
+        # run would silently drop both fixture comparisons
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", ""])
+        assert code == 2
+        assert out == ""
+        assert "--fixtures" in err
+
     @pytest.mark.parametrize("suffix, text", [
         ("basis.txt", "X1^16-X3*X4\nX1++X2\n"),
         ("basis.txt", "X1^16-X3*X4-\n"),
