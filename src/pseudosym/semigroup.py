@@ -5,8 +5,11 @@ semigroups from the parameters (alpha1..alpha4, alpha21).  Everything else in
 this module is deliberately independent of the polynomial machinery, so it
 can arbitrate results produced by the algebraic route.  One kernel answers
 every semigroup question: the Apery set Ap(S, m) of the smallest generator m
-gives the Frobenius number, the gaps, the genus, the pseudo-symmetry test and,
-through per-level residue minima, the order-counting Hilbert oracle.  The
+gives the Frobenius number, the gaps, the genus, the pseudo-symmetry test
+(a count, 2 * genus = F + 2) and the order-counting Hilbert oracle.  The
+oracle starts from Ap(S, m) as the least elements of order >= 0 per residue
+and follows only the residues whose least element does not advance by m to
+the next level, until none is left: from that plateau on H = m.  The
 maximal-order table `membership_table` is kept as the brute-force
 dynamic-programming reference that the kernel is tested against.
 """
@@ -177,22 +180,31 @@ def frobenius_and_gaps(S: NumericalSemigroup) -> tuple[int, list[int]]:
     return max(ap) - len(ap), sorted(_gaps(ap))
 
 
-def genus(S: NumericalSemigroup) -> int:
+def _genus(ap: list[int]) -> int:
     """Number of gaps, by Selmer's formula sum(Ap) / m - (m - 1) / 2."""
-    ap = apery_set(S)
     m = len(ap)
     return (sum(ap) - m * (m - 1) // 2) // m
 
 
+def genus(S: NumericalSemigroup) -> int:
+    """Number of gaps, by Selmer's formula on Ap(S, m)."""
+    return _genus(apery_set(S))
+
+
 def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
-    """Gap-set test: F even and every gap x != F/2 has F - x in S."""
+    """Counting test on Ap(S, m): F even and 2 * genus = F + 2.
+
+    s -> F - s maps the F + 1 - genus members of [0, F] one-to-one into the
+    gaps, since F - s in S would put F in S.  When F is even it misses F/2,
+    a gap because 2 * (F/2) = F is not in S.  So F + 1 - genus <= genus - 1,
+    that is 2 * genus >= F + 2, with equality exactly when the image is every
+    gap but F/2: when every gap x != F/2 has F - x in S, which is
+    pseudo-symmetry.  The genus comes from Selmer's formula, so no gap is
+    listed.  ⟨1⟩ has F = -1, which is odd.
+    """
     ap = apery_set(S)
-    m = len(ap)
-    frobenius = max(ap) - m
-    if frobenius < 0 or frobenius % 2 != 0:
-        return False
-    half = frobenius // 2
-    return all(x == half or frobenius - x >= ap[(frobenius - x) % m] for x in _gaps(ap))
+    frobenius = max(ap) - len(ap)
+    return frobenius % 2 == 0 and 2 * _genus(ap) == frobenius + 2
 
 
 def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
@@ -200,9 +212,23 @@ def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
 
     The elements of order >= n form nM (M = S minus 0), which is closed under
     adding m, so per residue r it is an arithmetic progression from
-    min_n[r].  Hence H(n) = sum_r (min_{n+1}[r] - min_n[r]) / m, with
-    min_0 = Ap(S, m) and min_{n+1}[r] = min_g(min_n[(r - g) mod m] + g)
-    because (n+1)M = nM + {generators}.  Memory is O(m) whatever L is.
+    min_n[r], the least element of nM in class r mod m, and
+    H(n) = sum_r (min_{n+1}[r] - min_n[r]) / m with min_0 = Ap(S, m).  Each
+    difference is 0 or m: (n+1)M lies in nM, and min_n[r] + m lies in
+    (n+1)M.  Call r stuck at n when its difference is 0, so
+    H(n) = m - #stuck_n.
+
+    r is stuck at n + 1 exactly when min_{n+1}[r] = min_{n+1}[r - g] + g for
+    a generator g != m, and then r - g is stuck at n: were it not, that sum
+    would be min_n[r - g] + g + m, above min_n[r - g] + g, which lies in
+    (n+1)M and in class r.  So only stuck residues are touched.  b[r] holds
+    min_n[r] - n*m: it drops by m where r is stuck, and the residues stuck
+    at n + 1 are the (r + g) mod m, r stuck at n, with
+    b[r] + g = b[(r + g) mod m].  Every residue but 0 is stuck at 0, since
+    0 is the only element of order 0, so H(0) = 1.  Once no residue
+    is stuck none ever is again, and H = m from that plateau on.  The work
+    is sum_n (m - H(n)) tests per generator and the memory O(m), whatever L
+    is.
 
     With gcd d > 1 only the residues that are multiples of d are reached.
     S is then d times the semigroup of the generators divided by d, with the
@@ -212,15 +238,14 @@ def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
         raise ParameterError(f"up_to_level >= 0 violated ({up_to_level})")
     d = S.gcd()
     gens = [g // d for g in S.generators]
-    level = apery_set(NumericalSemigroup(tuple(gens)))
-    m = len(level)
-    shifts = [(m - g % m, g) for g in gens]
-    total = sum(level)
+    b = apery_set(NumericalSemigroup(tuple(gens)))
+    m = len(b)
+    steps = {g for g in gens if g % m}
+    stuck = range(1, m)
     counts = []
-    for _ in range(up_to_level + 1):
-        # level[cut:] + level[:cut] puts min_n[(r - g) mod m] at index r.
-        level = list(map(min, *(map(g.__add__, level[cut:] + level[:cut]) for cut, g in shifts)))
-        nxt = sum(level)
-        counts.append((nxt - total) // m)
-        total = nxt
-    return counts
+    while stuck and len(counts) <= up_to_level:
+        counts.append(m - len(stuck))
+        for r in stuck:
+            b[r] -= m
+        stuck = {t for r in stuck for g in steps if b[r] + g == b[t := (r + g) % m]}
+    return counts + [m] * (up_to_level + 1 - len(counts))

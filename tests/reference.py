@@ -9,7 +9,8 @@ dense coefficient lists.  A monomial is a tuple of exponents.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+import operator
+from itertools import combinations, islice, repeat
 
 
 def clean(p: dict[int, int]) -> dict[int, int]:
@@ -176,3 +177,41 @@ def pseudo_symmetric_by_apery_maxima(gens) -> bool:
     maximal = {a for a in ap
                if not any(b != a and b >= a and b - a >= ap[(b - a) % m] for b in ap)}
     return frobenius % 2 == 0 and maximal == {frobenius + m, frobenius // 2 + m}
+
+
+def hilbert_levels(gens):
+    """H(0), H(1), ... of the semigroup generated by `gens`, without end.
+
+    This is the per-level sweep the package's order-counting oracle first
+    ran.  After dividing the generators by their gcd, level n holds min_n[r],
+    the least element of order >= n in each residue class r mod the smallest
+    generator m.  Level 0 is Ap(S, m), the fixpoint of
+    a[r] <- min(a[r], a[(r - g) mod m] + g) from [0, inf, ...]; each next
+    level is min_g(min_n[(r - g) mod m] + g), and
+    H(n) = sum_r (min_{n+1}[r] - min_n[r]) / m.  Every level costs m times
+    the number of generators, plateau or not.
+    """
+    d = math.gcd(*gens)
+    gens = [g // d for g in gens]
+    m = min(gens)
+    shifts = [(m - g % m, g) for g in gens]
+
+    def step(level):
+        # level[cut:] + level[:cut] puts level[(r - g) mod m] at index r.
+        return list(map(min, zip(*(map(operator.add, level[cut:] + level[:cut], repeat(g))
+                                   for cut, g in shifts))))
+
+    level = [0] + [math.inf] * (m - 1)
+    while (relaxed := list(map(min, level, step(level)))) != level:
+        level = relaxed
+    total = sum(level)
+    while True:
+        level = step(level)
+        nxt = sum(level)
+        yield (nxt - total) // m
+        total = nxt
+
+
+def hilbert_by_level_sweep(gens, up_to_level: int) -> list[int]:
+    """H(0..up_to_level) from `hilbert_levels`."""
+    return list(islice(hilbert_levels(gens), up_to_level + 1))

@@ -175,6 +175,29 @@ class TestVerify:
         assert data["mismatches"]
         assert data["closed_form"]["nonstrict"]["match"] is True
 
+    SHORT = ["--alpha1", "5", "--alpha2", "3", "--alpha3", "2", "--alpha4", "2", "--alpha21", "1"]
+
+    @pytest.mark.parametrize("wrong_level", [1, 2, 3])
+    def test_oracle_checked_up_to_regularity_below_max_level(self, capsys, monkeypatch, wrong_level):
+        # H = 1, 4, 5, 7, 7, ... with regularity index 3: --max-level 0 prints
+        # H(0) alone, yet an oracle wrong at levels 1..3 must still be caught
+        code, right, _ = run(capsys, ["verify", *self.SHORT, "--max-level", "0"])
+        assert code == 0
+        assert json.loads(right)["regularity_index"] == 3
+
+        def wrong_oracle(S, up_to_level, _oracle=pipeline.hilbert_oracle):
+            H = _oracle(S, up_to_level)
+            if up_to_level >= wrong_level:
+                H[wrong_level] += 1
+            return H
+
+        monkeypatch.setattr(pipeline, "hilbert_oracle", wrong_oracle)
+        code, out, _ = run(capsys, ["verify", *self.SHORT, "--max-level", "0"])
+        assert code == 3
+        data = json.loads(out)
+        assert (data["H"], data["H_oracle"], data["oracle_match"]) == ([1], [1], False)
+        assert data["mismatches"] == ["Hilbert function differs from the semigroup oracle"]
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["verify", *EX41])
         _, second, _ = run(capsys, ["verify", *EX41])

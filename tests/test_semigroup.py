@@ -20,7 +20,10 @@ from pseudosym.semigroup import (
     membership_table,
 )
 
-from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42
+import reference as ref
+from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, engine_box
+from oracle_box import oracle_differs
+from seed_engine import CLOSURE_BOX_RANGES
 
 
 def test_generators_first_example():
@@ -166,6 +169,53 @@ class TestHilbertOracle:
         with pytest.raises(ParameterError):
             hilbert_oracle(construct_generators(TUPLE_41), -1)
 
+    @pytest.mark.parametrize("gens", [(1,), (7,), (2, 2)])
+    def test_one_generator_up_to_gcd(self, gens):
+        # <g> has one element of each order; the min-plus sweep raised
+        # TypeError here, because min got a single iterable of ints
+        assert hilbert_oracle(NumericalSemigroup(gens), 3) == [1, 1, 1, 1]
+        assert ref.hilbert_by_level_sweep(gens, 3) == [1, 1, 1, 1]
+
+    def test_plateau_fills_the_remaining_levels(self):
+        S = construct_generators(PseudoSymmetricParams(30, 40, 12, 2, 14))
+        m = min(S.generators)
+        H = hilbert_oracle(S, 100_000)
+        assert len(H) == 100_001
+        plateau = H.index(m)
+        assert H[:plateau + 6] == ref.hilbert_by_level_sweep(S.generators, plateau + 5)
+        assert H[plateau:] == [m] * (100_001 - plateau)
+
+
+def _differential_cases(count, seed):
+    """Seeded generator sets: 1-5 generators up to 70, gcd > 1, duplicates and 1 included."""
+    rng = random.Random(seed)
+    cases = [(1,), (70,), (6, 6, 9), (1, 5, 5), (10, 4, 6, 8, 2), (69, 70)]
+    while len(cases) < count:
+        scale = rng.choice((1, 1, 1, 2, 3, 5))
+        gens = [scale * rng.randrange(1, 70 // scale + 1) for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+        cases.append(tuple(gens))
+    return cases
+
+
+class TestOracleAgainstLevelSweep:
+    """The stuck-residue oracle against the per-level sweep it replaced and the order table."""
+
+    @pytest.mark.parametrize("gens", _differential_cases(60, seed=29), ids=str)
+    def test_matches_sweep_and_order_table(self, gens):
+        S = NumericalSemigroup(gens)
+        for level in (0, 1, 5, 40, 200):
+            assert hilbert_oracle(S, level) == ref.hilbert_by_level_sweep(gens, level), level
+        assert hilbert_oracle(S, 40) == TestAperyKernelAgainstTable.reference_counts(S, 40)
+
+    def test_sample_of_the_closure_box(self):
+        # the whole 10,189-tuple box runs in CI: PYTHONPATH=src python tests/oracle_box.py
+        sample = random.Random(41).sample(engine_box(CLOSURE_BOX_RANGES), 150)
+        results = {p: oracle_differs(p) for p in sample}
+        assert [p for p, (_, bad) in results.items() if bad] == []
+        assert max(plateau for plateau, _ in results.values()) > 20
+
 
 def _random_coprime_semigroups(count, seed):
     rng = random.Random(seed)
@@ -219,7 +269,7 @@ class TestAperyKernelAgainstTable:
         assert hilbert_oracle(S, 25) == self.reference_counts(S, 25)
 
     @pytest.mark.parametrize("S", KERNEL_CASES, ids=lambda S: str(S.generators))
-    def test_gap_set_test_agrees_with_apery_maxima(self, S):
+    def test_counting_test_agrees_with_apery_maxima(self, S):
         # S is pseudo-symmetric iff the maximal elements of Ap(S, m) under
         # a <=_S b (b - a in S) are exactly {F + m, F/2 + m}.
         ap = apery_set(S)
