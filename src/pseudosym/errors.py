@@ -6,7 +6,12 @@ class ParameterError(ValueError):
 
 
 class UnsupportedParametersError(ValueError):
-    """Parameters are structurally valid but outside the closed-form regime."""
+    """The strict-k closed form is refused: a tail element would lead on the wrong side of a tie.
+
+    Inside the closed-form regime this happens exactly when the strict and
+    non-strict readings of k differ; the default, non-strict closed form is
+    never refused.  Inputs outside the regime raise `ParameterError`.
+    """
 
 
 class InconsistencyError(RuntimeError):

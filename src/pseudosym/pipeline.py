@@ -109,15 +109,19 @@ def engine_basis(params: PseudoSymmetricParams) -> list[Polynomial]:
     return stdbasis.standard_basis(system.generators, system.semigroup.generators)
 
 
-def k_readings(params: PseudoSymmetricParams) -> dict[str, int | None]:
-    """The strict and non-strict tail lengths; None where a reading has no k."""
-    ks = {}
-    for mode in ("strict", "nonstrict"):
-        try:
-            ks[mode] = toric.compute_k(params, strict=(mode == "strict"))
-        except (ParameterError, UnsupportedParametersError):
-            ks[mode] = None
-    return ks
+def k_readings(params: PseudoSymmetricParams) -> dict[str, int]:
+    """The strict and non-strict tail lengths; both exist on the closed-form regime."""
+    return {mode: toric.compute_k(params, strict=(mode == "strict"))
+            for mode in ("strict", "nonstrict")}
+
+
+def _closed_regime(params: PseudoSymmetricParams) -> bool:
+    """Whether `toric.check_closed_form_regime` accepts `params`."""
+    try:
+        toric.check_closed_form_regime(params)
+    except ParameterError:
+        return False
+    return True
 
 
 def hilbert_section(P: list[int], max_level: int | None) -> dict:
@@ -156,11 +160,7 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
     }
     _check_binomial_closure(engine, S, mismatches)
 
-    try:
-        toric.check_closed_form_regime(params)
-        closed_regime = True
-    except ParameterError:
-        closed_regime = False
+    closed_regime = _closed_regime(params)
     if closed_regime:
         _closed_form_section(params, engine, report, mismatches, k_strict)
 
@@ -174,16 +174,16 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
             f"multiplicity {report['multiplicity']} != smallest generator {min(S.generators)}"
         )
 
-    if closed_regime and report.get("k", {}).get("used") is not None:
+    if closed_regime:
         P_closed = hilbert.closed_form_numerator(params, report["k"]["used"])
         report["numerator_match"] = P_closed == P
         if not report["numerator_match"]:
             mismatches.append("closed-form numerator differs from pivot recursion")
-    if closed_regime and report.get("k", {}).get("nonstrict") == 1:
-        # H is non-decreasing exactly when Q has no negative coefficient.
-        report["k1_certificate"] = report["non_decreasing"]
-        if not report["k1_certificate"]:
-            mismatches.append("negative second-series coefficient with k = 1")
+        if report["k"]["nonstrict"] == 1:
+            # H is non-decreasing exactly when Q has no negative coefficient.
+            report["k1_certificate"] = report["non_decreasing"]
+            if not report["k1_certificate"]:
+                mismatches.append("negative second-series coefficient with k = 1")
 
     fixture_P = load_fixture_numerator(params, fixtures_dir)
     if fixture_P is not None:
@@ -273,10 +273,6 @@ def _closed_form_section(params, engine, report, mismatches, k_strict) -> None:
             )
         return
 
-    if "refused" in nonstrict:
-        # Outside the closed-form regime; reported, not failed.
-        report["k"]["used"] = None
-        return
     report["basis"]["match"] = nonstrict["match"]
     if not nonstrict["match"]:
         mismatches.append(
@@ -339,8 +335,9 @@ def iter_sweep(config: SweepConfig) -> Iterator[PseudoSymmetricParams]:
                             continue
                         if config.require_sorted and not conds["sorted"]:
                             continue
-                        if (config.k_filter is not None
-                                and k_readings(params)["nonstrict"] != config.k_filter):
+                        if config.k_filter is not None and not (
+                                _closed_regime(params)
+                                and toric.compute_k(params) == config.k_filter):
                             continue
                         yield params
 

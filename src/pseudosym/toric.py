@@ -14,6 +14,11 @@ is the smallest positive integer with
 The comparison defaults to non-strict: the strict reading disagrees with the
 basis sizes the engine computes whenever the two sides tie (see
 `compute_k(strict=True)`), and `verify` reports both.
+
+On the closed-form regime (`check_closed_form_regime`, the only gate in
+front of `compute_k` and `closed_form_basis`) both readings of k exist and
+the non-strict basis is always built; only the strict reading can be
+refused, exactly where the two readings differ (the README's lemma).
 """
 
 from __future__ import annotations
@@ -79,24 +84,19 @@ def compute_k(params: PseudoSymmetricParams, strict: bool = False) -> int:
     """Length of the closed-form tail.
 
     Smallest positive k with k*(a2+1) <= (k-1)*a1 + (k+1)*a21 + a3 (strict
-    mode uses <).  k never exceeds alpha3, otherwise the tail element would
-    need a negative X3 exponent; inputs without an admissible k are rejected.
+    mode uses <).  Preconditions: those of `check_closed_form_regime`.  On
+    the regime k = alpha3 satisfies even the strict inequality (lemma (ii)
+    of the README), so both readings exist and neither exceeds alpha3, which
+    keeps every tail element's X3 exponent nonnegative.
     """
-    if params.alpha4 != 2:
-        raise ParameterError(f"alpha4 = 2 violated (alpha4={params.alpha4})")
-    if params.alpha2 <= params.alpha21 + 1:
-        raise ParameterError(
-            f"alpha2 > alpha21 + 1 violated (alpha2={params.alpha2}, alpha21={params.alpha21})"
-        )
+    check_closed_form_regime(params)
     a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
-    for k in range(1, a3 + 1):
+    for k in range(1, a3):
         lhs = k * (a2 + 1)
         rhs = (k - 1) * a1 + (k + 1) * a21 + a3
         if (lhs < rhs) if strict else (lhs <= rhs):
             return k
-    raise UnsupportedParametersError(
-        f"no admissible k <= alpha3 = {a3}; the tail would need a negative X3 exponent"
-    )
+    return a3
 
 
 def tail_monomials(params: PseudoSymmetricParams, j: int) -> tuple[Exponent, Exponent]:
@@ -105,11 +105,6 @@ def tail_monomials(params: PseudoSymmetricParams, j: int) -> tuple[Exponent, Exp
     plus = ((j - 1) * a1 + (j + 1) * a21 + 1, 0, a3 - j, 0)
     minus = (0, j * a2 + 1, 0, 0)
     return plus, minus
-
-
-def has_c6_tie(params: PseudoSymmetricParams) -> bool:
-    """Equality in condition (6), which makes LM(f6) fall to a degree tie."""
-    return params.alpha1 + params.alpha21 + 1 == params.alpha2 + params.alpha4
 
 
 def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
@@ -132,44 +127,31 @@ def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
 def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> ClosedFormBasis:
     """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2.
 
-    Preconditions: those of `check_closed_form_regime`.  Inputs where the
-    leading monomials do not follow the pattern the formula presumes are
-    rejected with `UnsupportedParametersError`: equality in condition (6),
-    and any tail element whose leading monomial lands on the wrong side of a
-    degree tie.  Such inputs are reported rather than silently mispredicted.
+    Preconditions: those of `check_closed_form_regime`.  On the regime f6
+    leads with X2^a2*X3, and under the non-strict k every tail element
+    f_{6+j} leads with its X1-X3 monomial for j < k and with its X2 power
+    for j = k (lemmas (i) and (iii) of the README), so the default basis is
+    always built.  The strict k can add a tail element whose leading
+    monomial lands on the wrong side of a degree tie; that happens exactly
+    when the two readings of k differ, and is refused with
+    `UnsupportedParametersError` rather than silently mispredicted.
     """
-    check_closed_form_regime(params)
-    if has_c6_tie(params):
-        raise UnsupportedParametersError(
-            "equality in condition (6): LM(f6) is decided by a degree tie, "
-            "outside the closed-form regime"
-        )
-
     k = compute_k(params, strict=strict)
     system = toric_generators(params)
     S = system.semigroup
-    a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
+    a1, a2, a21 = params.alpha1, params.alpha2, params.alpha21
 
     f6 = binomial((a1 + a21, 0, 0, 0), (0, a2, 1, 0))
-    elements = list(system.generators) + [f6]
+    _check_sdegrees(f6, S, "f6")
+    elements = [*system.generators, f6]
     for j in range(1, k + 1):
         plus, minus = tail_monomials(params, j)
-        elements.append(binomial(plus, minus))
-
-    for i, f in enumerate(elements, start=1):
-        _check_sdegrees(f, S, f"f{i}")
-
-    if f6.lm != (0, a2, 1, 0):
-        raise UnsupportedParametersError(
-            f"LM(f6) = {f6.lm} is not the X2^a2*X3 monomial"
-        )
-    for j in range(1, k + 1):
-        f = elements[5 + j]
-        plus, minus = tail_monomials(params, j)
-        expected = minus if j == k else plus
-        if f.lm != expected:
+        f = binomial(plus, minus)
+        _check_sdegrees(f, S, f"f{6 + j}")
+        if f.lm != (minus if j == k else plus):
             raise UnsupportedParametersError(
                 f"LM(f{6 + j}) = {f.lm} breaks the closed-form leading pattern"
             )
+        elements.append(f)
 
     return ClosedFormBasis(k, tuple(normalize(f) for f in elements))

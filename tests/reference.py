@@ -133,6 +133,22 @@ def regrouped_second_series(params, k: int) -> dict[int, int]:
     return add({0: 1}, tpow(1), tpow(a21 + 1, -1), mul(geom(a2), bracket))
 
 
+def tail_length(params, strict: bool = False) -> int | None:
+    """The smallest k in 1..a3 with k*(a2+1) <= (k-1)*a1 + (k+1)*a21 + a3, or None.
+
+    Strict mode uses <.  This is the closed form's defining inequality with
+    no regime check: any tuple gets an answer, and the bound a3 keeps the
+    tail's X3 exponent a3 - k nonnegative.  `params` needs only the
+    attributes alpha1, alpha2, alpha3 and alpha21.
+    """
+    a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
+    for k in range(1, a3 + 1):
+        lhs, rhs = k * (a2 + 1), (k - 1) * a1 + (k + 1) * a21 + a3
+        if (lhs < rhs) if strict else (lhs <= rhs):
+            return k
+    return None
+
+
 def minimal_monomials(gens) -> set[tuple[int, ...]]:
     """Minimal generators of the monomial ideal spanned by `gens`, by pairwise division."""
     gens = set(gens)

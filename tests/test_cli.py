@@ -118,6 +118,18 @@ class TestHilbert:
         assert code == 2
         assert "alpha4" in err
 
+    def test_closed_form_small_alpha2_names_condition_4(self, capsys):
+        # compute_k has no check of its own: the regime check names the
+        # failed condition, as it does for the closed-form basis
+        code, out, err = run(
+            capsys,
+            ["hilbert", "--alpha1", "9", "--alpha2", "3", "--alpha3", "4",
+             "--alpha4", "2", "--alpha21", "4", "--closed-form"],
+        )
+        assert (code, out) == (2, "")
+        assert err == ("condition (4) violated for {'alpha1': 9, 'alpha2': 3, "
+                       "'alpha3': 4, 'alpha4': 2, 'alpha21': 4}\n")
+
     # (3,4,3,2,1) has alpha4 = 2 and an admissible k but fails condition
     # (2); its generators are (13,11,8,31) and its multiplicity is 8, where
     # the closed-form numerator would give 13

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
-from pseudosym.errors import InconsistencyError, ParameterError, UnsupportedParametersError
+from pseudosym.errors import InconsistencyError, ParameterError
 from pseudosym.hilbert import (
     add_shifted,
     closed_form_numerator,
@@ -24,6 +24,7 @@ from pseudosym.semigroup import PseudoSymmetricParams, check_conditions, constru
 from pseudosym.stdbasis import leading_ideal
 from pseudosym.toric import closed_form_basis, compute_k
 
+from closed_form_box import check_tuple, regime_tuples
 from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
 
 
@@ -138,22 +139,20 @@ class TestClosedForms:
             closed_form_numerator(TUPLE_A4_3, 1)
 
     def test_rejects_alpha4_two_outside_the_regime(self):
-        # every alpha4 = 2 tuple with alphas <= 8, coprime generators and an
-        # admissible k: the closed forms answer exactly where conditions
-        # (1)-(4) hold and the generators are sorted
+        # every alpha4 = 2 tuple with alphas <= 8, coprime generators,
+        # alpha2 > alpha21 + 1 and a k <= alpha3 (read off the inequality
+        # with no regime check): the closed forms answer exactly where
+        # conditions (1)-(4) hold and the generators are sorted
         box = [PseudoSymmetricParams(a1, a2, a3, 2, a21)
                for a1, a2, a3 in itertools.product(range(2, 9), repeat=3)
                for a21 in range(1, a1 - 1)]
         refused = 0
         for params in box:
             conds = check_conditions(params)
-            try:
-                k = compute_k(params)
-            except (ParameterError, UnsupportedParametersError):
+            k = ref.tail_length(params)
+            if k is None or not (conds["coprime"] and conds["c4"]):
                 continue
-            if not conds["coprime"]:
-                continue
-            if all(conds[c] for c in ("c1", "c2", "c3", "c4", "sorted")):
+            if all(conds[c] for c in ("c1", "c2", "c3", "sorted")):
                 closed_form_numerator(params, k)
                 closed_form_second_series(params, k)
                 continue
@@ -293,9 +292,9 @@ class TestListHelpersAgainstReference:
 def family_sample(seed: int = 30, draws: int = 20000, per_k: int = 6) -> list[PseudoSymmetricParams]:
     """A seeded draw of alpha4 = 2 family tuples with alphas <= 30, at most `per_k` for each k.
 
-    Family tuples satisfy (1)-(4), have sorted coprime generators and a
-    non-strict k; a uniform draw finds mostly k = 1 and 2, so every k found
-    is capped at `per_k` tuples, in draw order.
+    Family tuples satisfy (1)-(4) and have sorted coprime generators, so
+    both readings of k exist; a uniform draw finds mostly k = 1 and 2, so
+    every k found is capped at `per_k` tuples, in draw order.
     """
     rng = random.Random(seed)
     strata: dict[int, list[PseudoSymmetricParams]] = {}
@@ -304,13 +303,8 @@ def family_sample(seed: int = 30, draws: int = 20000, per_k: int = 6) -> list[Ps
         params = PseudoSymmetricParams(a1, rng.randint(2, 30), rng.randint(2, 30), 2,
                                        rng.randint(1, a1 - 2))
         conds = check_conditions(params)
-        if not all(conds[c] for c in ("c1", "c2", "c3", "c4", "sorted", "coprime")):
-            continue
-        try:
-            k = compute_k(params)
-        except UnsupportedParametersError:
-            continue
-        strata.setdefault(k, []).append(params)
+        if all(conds[c] for c in ("c1", "c2", "c3", "c4", "sorted", "coprime")):
+            strata.setdefault(compute_k(params), []).append(params)
     return [params for k in sorted(strata) for params in strata[k][:per_k]]
 
 
@@ -390,3 +384,18 @@ def test_regime_implies_c5_and_c6():
                 assert conds["c5"], params
     # 1,092 is also the count of the alphas <= 14 family sweep
     assert (regime, ordered) == (1092, 12602)
+
+
+def test_regime_lemma_i_to_iii():
+    """The README lemma's (i)-(iii) on every regime tuple with alphas <= 14.
+
+    (i) a1 + a21 >= a2 + 2; (ii) k = a3 satisfies the strict k inequality
+    and `compute_k` returns both readings; (iii) the non-strict closed form
+    is never refused, and the strict one exactly when the readings differ.
+    The alphas <= 40 box runs in CI: PYTHONPATH=src python tests/closed_form_box.py
+    """
+    box = regime_tuples(14)
+    results = [check_tuple(params) for params in box]
+    assert [(p, failed) for p, (failed, _, _) in zip(box, results) if failed] == []
+    # by (iii), the strict refusals are the tuples where the readings differ
+    assert (len(box), sum(strict for _, _, strict in results)) == (1092, 283)

@@ -17,9 +17,15 @@ from pseudosym.pipeline import (
     load_fixture_basis,
     load_fixture_numerator,
     numerical_semigroup,
+    run_sweep,
 )
 from pseudosym.poly import parse_poly, zero
-from pseudosym.semigroup import PseudoSymmetricParams, construct_generators, is_pseudo_symmetric
+from pseudosym.semigroup import (
+    PseudoSymmetricParams,
+    check_conditions,
+    construct_generators,
+    is_pseudo_symmetric,
+)
 
 from conftest import TUPLE_41, TUPLE_43, TUPLE_A4_3, engine_box
 
@@ -49,8 +55,9 @@ def test_binomial_closure_mismatches():
 def test_k_readings():
     assert k_readings(TUPLE_41) == {"strict": 1, "nonstrict": 1}
     assert k_readings(TUPLE_43) == {"strict": 4, "nonstrict": 3}
-    # alpha4 = 3 is outside the closed form: neither reading exists
-    assert k_readings(TUPLE_A4_3) == {"strict": None, "nonstrict": None}
+    # alpha4 = 3 is outside the closed form, where k is not defined
+    with pytest.raises(ParameterError, match="alpha4 = 2 violated"):
+        k_readings(TUPLE_A4_3)
 
 
 def test_hilbert_section_is_the_report_slice():
@@ -119,6 +126,17 @@ class TestSweepConfig:
             assert list(iter_sweep(SweepConfig(k_filter=k))) == [
                 p for p in everything if k_readings(p)["nonstrict"] == k
             ]
+
+    def test_k_filter_keeps_only_regime_tuples(self):
+        # unsorted tuples are outside the closed form and have no k; the
+        # filter once kept 21 of them, which the sweep summary counted
+        # under the k "None"
+        config = SweepConfig(require_sorted=False, k_filter=1)
+        kept = list(iter_sweep(config))
+        assert len(kept) == 57
+        assert all(check_conditions(p)["sorted"] for p in kept)
+        summary, _ = run_sweep(config)
+        assert (summary["total"], summary["by_k"]) == (57, {"1": 57})
 
 
 class TestOffFamilyGate:

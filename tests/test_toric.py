@@ -9,7 +9,6 @@ from pseudosym.toric import (
     _check_sdegrees,
     closed_form_basis,
     compute_k,
-    has_c6_tie,
     tail_monomials,
     toric_generators,
 )
@@ -121,9 +120,6 @@ class TestClosedFormBasis:
     def test_rejects_non_family_inputs(self):
         with pytest.raises(ParameterError):
             closed_form_basis(TUPLE_A4_3)
-
-    def test_no_c6_tie_on_family_tuples(self):
-        assert not any(has_c6_tie(p) for p in FAMILY_TUPLES)
 
     def test_strict_mode_breaks_on_tie_examples(self):
         # strict k forces an extra tail element whose leading monomial
