@@ -10,7 +10,7 @@ cross-checked against independent brute-force routes.
 """
 
 from .cm import CmVerdict, cm_verdict
-from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
+from .errors import InconsistencyError, ParameterError
 from .hilbert import (
     HilbertReport,
     closed_form_numerator,

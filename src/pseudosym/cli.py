@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import hilbert, pipeline, stdbasis, toric
-from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
+from .errors import InconsistencyError, ParameterError
 from .pipeline import SweepConfig, build_report, run_sweep
 from .semigroup import (
     NumericalSemigroup,
@@ -90,10 +90,9 @@ def cmd_basis(args) -> int:
         lines = pipeline.render_basis(engine)
         summary["count"] = len(engine)
     if args.mode in ("closed", "both"):
-        predicted = toric.closed_form_basis(params, strict=args.k_strict)
+        predicted = toric.closed_form_basis(params)
         ks = pipeline.k_readings(params)
         summary["k"] = predicted.k
-        summary["k_strict_mode"] = args.k_strict
         summary["k_strict"] = ks["strict"]
         summary["k_nonstrict"] = ks["nonstrict"]
         if engine is None:
@@ -143,7 +142,6 @@ def cmd_verify(args) -> int:
         raise ParameterError("--fixtures: expected a directory, got an empty value")
     report = build_report(
         params,
-        k_strict=args.k_strict,
         max_level=args.max_level,
         fixtures_dir=args.fixtures,
         timing=args.timing,
@@ -226,7 +224,6 @@ OPTIONS = (
      {"dest": "mode", "action": "store_const", "const": "closed"}),
     ("--verify", ("basis",), {"dest": "mode", "action": "store_const", "const": "both"}),
     ("--both", ("hilbert",), {"dest": "mode", "action": "store_const", "const": "both"}),
-    ("--k-strict", ("basis", "verify"), {"action": "store_true"}),
     ("--k", ("sweep",), {"type": int, "help": "keep only tuples with this k"}),
     ("--allow-unsorted", ("sweep",), {"action": "store_true"}),
     ("--allow-small-alpha2", ("sweep",),
@@ -300,7 +297,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)
-    except (ParameterError, UnsupportedParametersError) as exc:
+    except ParameterError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except InconsistencyError as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import cm, hilbert, stdbasis, toric
-from .errors import ParameterError, UnsupportedParametersError
+from .errors import ParameterError
 from .poly import LOCAL, Polynomial, monomial, normalize, parse_poly, render_poly
 from .semigroup import (
     NumericalSemigroup,
@@ -139,8 +139,7 @@ def hilbert_section(P: list[int], max_level: int | None) -> dict:
     }
 
 
-def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
-                 max_level: int | None = None,
+def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
                  fixtures_dir: str | Path | None = None,
                  timing: bool = False) -> dict:
     """Run the full pipeline on one tuple and cross-check every route."""
@@ -162,7 +161,7 @@ def build_report(params: PseudoSymmetricParams, *, k_strict: bool = False,
 
     closed_regime = _closed_regime(params)
     if closed_regime:
-        _closed_form_section(params, engine, report, mismatches, k_strict)
+        _closed_form_section(params, engine, report, mismatches)
 
     # Hilbert data always comes from the engine's leading ideal, which is
     # monomial even when a lowest form is a homogeneous binomial.
@@ -234,50 +233,28 @@ def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str])
             mismatches.append(f"basis element {f!r} has unequal S-degrees")
 
 
-def _predict(params, engine, strict: bool) -> dict:
-    try:
-        predicted = toric.closed_form_basis(params, strict=strict)
-    except UnsupportedParametersError as exc:
-        return {"refused": str(exc)}
-    return {
-        "elements": render_basis(predicted.elements),
-        "count": len(predicted.elements),
-        "match": basis_set(predicted.elements) == basis_set(engine),
-    }
-
-
-def _closed_form_section(params, engine, report, mismatches, k_strict) -> None:
+def _closed_form_section(params, engine, report, mismatches) -> None:
     ks = k_readings(params)
     report["k"] = {
         "strict": ks["strict"],
         "nonstrict": ks["nonstrict"],
         "agree": ks["strict"] == ks["nonstrict"],
-        "used": ks["strict" if k_strict else "nonstrict"],
+        # the closed form's reading, always the non-strict one; the key
+        # stays because stored digests pin verify's output
+        "used": ks["nonstrict"],
     }
-
-    nonstrict = _predict(params, engine, strict=False)
-    report["closed_form"] = nonstrict
-    if k_strict:
-        # Strict mode pits the engine against the strict-k prediction; a
-        # prediction that cannot even be built counts as a mismatch, while
-        # the non-strict result stays in the report for comparison.
-        strict_side = _predict(params, engine, strict=True)
-        report["closed_form"] = {"strict": strict_side, "nonstrict": nonstrict}
-        report["basis"]["match"] = strict_side.get("match", False)
-        if "refused" in strict_side:
-            mismatches.append(f"strict-k closed form refused: {strict_side['refused']}")
-        elif not strict_side["match"]:
-            mismatches.append(
-                f"engine basis ({len(engine)} elements) differs from strict-k "
-                f"closed form ({strict_side['count']} elements, k={ks['strict']})"
-            )
-        return
-
-    report["basis"]["match"] = nonstrict["match"]
-    if not nonstrict["match"]:
+    predicted = toric.closed_form_basis(params)
+    match = basis_set(predicted.elements) == basis_set(engine)
+    report["closed_form"] = {
+        "elements": render_basis(predicted.elements),
+        "count": len(predicted.elements),
+        "match": match,
+    }
+    report["basis"]["match"] = match
+    if not match:
         mismatches.append(
             f"engine basis ({len(engine)} elements) differs from closed form "
-            f"({nonstrict['count']} elements, k={ks['nonstrict']})"
+            f"({len(predicted.elements)} elements, k={predicted.k})"
         )
 
 
@@ -313,6 +290,8 @@ class SweepConfig:
             raise ParameterError(f"jobs >= 1 violated (jobs={self.jobs})")
         if self.max_level is not None and self.max_level < 0:
             raise ParameterError(f"max_level >= 0 violated (max_level={self.max_level})")
+        if self.k_filter is not None and self.k_filter < 1:
+            raise ParameterError(f"k >= 1 violated (k={self.k_filter})")
 
 
 def iter_sweep(config: SweepConfig) -> Iterator[PseudoSymmetricParams]:
@@ -366,15 +345,12 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
 
     by_k: dict[str, int] = {}
     decreasing = []
-    refused = []
     mismatched = []
     for r in reports:
         k = r.get("k", {}).get("nonstrict")
         by_k[str(k)] = by_k.get(str(k), 0) + 1
         if not r["non_decreasing"]:
             decreasing.append(r["params"])
-        if isinstance(r.get("closed_form"), dict) and "refused" in r["closed_form"]:
-            refused.append(r["params"])
         if r["mismatches"]:
             mismatched.append({"params": r["params"], "mismatches": r["mismatches"]})
     summary = {
@@ -382,7 +358,6 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
         "by_k": by_k,
         "non_decreasing": sum(1 for r in reports if r["non_decreasing"]),
         "decreasing_params": decreasing,
-        "closed_form_refusals": refused,
         "mismatches": mismatched,
     }
     return summary, reports

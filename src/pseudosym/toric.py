@@ -11,21 +11,22 @@ is the smallest positive integer with
 
     k*(a2+1) <= (k-1)*a1 + (k+1)*a21 + a3.
 
-The comparison defaults to non-strict: the strict reading disagrees with the
-basis sizes the engine computes whenever the two sides tie (see
-`compute_k(strict=True)`), and `verify` reports both.
+The paper states the strict reading (<).  The basis is built from the
+non-strict one: the readings differ where the two sides tie, and there
+the engine's basis has 6 + k_nonstrict elements.  `compute_k(strict=True)`
+gives the strict reading, which `verify` reports next to the other one.
 
 On the closed-form regime (`check_closed_form_regime`, the only gate in
-front of `compute_k` and `closed_form_basis`) both readings of k exist and
-the non-strict basis is always built; only the strict reading can be
-refused, exactly where the two readings differ (the README's lemma).
+front of `compute_k` and `closed_form_basis`) both readings of k exist, and
+the non-strict tail always leads as the closed form presumes (the README's
+lemma); a tail that does not is a construction bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, ParameterError, UnsupportedParametersError
+from .errors import InconsistencyError, ParameterError
 from .poly import Exponent, Polynomial, binomial, normalize, weighted_degree
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
 
@@ -124,19 +125,16 @@ def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
         raise ParameterError(f"gcd of generators is not 1 for {params.as_dict()}")
 
 
-def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> ClosedFormBasis:
-    """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2.
+def closed_form_basis(params: PseudoSymmetricParams) -> ClosedFormBasis:
+    """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2, k non-strict.
 
     Preconditions: those of `check_closed_form_regime`.  On the regime f6
-    leads with X2^a2*X3, and under the non-strict k every tail element
-    f_{6+j} leads with its X1-X3 monomial for j < k and with its X2 power
-    for j = k (lemmas (i) and (iii) of the README), so the default basis is
-    always built.  The strict k can add a tail element whose leading
-    monomial lands on the wrong side of a degree tie; that happens exactly
-    when the two readings of k differ, and is refused with
-    `UnsupportedParametersError` rather than silently mispredicted.
+    leads with X2^a2*X3, and every tail element f_{6+j} leads with its
+    X1-X3 monomial for j < k and with its X2 power for j = k (lemmas (i)
+    and (iii) of the README).  The tail's leads are still checked: one that
+    breaks the pattern raises `InconsistencyError`.
     """
-    k = compute_k(params, strict=strict)
+    k = compute_k(params)
     system = toric_generators(params)
     S = system.semigroup
     a1, a2, a21 = params.alpha1, params.alpha2, params.alpha21
@@ -149,7 +147,7 @@ def closed_form_basis(params: PseudoSymmetricParams, strict: bool = False) -> Cl
         f = binomial(plus, minus)
         _check_sdegrees(f, S, f"f{6 + j}")
         if f.lm != (minus if j == k else plus):
-            raise UnsupportedParametersError(
+            raise InconsistencyError(
                 f"LM(f{6 + j}) = {f.lm} breaks the closed-form leading pattern"
             )
         elements.append(f)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pseudosym
-from pseudosym import cli, pipeline, stdbasis
+from pseudosym import cli, pipeline, stdbasis, toric
 from pseudosym.cli import COMMANDS, build_parser, main, parse_args
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
@@ -180,12 +180,7 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["k"] == {"agree": False, "nonstrict": 3, "strict": 4, "used": 3}
-
-        code, out, _ = run(capsys, ["verify", *EX43, "--k-strict"])
-        assert code == 3
-        data = json.loads(out)
-        assert data["mismatches"]
-        assert data["closed_form"]["nonstrict"]["match"] is True
+        assert data["closed_form"]["count"] == 9 and data["closed_form"]["match"] is True
 
     SHORT = ["--alpha1", "5", "--alpha2", "3", "--alpha3", "2", "--alpha4", "2", "--alpha21", "1"]
 
@@ -303,11 +298,11 @@ class TestSweep:
         assert flag in err and value in err
         assert out == ""
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_rejected(self, capsys, jobs):
-        code, _, err = run(capsys, [*self.SMALL, "--jobs", jobs])
-        assert code == 2
-        assert "jobs >= 1 violated" in err
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"), ("--k", "0"), ("--k", "-3")])
+    def test_below_one_rejected(self, capsys, flag, value):
+        code, out, err = run(capsys, [*self.SMALL, flag, value])
+        assert (code, out) == (2, "")
+        assert f"{flag[2:]} >= 1 violated ({flag[2:]}={value})" in err
 
     @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
     def test_pool_capped_by_cpus_and_tuples(self, capsys, monkeypatch, cpus, expected):
@@ -363,19 +358,31 @@ def test_step_budget_is_an_internal_failure(capsys, monkeypatch):
     assert out == ""
 
 
+def test_tail_built_from_strict_k_is_an_internal_failure(capsys, monkeypatch):
+    # on EX43 the readings differ (3 and 4), and lemma (iii) says a strict
+    # tail breaks the leading pattern: only a construction bug gets there
+    real = toric.compute_k
+    monkeypatch.setattr(toric, "compute_k", lambda params, strict=False: real(params, strict=True))
+    code, out, err = run(capsys, ["verify", *EX43])
+    assert (code, out) == (4, "")
+    assert err.startswith("internal consistency failure: ")
+    assert "breaks the closed-form leading pattern" in err
+
+
 # sha256 of stdout, with the exit code, for every single-tuple subcommand in
 # each of its output modes; the digests were recorded before the subcommands
-# were rebuilt on the shared pipeline stages and must not move.
+# were rebuilt on the shared pipeline stages and must not move.  The
+# `basis --closed-form` and `--verify` digests were recorded again when the
+# summary lost its `k_strict_mode` key, the only difference.
 GOLDEN_STDOUT = [
     ("EX41", ("gens",), 0, "163eef80bdacbcf432105a344a64cb486f1ed939d0f03db96cf25840beb5e42a"),
     ("EX41", ("gens", "--text"), 0, "c7b16495ed64c659e49e0a0945f28fb80d81f8b7ad529bcc053c7a2b5a2f4b19"),
     ("EX41", ("basis",), 0, "8585bcfbe2991f5bf2fe8d0018c30b9d7bb39087ceee1927b481c63882527b9c"),
     ("EX41", ("basis", "--json"), 0, "2d5aa7b4ccfcb19a8e19394f119199e615901e3644c9f5f451558d9f018cbe10"),
-    ("EX41", ("basis", "--closed-form"), 0, "08ddda2c15c2e95b5249410f3d7a2bb857298929615091f7eadaedd0a942ed79"),
-    ("EX41", ("basis", "--closed-form", "--json"), 0, "9b0f55fc7afe05a0bbb3a2442f99d120eb5c622481e878bd1074047a7ee41425"),
-    ("EX41", ("basis", "--verify"), 0, "c43ab5136b25cb2f6de7be368fb6829018e023668390fb688915a542d4c83997"),
-    ("EX41", ("basis", "--verify", "--json"), 0, "bae0e6eff9f2fc47ef5b09bbc8639f6d6bd35ad750388d373c0e414498762134"),
-    ("EX41", ("basis", "--verify", "--k-strict"), 0, "7c7abf5459e7e6b9a1e0d03824fc5f37554354c11332487708829a6ec2b2c72e"),
+    ("EX41", ("basis", "--closed-form"), 0, "d2eebdfa2b22557e682b99fb92aaef8a30627e51b0719be0f1c2078dbf5a6927"),
+    ("EX41", ("basis", "--closed-form", "--json"), 0, "61f43b156fc66e4be0afc1f3762dc545695fb3cc169be4aa6e8301b9542c932e"),
+    ("EX41", ("basis", "--verify"), 0, "135c4f84f558f39368cb4c3f2ee131c3aa7fcdffb1a6a951cf4ab43102a464dd"),
+    ("EX41", ("basis", "--verify", "--json"), 0, "2ee348a4c87d64fc1c1ee755edf9b2c95ce86317b31faeadbd769a61e69e31ae"),
     ("EX41", ("hilbert", "--both"), 0, "f96cc3ee718a46483d814ace9b82af0e3174e209c3294f35437d028f95236614"),
     ("EX41", ("hilbert", "--bayer"), 0, "63a5efb36b72a67c094d555e9610bbc60a756355fa598609f92e6063d519e18f"),
     ("EX41", ("hilbert", "--closed-form"), 0, "a1ae3dde6fa85b8e2699b663b8ca46a77eb2a095fb4a2b1105d36fd8f594a9dc"),
@@ -385,12 +392,10 @@ GOLDEN_STDOUT = [
     ("EX43", ("gens", "--text"), 0, "a7fcce5801c8dc9d9d184a31a987caeab899e335add745ed207e27afde901c41"),
     ("EX43", ("basis",), 0, "6e7224d8f57e8d9eb0701590e9715ec1b665bf6016580e8a28c3da556510c40d"),
     ("EX43", ("basis", "--json"), 0, "2b0624305997cd83828528a3a33b6affec0857b3c011f705e678cfffb546bed5"),
-    ("EX43", ("basis", "--closed-form"), 0, "1ef4b96b7a37124d6c082854f75e08d4b783805ea06674fe684d9ad843e0bd74"),
-    ("EX43", ("basis", "--closed-form", "--json"), 0, "54dbb409f408bbd926a65e5510993a4d3697e113ac04d1d252ed2f51efe1d4c8"),
-    ("EX43", ("basis", "--verify"), 0, "c18e6f8254298db8f2fcea3b6ad6e11506b352fb5d4b951b56d12c85b8d880ed"),
-    ("EX43", ("basis", "--verify", "--json"), 0, "a3033e94ac549f4e0d0429e35157338a99e4b99b01fa0518fc0e6d5a2a13e860"),
-    # the strict-k closed form is refused here: exit 2, empty stdout
-    ("EX43", ("basis", "--verify", "--k-strict"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("EX43", ("basis", "--closed-form"), 0, "fa03808db8906ef16a26617a2c036b5795003e0f5ea414a34a21e42726380507"),
+    ("EX43", ("basis", "--closed-form", "--json"), 0, "952fef5f743cb42d455b7af39f6635fd8e6ad854238092066cfce3cb165c2a1c"),
+    ("EX43", ("basis", "--verify"), 0, "ef6c579633e6181f10fd7f52c8b19b2ce0f4558e98eb029983182b6757566c7c"),
+    ("EX43", ("basis", "--verify", "--json"), 0, "00b497313efe422468a57b8c41af43c8422d43bc7ec75fb231d7306c75fcdc0d"),
     ("EX43", ("hilbert", "--both"), 0, "9cba25247a191a36f99c7829147bf5f5dabca5536a774bb21adfa79fae2b6413"),
     ("EX43", ("hilbert", "--bayer"), 0, "bde2bf396c83088a367b7392589dba5b2b0a56c089e5904d1376c1709a7ac2c5"),
     ("EX43", ("hilbert", "--closed-form"), 0, "58ef2abd29c1a8c2572b2320421d87dbbfb79e3fadeeb43c09834f8398a1f389"),
@@ -522,15 +527,16 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # usage and parse errors at COLUMNS=80, recorded before the parser was built
 # per subcommand.  The basis, hilbert and sweep entries were recorded again
 # when `basis --mode`, `hilbert --mode` and `sweep --sorted` were deleted;
-# the texts differ from the earlier ones only by those flags.  Later argparse
+# the texts differ from the earlier ones only by those flags, as the basis
+# and verify entries do since `--k-strict` was deleted.  Later argparse
 # releases print the invalid choices unquoted, hence two texts for "bogus".
 CLI_TEXT = [
     (("--help",), 0, "eccaf478e1a022b8a8875ddd6997c54f1371285e2136d0ee87f6e43273a39d7e", (EMPTY,)),
     (("-h",), 0, "eccaf478e1a022b8a8875ddd6997c54f1371285e2136d0ee87f6e43273a39d7e", (EMPTY,)),
     (("gens", "--help"), 0, "8d2d8dd519dc037e71361523d81807b4d2dfa26d0d7cc80f1aab943d249f303a", (EMPTY,)),
-    (("basis", "--help"), 0, "53e9b1b5da596d20ccbae36527a4f698a90133bb34d82c5bbdf4e7c4f14fe8b4", (EMPTY,)),
+    (("basis", "--help"), 0, "9bdcb509a3a053370bab8c741f3340bae8f25763fa4c54859d56750a0b3df6ff", (EMPTY,)),
     (("hilbert", "--help"), 0, "1370156aeec36c99d338aa54c05f1c087feb0e3649d3071aa2abbebf563d2d70", (EMPTY,)),
-    (("verify", "--help"), 0, "9ccfa345fd053d1aab452c3f55a631fce618705de58bf4b9922ec2d3839ceb65", (EMPTY,)),
+    (("verify", "--help"), 0, "89f4cff6533b25067531c5805cdea539634227b1c1ac4869ce916253d36239bc", (EMPTY,)),
     (("oracle", "--help"), 0, "3a8543bcd08f7134f586e9e89899ec12dee0ab05d2e81100fc5d5426505066fd", (EMPTY,)),
     (("sweep", "--help"), 0, "d3c4f7ff4bf2bdf4fb2507db61892326732c63b2a5c3fecff60aa6e04db512e7", (EMPTY,)),
     ((), 2, EMPTY, ("b27e91bda140ea91c7627a285cb8de3a7057f282266abb5cd889f818a8824183",)),
@@ -538,9 +544,11 @@ CLI_TEXT = [
                             "6327590c35470b6bd892753669a0f15fea4a06f1e5cc8a624f63c80341ba5c57")),
     (("verify", *EX41, "--bogus"), 2, EMPTY,
      ("27fa9eaf999270533e1520a970ae28a7f3c60dd7923bcf8c527ee9904ec349df",)),
+    (("verify", *EX41, "--k-strict"), 2, EMPTY,
+     ("d3698d094796292759b9b2a8e9453b08e9c27dd5d8ea76235717b176d7d552be",)),
     (("verify", "--alpha1", "x"), 2, EMPTY,
-     ("869bb2e6a89515672ea905ea853b68d53732ae707a419b8cad9ced0e0855db4a",)),
-    (("verify",), 2, EMPTY, ("b1c82188bd43967b6f38a05256f429bba130308ccf22a9b3fb5ca1f02e8ae800",)),
+     ("a18e1eb69c30a8fe89d5ba80d456b61f5a8af0567945a1fc0352555d450bc401",)),
+    (("verify",), 2, EMPTY, ("5f6ab2347f4d6dee90d9d492d5197d6c684ca0a0028530772ed03b6a7afb7812",)),
     (("sweep", "--jobs", "x"), 2, EMPTY,
      ("41370a29c1f7b946cb7688d0aeb7ea98fc4e9565b75df72f2b8dbf3c82e30a09",)),
     (("hilbert", *EX41, "--json", "--text"), 2, EMPTY,
@@ -566,14 +574,14 @@ FRONT_END_ARGVS = [
     ("gens", *EX41),
     ("gens", *EX41, "--text"),
     ("basis", *EX41),
-    ("basis", *EX41, "--closed-form", "--k-strict", "--json"),
+    ("basis", *EX41, "--closed-form", "--json"),
     ("basis", *A4_3, "--verify"),
     ("basis", "--engine", *EX43),
     ("hilbert", *EX41),
     ("hilbert", *EX41, "--bayer", "--max-level", "3", "--text"),
     ("hilbert", *EX43, "--closed-form", "--max-level=0"),
     ("verify", *EX41),
-    ("verify", "--text", *A4_3, "--k-strict", "--max-level", "7", "--fixtures", "fx", "--timing"),
+    ("verify", "--text", *A4_3, "--max-level", "7", "--fixtures", "fx", "--timing"),
     ("oracle", *EX41),
     ("oracle", *EX43, "--max-level", "4", "--text"),
     ("sweep",),
@@ -624,5 +632,5 @@ class TestEntryPath:
 
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
         assert run(capsys, ["verify", *EX41])[0] == 0
-        # one parser: its -h, the five parameters and verify's six options
-        assert len(calls) == 12
+        # one parser: its -h, the five parameters and verify's five options
+        assert len(calls) == 11

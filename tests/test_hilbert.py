@@ -390,12 +390,12 @@ def test_regime_lemma_i_to_iii():
     """The README lemma's (i)-(iii) on every regime tuple with alphas <= 14.
 
     (i) a1 + a21 >= a2 + 2; (ii) k = a3 satisfies the strict k inequality
-    and `compute_k` returns both readings; (iii) the non-strict closed form
-    is never refused, and the strict one exactly when the readings differ.
+    and `compute_k` returns both readings; (iii) the non-strict tail leads
+    as the closed form presumes, and a strict tail breaks that pattern
+    exactly when the readings differ.
     The alphas <= 40 box runs in CI: PYTHONPATH=src python tests/closed_form_box.py
     """
     box = regime_tuples(14)
     results = [check_tuple(params) for params in box]
-    assert [(p, failed) for p, (failed, _, _) in zip(box, results) if failed] == []
-    # by (iii), the strict refusals are the tuples where the readings differ
-    assert (len(box), sum(strict for _, _, strict in results)) == (1092, 283)
+    assert [(p, failed) for p, (failed, _) in zip(box, results) if failed] == []
+    assert (len(box), sum(differ for _, differ in results)) == (1092, 283)

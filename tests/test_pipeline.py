@@ -118,10 +118,10 @@ class TestSweepConfig:
 
     def test_k_filter_counts_on_the_default_sweep(self):
         everything = list(iter_sweep(SweepConfig()))
-        counts = {k: len(list(iter_sweep(SweepConfig(k_filter=k)))) for k in range(5)}
+        counts = {k: len(list(iter_sweep(SweepConfig(k_filter=k)))) for k in range(1, 5)}
         # recorded when the filter still called compute_k directly
         assert len(everything) == 72
-        assert counts == {0: 0, 1: 57, 2: 14, 3: 1, 4: 0}
+        assert counts == {1: 57, 2: 14, 3: 1, 4: 0}
         for k in (1, 2, 3):
             assert list(iter_sweep(SweepConfig(k_filter=k))) == [
                 p for p in everything if k_readings(p)["nonstrict"] == k

@@ -2,8 +2,8 @@
 
 import pytest
 
-from pseudosym.errors import InconsistencyError, ParameterError, UnsupportedParametersError
-from pseudosym.poly import LOCAL, normalize, parse_poly, weighted_degree
+from pseudosym.errors import InconsistencyError, ParameterError
+from pseudosym.poly import LOCAL, binomial, normalize, parse_poly, weighted_degree
 from pseudosym.semigroup import PseudoSymmetricParams, construct_generators
 from pseudosym.toric import (
     _check_sdegrees,
@@ -121,8 +121,12 @@ class TestClosedFormBasis:
         with pytest.raises(ParameterError):
             closed_form_basis(TUPLE_A4_3)
 
-    def test_strict_mode_breaks_on_tie_examples(self):
-        # strict k forces an extra tail element whose leading monomial
-        # falls on the wrong side of a degree tie
-        with pytest.raises(UnsupportedParametersError, match="leading pattern"):
-            closed_form_basis(TUPLE_43, strict=True)
+    @pytest.mark.parametrize("params", [TUPLE_43, TUPLE_44])
+    def test_tie_element_leads_with_its_x2_power(self, params):
+        # the readings differ here: the degree tie sits at j = k_nonstrict,
+        # where a strict tail would need the X1-X3 monomial to lead
+        k = compute_k(params)
+        assert compute_k(params, strict=True) == k + 1
+        plus, minus = tail_monomials(params, k)
+        assert sum(plus) == sum(minus)
+        assert binomial(plus, minus).lm == minus
