@@ -7,9 +7,9 @@ can arbitrate results produced by the algebraic route.  One kernel answers
 every semigroup question: the Apery set Ap(S, m) of the smallest generator m
 gives the Frobenius number, the gaps, the genus, the pseudo-symmetry test
 (a count, 2 * genus = F + 2) and the order-counting Hilbert oracle.  The
-oracle starts from Ap(S, m) as the least elements of order >= 0 per residue
-and follows only the residues whose least element does not advance by m to
-the next level, until none is left: from that plateau on H = m.  The
+oracle keeps the elements of order >= n, shifted down by n * m, as one
+big-int bitmap over 0..max Ap(S, m); the next level is one shift-or per
+generator, and H(n) is a bit count.  It stops at the plateau H = m.  The
 maximal-order table `membership_table` is kept as the brute-force
 dynamic-programming reference that the kernel is tested against.
 """
@@ -210,42 +210,57 @@ def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
 def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
     """H(0..L) counted combinatorially: H(n) = #{s in S : order(s) = n}.
 
-    The elements of order >= n form nM (M = S minus 0), which is closed under
-    adding m, so per residue r it is an arithmetic progression from
-    min_n[r], the least element of nM in class r mod m, and
-    H(n) = sum_r (min_{n+1}[r] - min_n[r]) / m with min_0 = Ap(S, m).  Each
-    difference is 0 or m: (n+1)M lies in nM, and min_n[r] + m lies in
-    (n+1)M.  Call r stuck at n when its difference is 0, so
-    H(n) = m - #stuck_n.
+    The elements of order >= n form nM (M = S minus 0, 0M = S), so
+    H(n) = #(nM minus (n+1)M).  Take T_n = nM - n*m, shifted down by n*m for
+    the smallest generator m, as a bitmap: bit x is set when x + n*m is in
+    nM.  As (n+1)M = nM + G for the generator set G,
+    T_{n+1} = union over g in G of (T_n + g - m), one shift-or per generator,
+    and H(n) = #(T_n minus (T_{n+1} + m)).
 
-    r is stuck at n + 1 exactly when min_{n+1}[r] = min_{n+1}[r - g] + g for
-    a generator g != m, and then r - g is stuck at n: were it not, that sum
-    would be min_n[r - g] + g + m, above min_n[r - g] + g, which lies in
-    (n+1)M and in class r.  So only stuck residues are touched.  b[r] holds
-    min_n[r] - n*m: it drops by m where r is stuck, and the residues stuck
-    at n + 1 are the (r + g) mod m, r stuck at n, with
-    b[r] + g = b[(r + g) mod m].  Every residue but 0 is stuck at 0, since
-    0 is the only element of order 0, so H(0) = 1.  Once no residue
-    is stuck none ever is again, and H = m from that plateau on.  The work
-    is sum_n (m - H(n)) tests per generator and the memory O(m), whatever L
-    is.
+    Only the bits 0..max Ap(S, m) are kept, and they are exact.  Every shift
+    g - m is >= 0, so a bit of T_{n+1} depends only on bits of T_n at or below
+    it.  In class r mod m an element of order n can only be min_n[r], the least
+    element of nM there, and min_n[r] - n*m <= Ap[r]: from one level to the
+    next min_n[r] stays or grows by m, and min_0 = Ap.  So every counted bit
+    lies in the window.  T_0 = S within the window is built by doubling each
+    generator's multiples, and a generator whose shift leaves the window
+    drops out.  H(0) = 1.  Per class T_n is an arithmetic progression of
+    step m, so H(n) = m exactly when T_{n+1} = T_n; T_{n+1} depends on T_n
+    alone, so H stays m from that plateau on, and the remaining levels are
+    filled with m.  The memory is O(max Ap) bits, whatever L is.
 
-    With gcd d > 1 only the residues that are multiples of d are reached.
-    S is then d times the semigroup of the generators divided by d, with the
-    same orders, so the counts are taken there.
+    The same bitmaps give Garcia's Cohen-Macaulay test of the associated
+    graded ring: it is CM iff s + m in (n+1)M implies s in nM for every s in
+    S, that is iff T_{n+1} & (S - n*m) is a subset of T_n for every n.  A
+    witness x = s - n*m of a failure lies in the window: x >= 0 as
+    s + m >= (n+1)*m, and x < min_n[r] - n*m <= Ap[r] as s is not in nM.
+
+    With gcd d > 1 only the multiples of d are reached.  S is then d times
+    the semigroup of the generators divided by d, with the same orders, so
+    the counts are taken there.
     """
     if up_to_level < 0:
-        raise ParameterError(f"up_to_level >= 0 violated ({up_to_level})")
+        raise ParameterError(f"max level >= 0 violated ({up_to_level})")
     d = S.gcd()
     gens = [g // d for g in S.generators]
-    b = apery_set(NumericalSemigroup(tuple(gens)))
-    m = len(b)
-    steps = {g for g in gens if g % m}
-    stuck = range(1, m)
+    top = max(apery_set(NumericalSemigroup(tuple(gens))))
+    m = min(gens)
+    mask = (2 << top) - 1
+    T = 1
+    for g in gens:
+        k = g
+        while k <= top:
+            T = (T | T << k) & mask
+            k *= 2
+    shifts = [g - m for g in gens if g - m <= top]
     counts = []
-    while stuck and len(counts) <= up_to_level:
-        counts.append(m - len(stuck))
-        for r in stuck:
-            b[r] -= m
-        stuck = {t for r in stuck for g in steps if b[r] + g == b[t := (r + g) % m]}
+    h = 0
+    while h < m and len(counts) <= up_to_level:
+        nxt = T
+        for s in shifts:
+            nxt |= T << s
+        nxt &= mask
+        h = (T & ~(nxt << m)).bit_count()
+        counts.append(h)
+        T = nxt
     return counts + [m] * (up_to_level + 1 - len(counts))

@@ -1,11 +1,11 @@
-"""The stuck-residue Hilbert oracle against the per-level sweep, on a whole box.
+"""The bitmap Hilbert oracle against the per-level sweep, on a whole box.
 
-`semigroup.hilbert_oracle` touches only the residues whose minimum does not
-advance and fills the levels after its plateau with m.  `reference.hilbert_levels`
-is the sweep it replaced: every residue minimum at every level, plateau or
-not.  For one tuple, `oracle_differs` runs the sweep up to its plateau (the
-first level where H = m, after which H stays m) and compares the two routes
-up to the plateau + 5.
+`semigroup.hilbert_oracle` shifts one bitmap of the elements of order >= n
+per level and fills the levels after its plateau with m.
+`reference.hilbert_levels` is an independent route: every residue minimum
+at every level, plateau or not.  For one tuple, `oracle_differs` runs the
+sweep up to its plateau (the first level where H = m, after which H stays m)
+and compares the two routes up to the plateau + 5.
 
 Run as a script, it compares them on every coprime tuple of
 `seed_engine.py`'s box (alpha1..3 in 2..10, alpha4 in 2..5, alpha21 in 1..9,

@@ -424,12 +424,13 @@ def test_noncoprime_tuple_rejected(capsys, command):
     assert "gcd of generators (9, 12, 15, 30) is 3, not 1" in err
 
 
-@pytest.mark.parametrize("command, level", [("hilbert", "-3"), ("verify", "-2")])
+@pytest.mark.parametrize("command, level", [("hilbert", "-3"), ("verify", "-2"), ("oracle", "-1"),
+                                            ("verify", "-1"), ("hilbert --bayer", "-1")])
 def test_negative_max_level_rejected(capsys, command, level):
-    code, out, err = run(capsys, [command, *EX41, "--max-level", level])
+    code, out, err = run(capsys, [*command.split(), *EX41, "--max-level", level])
     assert code == 2
     assert out == ""
-    assert f"({level})" in err
+    assert err == f"max level >= 0 violated ({level})\n"
 
 
 class TestFixtureErrors:

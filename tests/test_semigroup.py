@@ -187,9 +187,14 @@ class TestHilbertOracle:
 
 
 def _differential_cases(count, seed):
-    """Seeded generator sets: 1-5 generators up to 70, gcd > 1, duplicates and 1 included."""
+    """Seeded generator sets: 1-5 generators up to 70, gcd > 1, duplicates and 1 included.
+
+    Two fixed cases sit on the oracle's window edges: (3, 4, 100) has a
+    redundant generator whose shift leaves the window, and (3, 6, 7) a
+    non-minimal generator that is a multiple of m.
+    """
     rng = random.Random(seed)
-    cases = [(1,), (70,), (6, 6, 9), (1, 5, 5), (10, 4, 6, 8, 2), (69, 70)]
+    cases = [(1,), (70,), (6, 6, 9), (1, 5, 5), (10, 4, 6, 8, 2), (69, 70), (3, 4, 100), (3, 6, 7)]
     while len(cases) < count:
         scale = rng.choice((1, 1, 1, 2, 3, 5))
         gens = [scale * rng.randrange(1, 70 // scale + 1) for _ in range(rng.randrange(1, 6))]
@@ -200,14 +205,24 @@ def _differential_cases(count, seed):
 
 
 class TestOracleAgainstLevelSweep:
-    """The stuck-residue oracle against the per-level sweep it replaced and the order table."""
+    """The bitmap oracle against the per-level sweep and the order table."""
 
-    @pytest.mark.parametrize("gens", _differential_cases(60, seed=29), ids=str)
+    @pytest.mark.parametrize("gens", _differential_cases(62, seed=29), ids=str)
     def test_matches_sweep_and_order_table(self, gens):
         S = NumericalSemigroup(gens)
         for level in (0, 1, 5, 40, 200):
             assert hilbert_oracle(S, level) == ref.hilbert_by_level_sweep(gens, level), level
         assert hilbert_oracle(S, 40) == TestAperyKernelAgainstTable.reference_counts(S, 40)
+
+    def test_window_far_above_m(self):
+        # m = 19 and max Ap = 957 >= 50 * m: the window is much wider than
+        # the residue count.  oracle_differs compares with the sweep up to
+        # the plateau + 5.
+        params = PseudoSymmetricParams(5, 11, 11, 2, 3)
+        S = construct_generators(params)
+        assert max(apery_set(S)) >= 50 * min(S.generators)
+        assert oracle_differs(params) == (11, False)
+        assert hilbert_oracle(S, 16) == TestAperyKernelAgainstTable.reference_counts(S, 16)
 
     def test_sample_of_the_closure_box(self):
         # the whole 10,189-tuple box runs in CI: PYTHONPATH=src python tests/oracle_box.py
