@@ -14,7 +14,11 @@ ring, M a monomial ideal) is computed by the pivot recursion
 with complete-intersection base cases.  The result is independent of the
 pivot choice; three strategies are provided so that invariance can be tested
 rather than assumed.  `add_shifted` (p + c*t^d*q) is the only arithmetic the
-recursion and the closed-form numerator need.
+recursion and the closed-form numerator need.  Every monomial has four
+exponents (see `poly`): the colon clamps its four differences one by one,
+and a generating set is a complete intersection when its generators'
+`poly.support` masks are pairwise disjoint, which one pass that ORs the
+masks together decides.
 
 The second series Q(t) = P(t) / (1-t)^3 exists because every semigroup here
 has Krull dimension one in four variables; dividing by (1-t) is a prefix sum
@@ -27,12 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations
-from operator import sub
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, ParameterError
-from .poly import Exponent, coprime, minimalize_monomials, scan_terms
+from .poly import Exponent, minimalize_monomials, scan_terms, support
 from .semigroup import PseudoSymmetricParams
 from .toric import check_closed_form_regime
 
@@ -73,8 +76,27 @@ def parse_numerator(text: str) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def monomial_colon(gens: Iterable[Exponent], w: Exponent) -> list[Exponent]:
-    """Minimal generators of (M : w) for a monomial ideal M."""
-    return minimalize_monomials(tuple(map(sub, map(max, m, w), w)) for m in gens)
+    """Minimal generators of (M : w) for a monomial ideal M: each m becomes max(m - w, 0).
+
+    Every exponent tuple must have four entries; unpacking raises `ValueError` on any other.
+    """
+    w0, w1, w2, w3 = w
+    return minimalize_monomials(
+        (m0 - w0 if m0 > w0 else 0, m1 - w1 if m1 > w1 else 0,
+         m2 - w2 if m2 > w2 else 0, m3 - w3 if m3 > w3 else 0)
+        for m0, m1, m2, m3 in gens
+    )
+
+
+def _pairwise_coprime(gens: Iterable[Exponent]) -> bool:
+    """True iff no variable divides two of `gens`: each support misses the union of those before it."""
+    seen = 0
+    for m in gens:
+        mask = support(m)
+        if seen & mask:
+            return False
+        seen |= mask
+    return True
 
 
 def _pick_pivot(gens: Sequence[Exponent], pivot: str, rng) -> Exponent:
@@ -102,12 +124,13 @@ def hilbert_numerator(gens: Iterable[Exponent], pivot: str = "maxdeg",
     def run(ideal: tuple[Exponent, ...]) -> list[int]:
         if not ideal:
             return [1]
-        if any(sum(m) == 0 for m in ideal):
-            return []  # unit ideal, empty quotient
+        if not any(ideal[0]):
+            # unit ideal, empty quotient; minimalized, the ideal lists the unit first
+            return []
         cached = memo.get(ideal)
         if cached is not None:
             return cached
-        if all(coprime(a, b) for a, b in combinations(ideal, 2)):
+        if _pairwise_coprime(ideal):
             result = _product(map(sum, ideal))
         else:
             w = _pick_pivot(ideal, pivot, rng)

@@ -289,7 +289,7 @@ class SweepConfig:
         if self.jobs < 1:
             raise ParameterError(f"jobs >= 1 violated (jobs={self.jobs})")
         if self.max_level is not None and self.max_level < 0:
-            raise ParameterError(f"max_level >= 0 violated (max_level={self.max_level})")
+            raise ParameterError(f"max level >= 0 violated ({self.max_level})")
         if self.k_filter is not None and self.k_filter < 1:
             raise ParameterError(f"k >= 1 violated (k={self.k_filter})")
 

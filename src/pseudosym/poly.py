@@ -12,16 +12,23 @@ monomial leads; its `terms`, leading term first, are computed from them.
 and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
 and so `normalize`, `with_order`) are ±(x^a - x^b) by construction: their
 two monomials can only cancel, never need collecting, so they are built by
-`_pair` straight from the operands' parts.  Both routes end in `_fill`,
-whose one `MonomialOrder.greater` call decides the lead.
+`_pair` straight from the operands' parts.  The constructor ends in `_pair`
+too, whose one `MonomialOrder.greater` call decides the lead.
 
 Each fact the engine uses has one function: `MonomialOrder.greater`
 compares two monomials (`sort_key` is the same order as a sort key),
-`weighted_degree` grades a monomial, and `Polynomial.is_homogeneous` tests
-a polynomial against a grading.  A polynomial's `coeff`, `lead` and `tail`
-are read as fields; total degree is `sum`, and divisibility is
-`all(map(le, a, b))`.  A polynomial carries no ecart; only the order of the
-engine's reducer list uses one (see `stdbasis`).
+`weighted_degree` grades a monomial, `support` is the set of variables a
+monomial contains, and `Polynomial.is_homogeneous` tests a polynomial
+against a grading.  A polynomial's `coeff`, `lead` and `tail` are read as
+fields.  A polynomial carries no ecart; only the order of the engine's
+reducer list uses one (see `stdbasis`).
+
+The engine's exponent arithmetic is written out four entries wide: total
+degree is ``a[0] + a[1] + a[2] + a[3]``, divisibility is four ``<=``
+comparisons, and the lcm, shift and clamped difference of `spoly`,
+`reduce_step` and `hilbert.monomial_colon` build their four entries one by
+one.  Two monomials are coprime exactly when their `support` masks share
+no bit.
 
 Two ordering kinds are provided:
 
@@ -34,15 +41,16 @@ precedence list, X1 > X2 > X3 > X4 by default.
 
 Every monomial has exactly four exponents: `MonomialOrder` takes only a
 permutation of the four variables as its precedence, and the validating
-constructor rejects any other exponent length, so the engine, which builds
-its results from its operands' parts, never has to check a length again.
+constructor and `minimalize_monomials` reject any other exponent length, so
+the engine, which builds its results from its operands' parts, never has to
+check a length again, and no scan has a branch for another length.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from operator import add, le, mul, sub
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
@@ -53,7 +61,7 @@ STANDARD_GRADING = (1,) * N_VARS
 
 
 class DimensionError(ValueError):
-    """Exponent tuples of different lengths were mixed."""
+    """An exponent tuple does not have four entries."""
 
 
 @dataclass(frozen=True)
@@ -68,19 +76,22 @@ class MonomialOrder:
 
     local: bool
     precedence: tuple[int, ...] = (0, 1, 2, 3)
+    # The precedence from least to most significant, the order ties are scanned in.
+    _least_first: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.precedence) != list(range(N_VARS)):
             raise ValueError(
                 f"precedence must be a permutation of 0..{N_VARS - 1}, got {self.precedence!r}"
             )
+        object.__setattr__(self, "_least_first", self.precedence[::-1])
 
     def sort_key(self, m: Exponent):
-        deg = sum(m)
+        deg = m[0] + m[1] + m[2] + m[3]
         # Reverse-lex: at the least significant differing variable, the
         # smaller exponent wins; encode as negated exponents scanned from
         # least to most significant.
-        tail = tuple(-m[i] for i in reversed(self.precedence))
+        tail = tuple(-m[i] for i in self._least_first)
         return (-deg if self.local else deg, *tail)
 
     def greater(self, a: Exponent, b: Exponent) -> bool:
@@ -89,10 +100,11 @@ class MonomialOrder:
         The same rule as `sort_key`, decided by one total-degree comparison
         and, on a tie, a scan from the least significant variable.
         """
-        deg_a, deg_b = sum(a), sum(b)
+        deg_a = a[0] + a[1] + a[2] + a[3]
+        deg_b = b[0] + b[1] + b[2] + b[3]
         if deg_a != deg_b:
             return deg_a < deg_b if self.local else deg_a > deg_b
-        for i in reversed(self.precedence):
+        for i in self._least_first:
             if a[i] != b[i]:
                 return a[i] < b[i]
         return False
@@ -107,30 +119,28 @@ def weighted_degree(m: Exponent, weights: Sequence[int]) -> int:
     return sum(map(mul, m, weights))
 
 
-def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(max, a, b))
-
-
-def coprime(a: Exponent, b: Exponent) -> bool:
-    return not any(map(mul, a, b))
+def support(m: Exponent) -> int:
+    """The variables of x^m as a 4-bit mask: bit i is set iff X(i+1) divides x^m."""
+    return (m[0] > 0) | (m[1] > 0) << 1 | (m[2] > 0) << 2 | (m[3] > 0) << 3
 
 
 def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
     """Minimal generating set of the monomial ideal spanned by `monos`.
 
     Drops duplicates and any monomial divisible by another generator.  The
-    result is sorted by (total degree, exponent tuple) for determinism.
-    Mixed exponent lengths raise `DimensionError`; checked once, they let
-    the scan compare exponents with no per-pair length check.
+    result is sorted by (total degree, exponent tuple) for determinism.  An
+    exponent tuple whose length is not four raises `DimensionError`; checked
+    once, that lets the scan compare the four exponents with no length check.
     """
     pool = set(monos)
-    lengths = set(map(len, pool))
-    if len(lengths) > 1:
-        raise DimensionError(f"exponent length mismatch: {sorted(lengths)}")
+    lengths = set(map(len, pool)) - {N_VARS}
+    if lengths:
+        raise DimensionError(f"exponent lengths {sorted(lengths)}, not {N_VARS}")
     kept: list[Exponent] = []
-    for m in sorted(pool, key=lambda m: (sum(m), m)):
+    for m in sorted(pool, key=lambda m: (m[0] + m[1] + m[2] + m[3], m)):
+        m0, m1, m2, m3 = m
         for g in kept:
-            if all(map(le, g, m)):
+            if g[0] <= m0 and g[1] <= m1 and g[2] <= m2 and g[3] <= m3:
                 break
         else:
             kept.append(m)
@@ -149,9 +159,9 @@ class Polynomial:
     tuple whose length is not four raises `DimensionError`.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
-    `ValueError`; what passes sets the fields through `_fill`.  The engine's
+    `ValueError`; what passes takes its fields from `_pair`.  The engine's
     own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
-    checks and go through `_pair`, which calls `_fill` too.  Equality and
+    checks and come straight from `_pair`.  Equality and
     hashing look only at the signed term set, so two polynomials with the
     same terms compare equal even if tagged with different orderings.
     """
@@ -169,7 +179,8 @@ class Polynomial:
         signed = {c: m for c, m in kept if c in (1, -1)}
         if len(signed) != len(kept):
             raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-        _fill(self, 1, signed.get(1), signed.get(-1), order)
+        f = _pair(1, signed.get(1), signed.get(-1), order)
+        self.coeff, self.lead, self.tail, self.order = f.coeff, f.lead, f.tail, order
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -237,13 +248,14 @@ def normalize(f: Polynomial) -> Polynomial:
     return -f
 
 
-def _fill(f: Polynomial, coeff: int, plus: Exponent | None, minus: Exponent | None,
+def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
           order: MonomialOrder) -> Polynomial:
-    """Set the fields of f to coeff * (x^plus - x^minus); None is an absent term.
+    """coeff * (x^plus - x^minus) without the constructor's checks; None is an absent term.
 
     coeff is ±1, and equal monomials cancel to zero.  One `greater` call
     decides the lead.
     """
+    f = object.__new__(Polynomial)
     f.order = order
     if plus == minus:
         f.coeff, f.lead, f.tail = 1, None, None
@@ -258,28 +270,25 @@ def _fill(f: Polynomial, coeff: int, plus: Exponent | None, minus: Exponent | No
     return f
 
 
-def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
-          order: MonomialOrder) -> Polynomial:
-    """coeff * (x^plus - x^minus) without the constructor's checks, for the engine's results."""
-    return _fill(object.__new__(Polynomial), coeff, plus, minus, order)
-
-
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm-cancellation of the leading terms of f and g.
 
     For f = lc(f)*(x^a - x^b), g = lc(g)*(x^c - x^d) and L = lcm(a, c) this
     is x^(d+L-c) - x^(b+L-a), less the tail term of a monomial operand.
     """
-    if f.is_zero or g.is_zero:
-        raise ValueError("spoly of the zero polynomial is undefined")
-    if f.order != g.order:
-        raise ValueError("operands use different monomial orderings")
     a, b, c, d = f.lead, f.tail, g.lead, g.tail
-    lcm = mono_lcm(a, c)
+    if a is None or c is None:
+        raise ValueError("spoly of the zero polynomial is undefined")
+    if f.order is not g.order and f.order != g.order:
+        raise ValueError("operands use different monomial orderings")
+    a0, a1, a2, a3 = a
+    c0, c1, c2, c3 = c
+    l0, l1, l2, l3 = (a0 if a0 > c0 else c0, a1 if a1 > c1 else c1,
+                      a2 if a2 > c2 else c2, a3 if a3 > c3 else c3)
     return _pair(
         1,
-        None if d is None else tuple(map(sub, map(add, d, lcm), c)),
-        None if b is None else tuple(map(sub, map(add, b, lcm), a)),
+        None if d is None else (d[0] + l0 - c0, d[1] + l1 - c1, d[2] + l2 - c2, d[3] + l3 - c3),
+        None if b is None else (b[0] + l0 - a0, b[1] + l1 - a1, b[2] + l2 - a2, b[3] + l3 - a3),
         f.order,
     )
 
@@ -292,11 +301,12 @@ def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
     monomial.
     """
     a, lead = h.lm, g.lm
-    shift = tuple(map(sub, a, lead))
-    if min(shift, default=0) < 0:
+    s0, s1, s2, s3 = a[0] - lead[0], a[1] - lead[1], a[2] - lead[2], a[3] - lead[3]
+    if s0 < 0 or s1 < 0 or s2 < 0 or s3 < 0:
         raise ValueError(f"{lead} does not divide {a}")
     d = g.tail
-    return _pair(h.coeff, None if d is None else tuple(map(add, d, shift)), h.tail, h.order)
+    return _pair(h.coeff, None if d is None else (d[0] + s0, d[1] + s1, d[2] + s2, d[3] + s3),
+                 h.tail, h.order)
 
 
 def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from pseudosym import PseudoSymmetricParams
 from pseudosym.semigroup import check_conditions
@@ -35,6 +36,16 @@ def engine_box(ranges=ENGINE_BOX_RANGES) -> list[PseudoSymmetricParams]:
         for t in itertools.product(*ranges)
         if t[4] < t[0] - 1 and check_conditions(PseudoSymmetricParams(*t))["coprime"]
     ]
+
+
+@st.composite
+def monomial_lists(draw, max_size=10):
+    """Four-exponent monomials with entries 0..3, so that divisibility is common,
+    then repeats of some of them and possibly the unit row (0, 0, 0, 0)."""
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=max_size))
+    if monos:
+        monos += draw(st.lists(st.sampled_from(monos), max_size=4))
+    return monos + draw(st.lists(st.just((0, 0, 0, 0)), max_size=1))
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,19 @@ reducers when the chosen ecart exceeds its own.  On input that is
 homogeneous for positive weights an appended h can never be chosen: every h
 of one normal form has the same weighted degree, and of two distinct
 monomials of one positive degree neither divides the other.
-`seed_nf_global` is plain first-divisor reduction.
+`seed_nf_global` is plain first-divisor reduction.  Both reduce with
+`seed_reduce_step`, and `seed_closure` forms pairs with `seed_spoly` and
+skips them with `coprime`: the formulas of `poly.reduce_step`, `poly.spoly`
+and the product criterion as the engine first ran them, with generic
+`map` arithmetic over the exponents, results built by the validating
+`Polynomial` constructor, and no support masks.
 
 `seed_closure` is the basis loop frozen as it was when the normal form
 still chose the reducer itself: it hands the normal form the elements in
 creation order.  The engine's `stdbasis._closure` hands `nf_mora`, a plain
 first-divisor scan, a reducer list kept in stable ecart order instead, and
-must build the same closure, element by element, on both routes:
+must build the same closure, element by element, on both routes, with its
+four-wide divisor scan, lcm, shift and support-mask product criterion:
 
 * the local route, the curve's binomials against `seed_nf_mora`;
 * the CM route, taken where the tangent cone is not monomial: the cone's
@@ -34,11 +40,11 @@ import multiprocessing
 import os
 import sys
 from collections import deque
-from operator import le
+from operator import add, le, mul, sub
 
 from pseudosym import stdbasis
 from pseudosym.cm import CM_ORDER
-from pseudosym.poly import coprime, normalize, reduce_step, spoly, with_order
+from pseudosym.poly import Polynomial, normalize, with_order
 from pseudosym.toric import toric_generators
 
 from conftest import engine_box
@@ -49,6 +55,34 @@ CLOSURE_BOX_RANGES = (range(2, 11), range(2, 11), range(2, 11), range(2, 6), ran
 def divides(a, b):
     """True iff the monomial with exponents a divides the one with exponents b."""
     return all(map(le, a, b))
+
+
+def coprime(a, b):
+    """True iff no variable divides both monomials."""
+    return not any(map(mul, a, b))
+
+
+def seed_spoly(f, g):
+    """lcm-cancellation of the leading terms: x^(d+L-c) - x^(b+L-a), a term absent for a monomial."""
+    a, c = f.terms[0].mono, g.terms[0].mono
+    lcm = tuple(map(max, a, c))
+    terms = []
+    if g.tail is not None:
+        terms.append((1, tuple(map(sub, map(add, g.tail, lcm), c))))
+    if f.tail is not None:
+        terms.append((-1, tuple(map(sub, map(add, f.tail, lcm), a))))
+    return Polynomial(terms, f.order)
+
+
+def seed_reduce_step(h, g):
+    """h less the multiple of g that cancels LM(h); LM(g) must divide LM(h)."""
+    shift = tuple(map(sub, h.terms[0].mono, g.terms[0].mono))
+    if min(shift) < 0:
+        raise ValueError("the reducer's lead does not divide")
+    ratio = h.terms[0].coeff * g.terms[0].coeff  # lc(h) / lc(g), as both are ±1
+    terms = [(-ratio * t.coeff, tuple(map(add, t.mono, shift))) for t in g.terms[1:]]
+    terms += h.terms[1:]
+    return Polynomial(terms, h.order)
 
 
 def seed_ecart(f):
@@ -70,7 +104,7 @@ def seed_nf_mora(h, basis):
             break
         if chosen_ecart > seed_ecart(h):
             reducers.append(h)
-        h = reduce_step(h, chosen)
+        h = seed_reduce_step(h, chosen)
     return h
 
 
@@ -78,7 +112,7 @@ def seed_nf_global(h, basis):
     while not h.is_zero:
         for g in basis:
             if divides(g.terms[0].mono, h.terms[0].mono):
-                h = reduce_step(h, g)
+                h = seed_reduce_step(h, g)
                 break
         else:
             return h
@@ -97,7 +131,7 @@ def seed_closure(gens, nf):
         i, j = pairs.popleft()
         if coprime(G[i].lead, G[j].lead):
             continue
-        h = nf(spoly(G[i], G[j]), G)
+        h = nf(seed_spoly(G[i], G[j]), G)
         if h.is_zero:
             continue
         G.append(normalize(h))

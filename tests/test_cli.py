@@ -347,7 +347,7 @@ class TestSweep:
         code, out, err = run(capsys, [*self.SMALL, "--max-level", "-1"])
         assert code == 2
         assert out == ""
-        assert "max_level >= 0 violated" in err
+        assert err == "max level >= 0 violated (-1)\n"
 
 
 def test_step_budget_is_an_internal_failure(capsys, monkeypatch):

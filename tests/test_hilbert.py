@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
+from pseudosym import hilbert
 from pseudosym.errors import InconsistencyError, ParameterError
 from pseudosym.hilbert import (
     add_shifted,
@@ -25,7 +26,7 @@ from pseudosym.stdbasis import leading_ideal
 from pseudosym.toric import closed_form_basis, compute_k
 
 from closed_form_box import check_tuple, regime_tuples
-from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
+from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, monomial_lists
 
 
 def random_ideal(rng, max_gens=5, max_deg=6):
@@ -114,6 +115,13 @@ class TestMonomialColon:
     def test_colon_by_one_is_identity(self):
         gens = [(0, 0, 1, 1), (0, 2, 0, 0)]
         assert monomial_colon(gens, (0, 0, 0, 0)) == sorted(gens, key=lambda m: (sum(m), m))
+
+    @pytest.mark.parametrize("gens, w", [([(1, 0, 0)], (0, 0, 0, 0)), ([(1, 0, 0, 0, 5)], (0, 0, 0, 0)),
+                                         ([(1, 0, 0, 0)], (0, 0, 0))])
+    def test_other_exponent_lengths_rejected(self, gens, w):
+        # the clamp is four wide: a fifth exponent must not be dropped silently
+        with pytest.raises(ValueError):
+            monomial_colon(gens, w)
 
     def test_proof_step_shape(self):
         # colon of the once-reduced ideal by the pure X2 power leaves <X3, X4>
@@ -234,6 +242,58 @@ def no_trailing_zero(p: list[int]) -> bool:
 
 small_polys = st.lists(st.integers(-3, 3), max_size=8).map(lambda c: ref.to_list(ref.from_list(c)))
 monomials = st.tuples(*[st.integers(0, 4)] * 4).filter(lambda m: sum(m) <= 6)
+
+
+@st.composite
+def coprime_sets(draw):
+    """Monomials with pairwise disjoint supports: each variable goes to at most one of four slots."""
+    slots: dict[int, list[int]] = {}
+    for var in range(4):
+        owner = draw(st.integers(-1, 3))  # -1: the variable divides no generator
+        if owner >= 0:
+            slots.setdefault(owner, [0] * 4)[var] = draw(st.integers(1, 5))
+    return [tuple(m) for m in slots.values()]
+
+
+class TestFourWideScansAgainstReference:
+    """The unrolled colon and complete-intersection test against tests/reference.py's formulas."""
+
+    @given(monomial_lists(), st.tuples(*[st.integers(0, 3)] * 4))
+    def test_colon_is_clamped_subtraction(self, gens, w):
+        clamped = [tuple(max(a - b, 0) for a, b in zip(m, w)) for m in gens]
+        expected = sorted(ref.minimal_monomials(clamped), key=lambda m: (sum(m), m))
+        assert monomial_colon(gens, w) == expected
+
+    @given(coprime_sets())
+    def test_coprime_sets_are_complete_intersections(self, gens):
+        assert hilbert_numerator(gens) == ref.to_list(ref.taylor_numerator(gens))
+        assert hilbert_numerator(gens, pivot="random", seed=3) == ref.to_list(ref.taylor_numerator(gens))
+
+    def test_shared_variable_two_generators_apart(self):
+        # in (degree, tuple) order X1^2 and X1*X3^2 are not neighbours, and
+        # the X4^3 between them shares no variable with either
+        gens = [(2, 0, 0, 0), (0, 0, 0, 3), (1, 0, 2, 0)]
+        assert hilbert_numerator(gens) == ref.to_list(ref.taylor_numerator(gens))
+
+    @given(monomial_lists(max_size=6))
+    def test_pivot_taken_exactly_when_not_coprime(self, gens):
+        minimal = ref.minimal_monomials(gens)
+        base_case = (0, 0, 0, 0) in minimal or all(
+            not any(x and y for x, y in zip(a, b)) for a, b in itertools.combinations(minimal, 2))
+        calls = []
+        original = hilbert.monomial_colon
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        hilbert.monomial_colon = counted
+        try:
+            P = hilbert_numerator(gens)
+        finally:
+            hilbert.monomial_colon = original
+        assert (not calls) == base_case
+        assert P == ref.to_list(ref.taylor_numerator(minimal))
 
 
 class TestListHelpersAgainstReference:

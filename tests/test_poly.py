@@ -7,6 +7,7 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as ref
 from pseudosym.cm import CM_ORDER
 from pseudosym.poly import (
     GLOBAL,
@@ -17,7 +18,6 @@ from pseudosym.poly import (
     Term,
     binomial,
     minimalize_monomials,
-    mono_lcm,
     monomial,
     normalize,
     parse_poly,
@@ -28,6 +28,8 @@ from pseudosym.poly import (
     zero,
 )
 from pseudosym.stdbasis import _ecart, tangent_cone_ideal
+
+from conftest import monomial_lists
 
 monos = st.tuples(*([st.integers(0, 6)] * 4))
 
@@ -167,7 +169,7 @@ class TestSpoly:
         g = Polynomial([(1, b1), (-1, b2)], LOCAL)
         if f.is_zero or g.is_zero:
             return
-        lcm = mono_lcm(f.lm, g.lm)
+        lcm = tuple(map(max, f.lm, g.lm))
         s = spoly(f, g)
         assert all(t.mono != lcm for t in s.terms)
 
@@ -334,6 +336,17 @@ class TestDivides:
     def test_minimalize_monomials_rejects_mixed_lengths(self):
         with pytest.raises(DimensionError):
             minimalize_monomials([(1, 0, 0, 0), (1, 0, 0)])
+
+    @pytest.mark.parametrize("monos", [[(1, 0, 0), (0, 1, 2)], [(0, 0, 0)], [(1, 0, 0, 0, 2)]])
+    def test_minimalize_monomials_rejects_any_other_length(self, monos):
+        # one length for every tuple is not enough: the scan is four wide
+        with pytest.raises(DimensionError, match="not 4"):
+            minimalize_monomials(monos)
+
+    @given(monomial_lists(max_size=12))
+    def test_minimalize_monomials_matches_reference(self, monos):
+        expected = sorted(ref.minimal_monomials(monos), key=lambda m: (sum(m), m))
+        assert minimalize_monomials(monos) == expected
 
 
 # The engine builds its results without the validating constructor; each

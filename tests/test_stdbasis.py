@@ -445,3 +445,16 @@ class TestEngineWork:
             ("reduce_step", True): 11, ("reduce_step", False): 1,
             ("spoly", True): 27, ("spoly", False): 12,
         }
+
+    def test_buchberger_route_on_6_6_2_4_4(self, monkeypatch):
+        # the heaviest CM route of the engine box; recorded before the
+        # exponent arithmetic was written out four wide
+        G = engine_basis(PseudoSymmetricParams(6, 6, 2, 4, 4))
+        counts = count_engine_calls(monkeypatch)
+        verdict = cm.cm_verdict(G)
+        assert (verdict.cohen_macaulay, verdict.witness) == (False, (4, 0, 0, 1))
+        assert counts == {
+            ("nf_global", True): 388, ("nf_global", False): 2,
+            ("reduce_step", True): 295, ("reduce_step", False): 1698,
+            ("spoly", True): 93, ("spoly", False): 297,
+        }
