@@ -7,11 +7,12 @@ subcommand reports a slice of the facts `pipeline` produces, and first refuses
 a tuple whose generators are not coprime (exit 2).
 
 Every option is declared once, in `OPTIONS`, with the subcommands that take
-it.  A call that starts with a subcommand builds one parser, with that
-subcommand's options only (`parse_args`).  Anything else, and a call that
-leaves arguments over, goes to `build_parser`, which names every subcommand
-for the top-level help, the invalid-choice and the unrecognized-arguments
-errors.
+it.  A call that starts with a subcommand and is well formed (each option
+given once, exactly as declared, as `--flag value`, `--flag=value` or a bare
+flag) is read straight from `OPTIONS` by `parse_args`, with no parser built.
+Anything else goes to `build_parser`, the only producer of help, usage and
+error texts, which names every subcommand for the top-level help, the
+invalid-choice and the unrecognized-arguments errors.
 
 Output is deterministic for fixed inputs: JSON is emitted with sorted keys
 and stable list orders, sweep reports come in lexicographic tuple order under
@@ -42,8 +43,42 @@ EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+# How json spells each exact scalar type: str through its C escaper, the rest
+# as its encoder writes them.  Any other scalar, a float say, goes through
+# `json.dumps`, whose per-call encoder set-up costs more than these lookups.
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dump(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte; dict keys are str.
+
+    With an indent `json` encodes through pure-Python generators; this joins
+    strings instead.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [f"{_SCALARS[str](key)}: {_dump(value, inner)}" for key, value in sorted(obj.items())]
+        ) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        kind = type(obj[0])
+        if kind in _SCALARS and all([type(item) is kind for item in obj]):
+            # a run of one scalar type (H, a P pair, the basis lines): one lookup
+            items = map(_SCALARS[kind], obj)
+        else:
+            items = [_dump(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _SCALARS.get(type(obj), json.dumps)(obj)
 
 
 def _emit(out: dict, fmt: str) -> None:
@@ -214,7 +249,6 @@ SINGLE_TUPLE = ("gens", "basis", "hilbert", "verify", "oracle")
 
 # Every option after the five parameters, declared once and in help order:
 # the flag, the subcommands that take it, and its add_argument keywords.
-# --json and --text exclude each other.
 OPTIONS = (
     ("--json", SINGLE_TUPLE, {"dest": "fmt", "action": "store_const", "const": "json"}),
     ("--text", SINGLE_TUPLE, {"dest": "fmt", "action": "store_const", "const": "text"}),
@@ -235,18 +269,23 @@ OPTIONS = (
      {"help": "fixture directory (defaults to the packaged fixtures)"}),
     ("--timing", ("verify",), {"action": "store_true"}),
 )
+# The flags that exclude each other.
+EXCLUSIVE = ("--json", "--text")
+
+
+def _alpha_type(name: str):
+    # sweep takes LO:HI ranges and falls back on SweepConfig's
+    return None if name == "sweep" else int
 
 
 def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
     """Add subcommand `name`'s parameters, its `OPTIONS` and its defaults."""
     for key in pipeline.ALPHA_KEYS:
-        # sweep takes LO:HI ranges and falls back on SweepConfig's
-        parser.add_argument(f"--{key}", type=None if name == "sweep" else int,
-                            required=name != "sweep")
+        parser.add_argument(f"--{key}", type=_alpha_type(name), required=name != "sweep")
     fmt = parser.add_mutually_exclusive_group() if name in SINGLE_TUPLE else parser
     for flag, commands, kwargs in OPTIONS:
         if name in commands:
-            (fmt if flag in ("--json", "--text") else parser).add_argument(flag, **kwargs)
+            (fmt if flag in EXCLUSIVE else parser).add_argument(flag, **kwargs)
     parser.set_defaults(**COMMANDS[name][2])
 
 
@@ -271,23 +310,74 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace `build_parser` would give, from one parser when argv starts with a command.
+def _read_argv(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace of `command` followed by well-formed `tokens`; None for any other form.
 
-    That parser is the subparser `build_parser` makes for the command: the
-    same prog, options and defaults, so the same help and error texts.  No
-    command, an unknown one, options before it, or arguments it leaves over
-    go to `build_parser`, whose top-level parser prints those errors.
+    Well formed: each token is a flag `command` takes, spelled in full and
+    given once, either bare (a constant or true) or with a value that is
+    not empty and does not start with "-", as the next token or after "=";
+    typed values convert; every required parameter is present; --json and
+    --text not both.  On those argvs `build_parser(command)` gives the same
+    namespace, which the differential test in the suite checks.
     """
-    command = argv[0] if argv else None
-    if command in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"pseudosym {command}")
-        _add_options(parser, command)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = command
+    values: dict = dict.fromkeys(pipeline.ALPHA_KEYS)
+    valued = {f"--{key}": (key, _alpha_type(command)) for key in pipeline.ALPHA_KEYS}
+    bare: dict[str, tuple[str, object]] = {}
+    for flag, commands, kwargs in OPTIONS:
+        if command in commands:
+            # argparse's dest for a flag without one; store_true stores True over False
+            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+            action = kwargs.get("action")
+            if action is None:
+                valued[flag] = (dest, kwargs.get("type"))
+            else:
+                bare[flag] = (dest, kwargs.get("const", True))
+            values.setdefault(dest, kwargs.get("default", False if action == "store_true" else None))
+    values.update(COMMANDS[command][2])
+
+    seen = set()
+    rest = iter(tokens)
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        if flag in seen:
+            return None
+        seen.add(flag)
+        if flag in bare and not eq:
+            dest, const = bare[flag]
+            values[dest] = const
+        elif flag in valued:
+            if not eq:
+                value = next(rest, "")
+            if value[:1] in ("", "-"):
+                return None
+            dest, convert = valued[flag]
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError:
+                    return None
+            values[dest] = value
+        else:
+            return None
+    if command != "sweep" and not all(f"--{key}" in seen for key in pipeline.ALPHA_KEYS):
+        return None
+    if all(flag in seen for flag in EXCLUSIVE):
+        return None
+    return argparse.Namespace(command=command, **values)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace `build_parser` would give, read without a parser when argv is well formed.
+
+    A well-formed argv starts with a command (see `_read_argv`).  Any other
+    goes to the parser `build_parser` makes for the first word that is not
+    an option, the subcommand as argparse reads it, which gives the same
+    namespace or prints the help or error text and exits.
+    """
+    if argv and argv[0] in COMMANDS:
+        args = _read_argv(argv[0], argv[1:])
+        if args is not None:
             return args
-    # the subcommand is the first word that is not an option, as argparse reads it
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     return build_parser(command).parse_args(argv)
 

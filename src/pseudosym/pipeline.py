@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -31,6 +30,8 @@ from .semigroup import (
 )
 
 ALPHA_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha21")
+# Resolved once; a Traversable, so the lookup also works from a zip.
+_PACKAGED_FIXTURES = resources.files(__package__).joinpath("fixtures")
 
 
 def fixture_stem(params: PseudoSymmetricParams) -> str:
@@ -43,7 +44,7 @@ def fixture_stem(params: PseudoSymmetricParams) -> str:
 def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
     """`parse` applied to the named fixture's text; None when there is no such file."""
     if fixtures_dir is None:
-        ref = resources.files("pseudosym").joinpath("fixtures", name)
+        ref = _PACKAGED_FIXTURES.joinpath(name)
     elif not Path(fixtures_dir).is_dir():
         raise ParameterError(f"no fixture directory at {fixtures_dir}")
     else:
@@ -338,6 +339,9 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
         # About four chunks per worker: few round trips, still balanced when
         # tuples differ in cost.  map keeps the input order either way.
         chunksize = max(1, len(jobs) // (4 * workers))
+        # imported here: a single-tuple run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, jobs, chunksize=chunksize))
     else:

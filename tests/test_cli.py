@@ -1,19 +1,26 @@
 """Exit codes, JSON shapes, and determinism of the command-line front end."""
 
 import argparse
+import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pseudosym
 from pseudosym import cli, pipeline, stdbasis, toric
-from pseudosym.cli import COMMANDS, build_parser, main, parse_args
+from pseudosym.cli import COMMANDS, OPTIONS, build_parser, main, parse_args
+
+from conftest import FAMILY_TUPLES
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
 EX43 = ["--alpha1", "17", "--alpha2", "25", "--alpha3", "4", "--alpha4", "2", "--alpha21", "10"]
@@ -51,7 +58,7 @@ def record_pool(monkeypatch, cpus):
             calls.append((self.workers, len(items), chunksize))
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     return calls
 
@@ -592,6 +599,47 @@ FRONT_END_ARGVS = [
 ]
 
 
+# Tokens of the differential test: every command, flag and alpha flag, the
+# forms the reader must leave to argparse, and values that convert, fail to
+# convert or look like options.
+ALL_FLAGS = [f"--{key}" for key in pipeline.ALPHA_KEYS] + [flag for flag, _, _ in OPTIONS]
+ODD_TOKENS = ["--max", "--alpha", "-h", "--", "--bogus"]
+VALUES = ["3", "-1", "x", "", "2:5", " 4", "=3"]
+
+
+@st.composite
+def front_end_argvs(draw):
+    """A command, mostly well formed for it, and a few tokens that may break it."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    fit = st.sampled_from(["3", " 4"])
+    own = st.sampled_from([flag for flag, commands, _ in OPTIONS if command in commands])
+    groups = [[f"--{key}", draw(fit)] for key in pipeline.ALPHA_KEYS if draw(st.integers(0, 9))]
+    groups += draw(st.lists(st.one_of(
+        own.map(lambda f: [f]),
+        st.tuples(own, fit).map(list),
+        st.tuples(own, fit).map(lambda fv: ["=".join(fv)]),
+    ), max_size=4))
+    value = st.sampled_from(VALUES)
+    flag = st.sampled_from(ALL_FLAGS)
+    groups += draw(st.lists(st.one_of(
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+        flag.map(lambda f: [f]),
+        st.sampled_from(ODD_TOKENS + list(COMMANDS) + VALUES).map(lambda t: [t]),
+    ), max_size=2))
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def parse_outcome(parse, argv):
+    """The namespace, or the exit code and printed text of a refused or help argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
 class TestEntryPath:
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         _, expected, _ = run(capsys, ["gens", *EX41])
@@ -618,12 +666,25 @@ class TestEntryPath:
                 assert flags == ["-h", "--help"]
 
     @pytest.mark.parametrize("argv", FRONT_END_ARGVS, ids=lambda argv: " ".join(argv))
-    def test_one_parser_matches_the_full_parser(self, monkeypatch, argv):
+    def test_reader_matches_the_full_parser(self, monkeypatch, argv):
         expected = build_parser(argv[0]).parse_args(argv)
-        monkeypatch.setattr(cli, "build_parser", None)  # the one-parser path must not need it
+        monkeypatch.setattr(cli, "build_parser", None)  # a well-formed argv must not need it
         assert parse_args(list(argv)) == expected
 
-    def test_verify_call_makes_few_add_argument_calls(self, capsys, monkeypatch):
+    @settings(max_examples=400, deadline=None)
+    @given(argv=front_end_argvs())
+    def test_reader_agrees_with_argparse(self, argv):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            assert parse_outcome(parse_args, argv) == parse_outcome(
+                lambda argv: build_parser(argv[0]).parse_args(argv), argv)
+
+    @pytest.mark.parametrize("argv, code, count", [
+        (("verify", *EX41), 0, 0),
+        # a negative value goes to argparse, which reads it and builds the
+        # top-level -h, the six subcommands' -h and verify's ten options
+        (("verify", *EX41, "--max-level", "-1"), 2, 17),
+    ], ids=["well-formed", "negative-value"])
+    def test_verify_call_add_argument_calls(self, capsys, monkeypatch, argv, code, count):
         calls = []
         real = argparse._ActionsContainer.add_argument
 
@@ -632,6 +693,46 @@ class TestEntryPath:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-        assert run(capsys, ["verify", *EX41])[0] == 0
-        # one parser: its -h, the five parameters and verify's five options
-        assert len(calls) == 11
+        assert (run(capsys, list(argv))[0], len(calls)) == (code, count)
+
+    def test_importing_the_cli_loads_no_process_pool(self, tmp_path):
+        src = str(Path(pseudosym.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, pseudosym.cli; "
+                 "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# JSON trees: str keys with escapes and non-ASCII text, empty and nested
+# containers, tuples, and every scalar json writes, nan and infinities too.
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 200), 1 << 200)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(alphabet=st.sampled_from('ab"\\\n\t\x00é€😀'), max_size=4),
+                      children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(obj=JSON_TREES)
+    def test_matches_json_dumps(self, obj):
+        assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("command", [("verify",), ("gens",), ("oracle",), ("basis", "--json")])
+    @pytest.mark.parametrize("params", FAMILY_TUPLES,
+                             ids=lambda p: "-".join(map(str, p.as_dict().values())))
+    def test_real_outputs_match_json_dumps(self, capsys, monkeypatch, command, params):
+        rendered = []
+        real = cli._dump
+        # the renderer recurses through the module name: the first call is the whole output
+        monkeypatch.setattr(cli, "_dump", lambda obj, *indent: rendered.append(obj) or real(obj, *indent))
+        alphas = [f"--{key}={value}" for key, value in params.as_dict().items()]
+        assert run(capsys, [command[0], *alphas, *command[1:]])[0] == 0
+        obj = rendered[0]
+        assert real(obj) == json.dumps(obj, sort_keys=True, indent=2)
