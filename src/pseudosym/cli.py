@@ -10,9 +10,8 @@ Every option is declared once, in `OPTIONS`, with the subcommands that take
 it.  A call that starts with a subcommand and is well formed (each option
 given once, exactly as declared, as `--flag value`, `--flag=value` or a bare
 flag) is read straight from `OPTIONS` by `parse_args`, with no parser built.
-Anything else goes to `build_parser`, the only producer of help, usage and
-error texts, which names every subcommand for the top-level help, the
-invalid-choice and the unrecognized-arguments errors.
+Anything else goes to the full parser `build_parser` makes, every subcommand
+with its options, which is the only producer of help, usage and error texts.
 
 Output is deterministic for fixed inputs: JSON is emitted with sorted keys
 and stable list orders, sweep reports come in lexicographic tuple order under
@@ -116,20 +115,19 @@ def cmd_gens(args) -> int:
 def cmd_basis(args) -> int:
     params = _params_from_args(args)
     pipeline.numerical_semigroup(params)
+    system = toric.toric_generators(params)
     summary: dict = {}
     lines: list[str] = []
 
     engine = None
     if args.mode in ("engine", "both"):
-        engine = pipeline.engine_basis(params)
+        engine = pipeline.engine_basis(system)
         lines = pipeline.render_basis(engine)
         summary["count"] = len(engine)
     if args.mode in ("closed", "both"):
-        predicted = toric.closed_form_basis(params)
-        ks = pipeline.k_readings(params)
-        summary["k"] = predicted.k
-        summary["k_strict"] = ks["strict"]
-        summary["k_nonstrict"] = ks["nonstrict"]
+        predicted = toric.closed_form_basis(system)
+        summary["k"] = summary["k_nonstrict"] = predicted.k
+        summary["k_strict"] = toric.compute_k(params, strict=True)
         if engine is None:
             lines = pipeline.render_basis(predicted.elements)
             summary["count"] = len(predicted.elements)
@@ -156,7 +154,7 @@ def cmd_hilbert(args) -> int:
     out: dict = {}
     P_engine = P_closed = None
     if args.mode in ("bayer", "both"):
-        lead = stdbasis.leading_ideal(pipeline.engine_basis(params))
+        lead = stdbasis.leading_ideal(pipeline.engine_basis(toric.toric_generators(params)))
         P_engine = hilbert.hilbert_numerator(lead)
     if args.mode in ("closed", "both"):
         out["k"] = toric.compute_k(params)
@@ -289,12 +287,8 @@ def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
     parser.set_defaults(**COMMANDS[name][2])
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand named and only `command`'s options added.
-
-    The other subcommands stay bare, which is all the top-level help and the
-    invalid-choice error read.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand and its options."""
     parser = argparse.ArgumentParser(
         prog="pseudosym",
         description=(
@@ -304,9 +298,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == command:
-            _add_options(p, name)
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -317,7 +309,7 @@ def _read_argv(command: str, tokens: list[str]) -> argparse.Namespace | None:
     given once, either bare (a constant or true) or with a value that is
     not empty and does not start with "-", as the next token or after "=";
     typed values convert; every required parameter is present; --json and
-    --text not both.  On those argvs `build_parser(command)` gives the same
+    --text not both.  On those argvs `build_parser()` gives the same
     namespace, which the differential test in the suite checks.
     """
     values: dict = dict.fromkeys(pipeline.ALPHA_KEYS)
@@ -370,16 +362,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """The namespace `build_parser` would give, read without a parser when argv is well formed.
 
     A well-formed argv starts with a command (see `_read_argv`).  Any other
-    goes to the parser `build_parser` makes for the first word that is not
-    an option, the subcommand as argparse reads it, which gives the same
-    namespace or prints the help or error text and exits.
+    goes to `build_parser()`, which gives the same namespace or prints the
+    help or error text and exits.
     """
     if argv and argv[0] in COMMANDS:
         args = _read_argv(argv[0], argv[1:])
         if args is not None:
             return args
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    return build_parser(command).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,11 @@ the order-counting semigroup oracle (up to the regularity index at least,
 whatever the printed levels), and the Cohen-Macaulay verdict.  Every
 disagreement is recorded in a `mismatches` list so callers can decide how
 loudly to fail; a report with an empty list is fully cross-validated.
+
+Each tuple's toric system is built once, and both routes start from it: the
+engine from its f1..f5, the closed form by extending them.  Each reading of
+k is computed once: the non-strict one is the closed form's own `k`, the
+strict one a single `toric.compute_k(params, strict=True)` call.
 """
 
 from __future__ import annotations
@@ -104,16 +109,9 @@ def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
     return S
 
 
-def engine_basis(params: PseudoSymmetricParams) -> list[Polynomial]:
+def engine_basis(system: toric.ToricSystem) -> list[Polynomial]:
     """The local standard basis of the curve's defining binomials, graded by n."""
-    system = toric.toric_generators(params)
     return stdbasis.standard_basis(system.generators, system.semigroup.generators)
-
-
-def k_readings(params: PseudoSymmetricParams) -> dict[str, int]:
-    """The strict and non-strict tail lengths; both exist on the closed-form regime."""
-    return {mode: toric.compute_k(params, strict=(mode == "strict"))
-            for mode in ("strict", "nonstrict")}
 
 
 def _closed_regime(params: PseudoSymmetricParams) -> bool:
@@ -153,7 +151,8 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
     report["n"] = list(S.generators)
     report["conditions"] = conds
 
-    engine = engine_basis(params)
+    system = toric.toric_generators(params)
+    engine = engine_basis(system)
     report["basis"] = {
         "engine": render_basis(engine),
         "engine_count": len(engine),
@@ -162,7 +161,7 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
 
     closed_regime = _closed_regime(params)
     if closed_regime:
-        _closed_form_section(params, engine, report, mismatches)
+        _closed_form_section(system, engine, report, mismatches)
 
     # Hilbert data always comes from the engine's leading ideal, which is
     # monomial even when a lowest form is a homogeneous binomial.
@@ -234,17 +233,17 @@ def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str])
             mismatches.append(f"basis element {f!r} has unequal S-degrees")
 
 
-def _closed_form_section(params, engine, report, mismatches) -> None:
-    ks = k_readings(params)
+def _closed_form_section(system, engine, report, mismatches) -> None:
+    predicted = toric.closed_form_basis(system)
+    strict = toric.compute_k(system.params, strict=True)
     report["k"] = {
-        "strict": ks["strict"],
-        "nonstrict": ks["nonstrict"],
-        "agree": ks["strict"] == ks["nonstrict"],
+        "strict": strict,
+        "nonstrict": predicted.k,
+        "agree": strict == predicted.k,
         # the closed form's reading, always the non-strict one; the key
         # stays because stored digests pin verify's output
-        "used": ks["nonstrict"],
+        "used": predicted.k,
     }
-    predicted = toric.closed_form_basis(params)
     match = basis_set(predicted.elements) == basis_set(engine)
     report["closed_form"] = {
         "elements": render_basis(predicted.elements),

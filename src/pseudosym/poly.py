@@ -309,13 +309,13 @@ def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
                  h.tail, h.order)
 
 
-def render_poly(f: Polynomial, names: Sequence[str] = VAR_NAMES) -> str:
+def render_poly(f: Polynomial) -> str:
     """Plain-text form like ``X1^16-X3*X4`` (terms in the polynomial's order)."""
     if f.is_zero:
         return "0"
     chunks: list[str] = []
     for coeff, mono in f.terms:
-        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, mono) if e)
         chunks.append(("-" if coeff < 0 else "+") + (body or "1"))
     text = "".join(chunks)
     return text[1:] if text.startswith("+") else text

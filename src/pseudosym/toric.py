@@ -3,7 +3,9 @@
 `toric_generators` builds the five binomials f1..f5 cutting out the curve
 (t^n1, t^n2, t^n3, t^n4); both monomials of each binomial are checked to have
 the same weighted degree under the grading Xi -> ni, which certifies ideal
-membership without any reduction.
+membership without any reduction.  The `ToricSystem` it returns is built
+once per tuple: the engine starts from its f1..f5, and `closed_form_basis`
+extends the same f1..f5.
 
 For alpha4 = 2 the standard basis is known in closed form: f1..f5 together
 with f6 = X1^(a1+a21) - X2^a2*X3 and a tail f_{6+j}, j = 1..k, whose length k
@@ -125,18 +127,18 @@ def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
         raise ParameterError(f"gcd of generators is not 1 for {params.as_dict()}")
 
 
-def closed_form_basis(params: PseudoSymmetricParams) -> ClosedFormBasis:
+def closed_form_basis(system: ToricSystem) -> ClosedFormBasis:
     """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2, k non-strict.
 
-    Preconditions: those of `check_closed_form_regime`.  On the regime f6
-    leads with X2^a2*X3, and every tail element f_{6+j} leads with its
-    X1-X3 monomial for j < k and with its X2 power for j = k (lemmas (i)
-    and (iii) of the README).  The tail's leads are still checked: one that
-    breaks the pattern raises `InconsistencyError`.
+    f1..f5 are `system`'s own; f6 and the tail are appended to them.
+    Preconditions: those of `check_closed_form_regime` on `system.params`.
+    On the regime f6 leads with X2^a2*X3, and every tail element f_{6+j}
+    leads with its X1-X3 monomial for j < k and with its X2 power for j = k
+    (lemmas (i) and (iii) of the README).  The tail's leads are still
+    checked: one that breaks the pattern raises `InconsistencyError`.
     """
+    params, S = system.params, system.semigroup
     k = compute_k(params)
-    system = toric_generators(params)
-    S = system.semigroup
     a1, a2, a21 = params.alpha1, params.alpha2, params.alpha21
 
     f6 = binomial((a1 + a21, 0, 0, 0), (0, a2, 1, 0))

@@ -10,9 +10,10 @@ generators) the lemma says:
   `reference.tail_length` finds with no regime check);
 * (iii) the tail of the non-strict length k leads as the closed form
   presumes (the X1-X3 monomial for j < k, the X2 power at j = k), so
-  `closed_form_basis` builds it; a tail of the strict length breaks that
-  pattern exactly when the two readings differ.  The leads are computed
-  here from the local order's rule, not read off `closed_form_basis`.
+  `closed_form_basis` builds it on the tuple's `toric_generators` system;
+  a tail of the strict length breaks that pattern exactly when the two
+  readings differ.  The leads are computed here from the local order's
+  rule, not read off `closed_form_basis`.
 
 `check_tuple` names the facts that fail on one tuple.  Run as a script, it
 checks every regime tuple with alphas <= 40 (104,590 tuples), prints a
@@ -31,7 +32,7 @@ import sys
 
 from pseudosym.errors import InconsistencyError
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
-from pseudosym.toric import closed_form_basis, compute_k, tail_monomials
+from pseudosym.toric import closed_form_basis, compute_k, tail_monomials, toric_generators
 
 from reference import tail_length
 
@@ -74,7 +75,7 @@ def _breaks_pattern(params, k: int) -> bool:
 
 def _builds(params) -> bool:
     try:
-        closed_form_basis(params)
+        closed_form_basis(toric_generators(params))
     except InconsistencyError:
         return False
     return True

@@ -52,5 +52,6 @@ def monomial_lists(draw, max_size=10):
 def engine_bases():
     """Computed standard bases for the fixture tuples, shared across modules."""
     from pseudosym.pipeline import engine_basis
+    from pseudosym.toric import toric_generators
 
-    return {params: engine_basis(params) for params, _ in ALL_FIXTURE_TUPLES}
+    return {params: engine_basis(toric_generators(params)) for params, _ in ALL_FIXTURE_TUPLES}

@@ -11,6 +11,7 @@ from pseudosym.poly import LOCAL, monomial, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.pipeline import engine_basis
 from pseudosym.stdbasis import leading_ideal, tangent_cone_ideal
+from pseudosym.toric import toric_generators
 
 from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
 
@@ -96,5 +97,5 @@ class TestPipelineVerdicts:
         for params in controls:
             conds = check_conditions(params)
             assert conds["sorted"] and conds["coprime"] and not conds["c4"]
-            G = engine_basis(params)
+            G = engine_basis(toric_generators(params))
             assert cm_verdict(G).cohen_macaulay, params

@@ -23,7 +23,7 @@ from pseudosym.hilbert import (
 from pseudosym.pipeline import basis_set, engine_basis, load_fixture_numerator
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions, construct_generators, hilbert_oracle
 from pseudosym.stdbasis import leading_ideal
-from pseudosym.toric import closed_form_basis, compute_k
+from pseudosym.toric import closed_form_basis, compute_k, toric_generators
 
 from closed_form_box import check_tuple, regime_tuples
 from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, monomial_lists
@@ -381,8 +381,9 @@ def test_wide_sample_is_stratified():
 @pytest.mark.parametrize("params", WIDE_SAMPLE, ids=lambda p: "-".join(map(str, p.as_dict().values())))
 def test_closed_forms_on_wide_sample(params):
     k = compute_k(params)
-    engine = engine_basis(params)
-    assert basis_set(closed_form_basis(params).elements) == basis_set(engine)
+    system = toric_generators(params)
+    engine = engine_basis(system)
+    assert basis_set(closed_form_basis(system).elements) == basis_set(engine)
     P = hilbert_numerator(leading_ideal(engine))
     assert closed_form_numerator(params, k) == P
     Q = second_series(P)

@@ -13,7 +13,6 @@ from pseudosym.pipeline import (
     engine_basis,
     hilbert_section,
     iter_sweep,
-    k_readings,
     load_fixture_basis,
     load_fixture_numerator,
     numerical_semigroup,
@@ -26,6 +25,7 @@ from pseudosym.semigroup import (
     construct_generators,
     is_pseudo_symmetric,
 )
+from pseudosym.toric import closed_form_basis, compute_k, toric_generators
 
 from conftest import TUPLE_41, TUPLE_43, TUPLE_A4_3, engine_box
 
@@ -53,16 +53,19 @@ def test_binomial_closure_mismatches():
 
 
 def test_k_readings():
-    assert k_readings(TUPLE_41) == {"strict": 1, "nonstrict": 1}
-    assert k_readings(TUPLE_43) == {"strict": 4, "nonstrict": 3}
+    # the closed form's own k is the non-strict reading
+    for params, strict, nonstrict in [(TUPLE_41, 1, 1), (TUPLE_43, 4, 3)]:
+        assert closed_form_basis(toric_generators(params)).k == compute_k(params) == nonstrict
+        assert compute_k(params, strict=True) == strict
+    assert build_report(TUPLE_43)["k"] == {"strict": 4, "nonstrict": 3, "agree": False, "used": 3}
     # alpha4 = 3 is outside the closed form, where k is not defined
     with pytest.raises(ParameterError, match="alpha4 = 2 violated"):
-        k_readings(TUPLE_A4_3)
+        compute_k(TUPLE_A4_3)
 
 
 def test_hilbert_section_is_the_report_slice():
     report = build_report(TUPLE_41)
-    P = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine_basis(TUPLE_41)))
+    P = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine_basis(toric_generators(TUPLE_41))))
     section = hilbert_section(P, None)
     assert set(section) == {"P", "Q", "H", "regularity_index", "multiplicity",
                             "non_decreasing", "first_decrease_level"}
@@ -126,7 +129,7 @@ class TestSweepConfig:
         assert counts == {1: 57, 2: 14, 3: 1, 4: 0}
         for k in (1, 2, 3):
             assert list(iter_sweep(SweepConfig(k_filter=k))) == [
-                p for p in everything if k_readings(p)["nonstrict"] == k
+                p for p in everything if compute_k(p) == k
             ]
 
     def test_k_filter_keeps_only_regime_tuples(self):
@@ -151,7 +154,7 @@ class TestOffFamilyGate:
         report = build_report(params)
         assert report["mismatches"] == []
         m = min(report["n"])
-        lead = stdbasis.leading_ideal(engine_basis(params))
+        lead = stdbasis.leading_ideal(engine_basis(toric_generators(params)))
         numerators = [hilbert.hilbert_numerator(lead, pivot=p) for p in ("first", "maxdeg", "random")]
         assert numerators[0] == numerators[1] == numerators[2]
         P = numerators[0]

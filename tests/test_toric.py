@@ -90,19 +90,19 @@ class TestClosedFormBasis:
         (TUPLE_44, 10, "X1^55*X3^2-X2^57"),
     ])
     def test_sizes_and_last_elements(self, params, size, last):
-        basis = closed_form_basis(params)
+        basis = closed_form_basis(toric_generators(params))
         assert len(basis.elements) == size
         assert basis.elements[-1] == B(last)
 
     def test_every_element_is_a_kernel_binomial(self):
         S = construct_generators(TUPLE_44)
-        for f in closed_form_basis(TUPLE_44).elements:
+        for f in closed_form_basis(toric_generators(TUPLE_44)).elements:
             assert len(f.terms) == 2
             assert f.is_homogeneous(S.generators)
 
     def test_leading_pattern_below_and_at_k(self):
         # j < k leads with the X1-X3 monomial, j = k with the pure X2 power
-        basis = closed_form_basis(TUPLE_44)
+        basis = closed_form_basis(toric_generators(TUPLE_44))
         k = basis.k
         for j in range(1, k + 1):
             f = basis.elements[5 + j]
@@ -118,8 +118,10 @@ class TestClosedFormBasis:
                 assert j * a2 + 1 >= (j - 1) * a1 + (j + 1) * a21 + a3 + 1 - j
 
     def test_rejects_non_family_inputs(self):
-        with pytest.raises(ParameterError):
-            closed_form_basis(TUPLE_A4_3)
+        # the system exists for any tuple; the closed form only on the regime
+        system = toric_generators(TUPLE_A4_3)
+        with pytest.raises(ParameterError, match="alpha4 = 2 violated"):
+            closed_form_basis(system)
 
     @pytest.mark.parametrize("params", [TUPLE_43, TUPLE_44])
     def test_tie_element_leads_with_its_x2_power(self, params):
