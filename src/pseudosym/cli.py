@@ -57,23 +57,32 @@ def _dump(obj, indent: str = "\n") -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte; dict keys are str.
 
     With an indent `json` encodes through pure-Python generators; this joins
-    strings instead.
+    strings instead.  A dict's scalar values, a list of one scalar type (H,
+    the basis lines) and a list of int lists (the [exponent, coefficient]
+    pairs of P and Q) are written in place; only other containers recurse.
     """
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
-        return "{" + inner + ("," + inner).join(
-            [f"{_SCALARS[str](key)}: {_dump(value, inner)}" for key, value in sorted(obj.items())]
-        ) + indent + "}"
+        return "{" + inner + ("," + inner).join([
+            f"{_SCALARS[str](key)}: "
+            f"{_dump(value, inner) if (scalar := _SCALARS.get(type(value))) is None else scalar(value)}"
+            for key, value in sorted(obj.items())
+        ]) + indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
         kind = type(obj[0])
         if kind in _SCALARS and all([type(item) is kind for item in obj]):
-            # a run of one scalar type (H, a P pair, the basis lines): one lookup
+            # a run of one scalar type: one lookup
             items = map(_SCALARS[kind], obj)
+        elif (kind is list and all([type(item) is list for item in obj])
+              and all([type(e) is int for item in obj for e in item])):
+            sep = "," + inner + "  "
+            items = ["[" + sep[1:] + sep.join(map(int.__repr__, item)) + inner + "]" if item else "[]"
+                     for item in obj]
         else:
             items = [_dump(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"

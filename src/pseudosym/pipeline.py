@@ -12,6 +12,10 @@ Each tuple's toric system is built once, and both routes start from it: the
 engine from its f1..f5, the closed form by extending them.  Each reading of
 k is computed once: the non-strict one is the closed form's own `k`, the
 strict one a single `toric.compute_k(params, strict=True)` call.
+
+The packaged fixture names are read once per process, at import; a tuple
+whose name is not among them is answered without building a path or a stat.
+A fixture directory given by the caller is looked up on every call.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .semigroup import (
 ALPHA_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha21")
 # Resolved once; a Traversable, so the lookup also works from a zip.
 _PACKAGED_FIXTURES = resources.files(__package__).joinpath("fixtures")
+# Empty when the package was installed without its data, so import still succeeds.
+_PACKAGED_NAMES = (frozenset(ref.name for ref in _PACKAGED_FIXTURES.iterdir())
+                   if _PACKAGED_FIXTURES.is_dir() else frozenset())
 
 
 def fixture_stem(params: PseudoSymmetricParams) -> str:
@@ -49,6 +56,8 @@ def fixture_stem(params: PseudoSymmetricParams) -> str:
 def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
     """`parse` applied to the named fixture's text; None when there is no such file."""
     if fixtures_dir is None:
+        if name not in _PACKAGED_NAMES:
+            return None
         ref = _PACKAGED_FIXTURES.joinpath(name)
     elif not Path(fixtures_dir).is_dir():
         raise ParameterError(f"no fixture directory at {fixtures_dir}")

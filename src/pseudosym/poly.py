@@ -6,7 +6,9 @@ per variable.  A `Polynomial` is zero, a signed monomial ±x^a, or a binomial
 standard-basis computation produces, since the s-polynomial and the
 reduction step of two such polynomials are again one of them.  So a
 polynomial is stored as those parts, with the ordering that decided which
-monomial leads; its `terms`, leading term first, are computed from them.
+monomial leads.  Hashing, equality and `render_poly` read `coeff`, `lead` and
+`tail` directly; `terms`, leading term first, is a view built only when a
+caller asks for it.
 
 `Polynomial(terms, order)` validates outside input: parsed text, `monomial`
 and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
@@ -162,8 +164,9 @@ class Polynomial:
     `ValueError`; what passes takes its fields from `_pair`.  The engine's
     own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
     checks and come straight from `_pair`.  Equality and
-    hashing look only at the signed term set, so two polynomials with the
-    same terms compare equal even if tagged with different orderings.
+    hashing look only at the signed term set, read from the parts, so two
+    polynomials with the same terms compare equal, and hash alike, even if
+    tagged with different orderings.
     """
 
     __slots__ = ("coeff", "lead", "tail", "order")
@@ -217,7 +220,12 @@ class Polynomial:
         return parts == (o.coeff, o.lead, o.tail) or parts == (-o.coeff, o.tail, o.lead)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms))
+        # The parts read with the larger exponent tuple first, so that the two
+        # spellings `__eq__` accepts, (c, a, b) and (-c, b, a), hash alike.
+        tail = self.tail
+        if tail is not None and tail > self.lead:
+            return hash((-self.coeff, tail, self.lead))
+        return hash((self.coeff, self.lead, tail))
 
     def __repr__(self) -> str:
         return render_poly(self)
@@ -309,16 +317,30 @@ def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
                  h.tail, h.order)
 
 
+def _render_mono(m: Exponent) -> str:
+    """x^m as ``X1^16*X3``; ``1`` for the unit monomial."""
+    e0, e1, e2, e3 = m
+    factors = []
+    if e0:
+        factors.append("X1" if e0 == 1 else f"X1^{e0}")
+    if e1:
+        factors.append("X2" if e1 == 1 else f"X2^{e1}")
+    if e2:
+        factors.append("X3" if e2 == 1 else f"X3^{e2}")
+    if e3:
+        factors.append("X4" if e3 == 1 else f"X4^{e3}")
+    return "*".join(factors) or "1"
+
+
 def render_poly(f: Polynomial) -> str:
     """Plain-text form like ``X1^16-X3*X4`` (terms in the polynomial's order)."""
-    if f.is_zero:
+    if f.lead is None:
         return "0"
-    chunks: list[str] = []
-    for coeff, mono in f.terms:
-        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, mono) if e)
-        chunks.append(("-" if coeff < 0 else "+") + (body or "1"))
-    text = "".join(chunks)
-    return text[1:] if text.startswith("+") else text
+    lead = _render_mono(f.lead)
+    if f.tail is None:
+        return lead if f.coeff > 0 else "-" + lead
+    tail = _render_mono(f.tail)
+    return f"{lead}-{tail}" if f.coeff > 0 else f"-{lead}+{tail}"
 
 
 _INT_RE = re.compile(r"-?\d+$")

@@ -156,6 +156,37 @@ def minimal_monomials(gens) -> set[tuple[int, ...]]:
             if not any(g != m and all(a <= b for a, b in zip(g, m)) for g in gens)}
 
 
+VAR_NAMES = ("X1", "X2", "X3", "X4")
+
+
+def render_terms(terms) -> str:
+    """Signed terms, leading first, as text like ``X1^16-X3*X4``; "0" for none.
+
+    A term is a (coefficient, exponents) pair; each is written as its sign
+    and its factors, and a leading "+" is dropped.
+    """
+    if not terms:
+        return "0"
+    chunks: list[str] = []
+    for coeff, mono in terms:
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, mono) if e)
+        chunks.append(("-" if coeff < 0 else "+") + (body or "1"))
+    text = "".join(chunks)
+    return text[1:] if text.startswith("+") else text
+
+
+def basis_term_sets(bases) -> frozenset:
+    """The basis as a set of signed term sets, each flipped to a positive leading term.
+
+    `bases` holds each element's (coefficient, exponents) terms, leading
+    first; zero has none.
+    """
+    return frozenset(
+        frozenset((-c, m) for c, m in terms) if terms and terms[0][0] < 0 else frozenset(terms)
+        for terms in bases
+    )
+
+
 def colon_stability(gens, var: int) -> bool:
     """True iff (M : X_var) = M, i.e. X_var is a nonzerodivisor mod M.
 

@@ -551,6 +551,32 @@ class TestFixtureErrors:
         data = json.loads(out)
         assert "basis_fixture_match" not in data and "numerator_fixture_match" not in data
 
+    def test_empty_packaged_listing_skips_fixture_checks(self, capsys, monkeypatch):
+        # what an install without the package data lists
+        monkeypatch.setattr(pipeline, "_PACKAGED_NAMES", frozenset())
+        code, out, _ = run(capsys, ["verify", *EX41])
+        assert code == 0
+        data = json.loads(out)
+        assert "basis_fixture_match" not in data and "numerator_fixture_match" not in data
+
+    def test_packaged_listing_names_every_fixture(self):
+        shipped = Path(__file__).resolve().parents[1] / "src" / "pseudosym" / "fixtures"
+        names = {path.name for path in shipped.iterdir()}
+        assert names and names <= pipeline._PACKAGED_NAMES
+
+    def test_package_without_fixtures_imports_and_verifies(self, tmp_path):
+        package = Path(pseudosym.__file__).resolve().parent
+        copy = tmp_path / "pseudosym"
+        copy.mkdir()
+        for path in package.glob("*.py"):
+            (copy / path.name).write_bytes(path.read_bytes())
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        done = subprocess.run([sys.executable, "-m", "pseudosym.cli", "verify", *EX41],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        data = json.loads(done.stdout)
+        assert "basis_fixture_match" not in data and "numerator_fixture_match" not in data
+
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -719,13 +745,22 @@ class TestEntryPath:
 
 # JSON trees: str keys with escapes and non-ASCII text, empty and nested
 # containers, tuples, and every scalar json writes, nan and infinities too.
+# Report-shaped nodes are drawn on purpose, since the writer takes a short
+# cut for each: lists of int lists like P and Q (empty inner lists, bools
+# among the ints, ints beyond 64 bits), dicts of scalars, lists of strings.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(1 << 200), 1 << 200)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+JSON_KEYS = st.text(alphabet=st.sampled_from('ab"\\\n\t\x00é€😀'), max_size=4)
+BIG_INTS = st.integers(-(1 << 100), 1 << 100)
 JSON_TREES = st.recursive(
-    st.none() | st.booleans() | st.integers(-(1 << 200), 1 << 200)
-    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    JSON_SCALARS
+    | st.lists(st.lists(BIG_INTS, max_size=3) | st.lists(BIG_INTS | st.booleans(), max_size=3),
+               min_size=1, max_size=4)
+    | st.dictionaries(JSON_KEYS, JSON_SCALARS, min_size=1, max_size=4)
+    | st.lists(st.text(), min_size=1, max_size=4),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(alphabet=st.sampled_from('ab"\\\n\t\x00é€😀'), max_size=4),
-                      children, max_size=4),
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
     max_leaves=30,
 )
 

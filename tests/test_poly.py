@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import reference as ref
 from pseudosym.cm import CM_ORDER
+from pseudosym.pipeline import basis_set
 from pseudosym.poly import (
     GLOBAL,
     LOCAL,
@@ -473,3 +474,58 @@ class TestTextFormat:
     def test_text_not_covered_by_terms_rejected(self, text):
         with pytest.raises(ValueError):
             parse_poly(text, LOCAL)
+
+
+@st.composite
+def drawn_polys(draw, max_exp):
+    """Zero, a signed monomial or a signed binomial under LOCAL, GLOBAL or CM_ORDER.
+
+    Monomials have exponents 0..max_exp, and the unit monomial is drawn on
+    purpose, not only by chance.
+    """
+    order = draw(all_orders)
+    mono = st.just((0, 0, 0, 0)) | st.tuples(*[st.integers(0, max_exp)] * 4)
+    kind = draw(st.sampled_from(["zero", "monomial", "binomial"]))
+    if kind == "zero":
+        return zero(order)
+    sign = draw(st.sampled_from([1, -1]))
+    a = draw(mono)
+    if kind == "monomial":
+        return Polynomial([(sign, a)], order)
+    return Polynomial([(sign, a), (-sign, draw(mono.filter(lambda b: b != a)))], order)
+
+
+def same_terms(draw, f):
+    """f written again: re-oriented by another ordering, negated twice, or its terms rebuilt."""
+    how = draw(st.sampled_from(["order", "negate", "rebuild"]))
+    if how == "order":
+        return with_order(f, draw(all_orders))
+    if how == "negate":
+        return -(-f)
+    return Polynomial(list(reversed(f.terms)), draw(all_orders))
+
+
+class TestHashContract:
+    # Exponents 0..1: sixteen monomials, so that two drawn polynomials are often equal.
+    @given(drawn_polys(1), drawn_polys(1), st.data())
+    def test_equal_polynomials_hash_alike(self, f, g, data):
+        for h in (g, same_terms(data.draw, f), same_terms(data.draw, g)):
+            if f == h:
+                assert hash(f) == hash(h)
+            assert (f == h) == (frozenset(f.terms) == frozenset(h.terms))
+
+    @given(st.lists(drawn_polys(1), max_size=5), st.data())
+    def test_basis_set_agrees_with_term_sets(self, A, data):
+        # B is A rewritten (reordered, re-oriented, negated), maybe with an extra element
+        B = [data.draw(st.sampled_from([f, -f, with_order(f, data.draw(all_orders))])) for f in A]
+        B = data.draw(st.permutations(B)) + data.draw(st.lists(drawn_polys(1), max_size=1))
+        for left, right in ((A, B), (B, A), (A, A)):
+            assert (basis_set(left) == basis_set(right)) == (
+                ref.basis_term_sets([f.terms for f in left]) == ref.basis_term_sets([f.terms for f in right]))
+
+
+class TestRendererAgainstTerms:
+    @given(drawn_polys(15))
+    def test_matches_term_renderer_and_parses_back(self, f):
+        assert render_poly(f) == ref.render_terms(f.terms)
+        assert parse_poly(render_poly(f), f.order) == f
