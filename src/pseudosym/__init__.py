@@ -36,7 +36,6 @@ from .poly import (
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
-    apery_set,
     check_conditions,
     construct_generators,
     frobenius_and_gaps,

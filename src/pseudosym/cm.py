@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Exponent, MonomialOrder, minimalize_monomials, with_order
+from .poly import Exponent, MonomialOrder, with_order
 from .stdbasis import buchberger_homogeneous, leading_ideal, tangent_cone_ideal
 
 # Global degrevlex with precedence X2 > X3 > X4 > X1 (X1 least significant).
@@ -46,10 +46,9 @@ def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
     under `CM_ORDER`.
     """
     cone = tangent_cone_ideal(standard_basis_elements)
-    if all(g.tail is None for g in cone):
-        leads = [g.lm for g in cone]
-    else:
-        leads = leading_ideal(buchberger_homogeneous([with_order(g, CM_ORDER) for g in cone]))
+    if any(g.tail is not None for g in cone):
+        cone = buchberger_homogeneous([with_order(g, CM_ORDER) for g in cone])
     var = 0  # X1, last in CM_ORDER's precedence
-    bad = [m for m in minimalize_monomials(leads) if m[var] > 0]
+    # an empty basis is the zero ideal, whose quotient X1 never kills
+    bad = [m for m in (leading_ideal(cone) if cone else ()) if m[var] > 0]
     return CmVerdict(not bad, min(bad, default=None))

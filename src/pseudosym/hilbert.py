@@ -104,9 +104,7 @@ def _pick_pivot(gens: Sequence[Exponent], pivot: str, rng) -> Exponent:
         return gens[0]
     if pivot == "maxdeg":
         return min(gens, key=lambda m: (-sum(m), m))
-    if pivot == "random":
-        return rng.choice(gens)
-    raise ValueError(f"unknown pivot strategy {pivot!r}")
+    return rng.choice(gens)
 
 
 def hilbert_numerator(gens: Iterable[Exponent], pivot: str = "maxdeg",
@@ -116,9 +114,12 @@ def hilbert_numerator(gens: Iterable[Exponent], pivot: str = "maxdeg",
     The empty ideal gives 1; pairwise-coprime generators form a complete
     intersection and give the product of (1 - t^deg).  Otherwise one
     generator w is split off the minimalized generating set J + {w} and the
-    recursion above applies.  Results are memoized per call.
+    recursion above applies.  Results are memoized per call.  An unknown
+    `pivot` raises `ValueError` on entry; only "random" reads `seed`.
     """
-    rng = random.Random(seed)
+    if pivot not in ("first", "maxdeg", "random"):
+        raise ValueError(f"unknown pivot strategy {pivot!r}")
+    rng = random.Random(seed) if pivot == "random" else None
     memo: dict[tuple[Exponent, ...], list[int]] = {}
 
     def run(ideal: tuple[Exponent, ...]) -> list[int]:

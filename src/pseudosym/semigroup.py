@@ -4,14 +4,15 @@ The constructor realizes the 4-generator parametrization of pseudo-symmetric
 semigroups from the parameters (alpha1..alpha4, alpha21).  Everything else in
 this module is deliberately independent of the polynomial machinery, so it
 can arbitrate results produced by the algebraic route.  One kernel answers
-every semigroup question: the Apery set Ap(S, m) of the smallest generator m
-gives the Frobenius number, the gaps, the genus, the pseudo-symmetry test
-(a count, 2 * genus = F + 2) and the order-counting Hilbert oracle.  The
-oracle keeps the elements of order >= n, shifted down by n * m, as one
-big-int bitmap over 0..max Ap(S, m); the next level is one shift-or per
-generator, and H(n) is a bit count.  It stops at the plateau H = m.  The
-maximal-order table `membership_table` is kept as the brute-force
-dynamic-programming reference that the kernel is tested against.
+every semigroup question: the Apery set Ap(S, m) of the smallest generator m,
+derived once per `NumericalSemigroup` as `S.apery`, gives the Frobenius
+number, the gaps, the genus, the pseudo-symmetry test (a count,
+2 * genus = F + 2) and the order-counting Hilbert oracle.  The oracle keeps
+the elements of order >= n, shifted down by n * m, as one big-int bitmap
+over 0..max Ap(S, m); the next level is one shift-or per generator, and H(n)
+is a bit count.  It stops at the plateau H = m.  The maximal-order table
+`membership_table` is kept as the brute-force dynamic-programming reference
+that the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
@@ -76,6 +78,31 @@ class NumericalSemigroup:
 
     def gcd(self) -> int:
         return math.gcd(*self.generators)
+
+    @cached_property
+    def apery(self) -> tuple[int, ...]:
+        """Ap(S, m) for the smallest generator m, indexed by residue.
+
+        Entry r is the least element of S congruent to r mod m.  It is found
+        by Dijkstra over the m residues, with an edge r -> (r + g) mod m of
+        weight g for every generator g, on the first read, and then kept.
+        """
+        if self.gcd() != 1:
+            raise ParameterError(f"gcd of generators must be 1 (got {self.gcd()})")
+        m = min(self.generators)
+        ap = [0] + [math.inf] * (m - 1)
+        heap = [(0, 0)]
+        while heap:
+            d, r = heapq.heappop(heap)
+            if d > ap[r]:
+                continue
+            for g in self.generators:
+                e = d + g
+                t = e % m
+                if e < ap[t]:
+                    ap[t] = e
+                    heapq.heappush(heap, (e, t))
+        return tuple(ap)
 
 
 def construct_generators(params: PseudoSymmetricParams) -> NumericalSemigroup:
@@ -140,32 +167,7 @@ def membership_table(S: NumericalSemigroup, bound: int) -> list[int]:
     return order
 
 
-def apery_set(S: NumericalSemigroup) -> list[int]:
-    """Ap(S, m) for the smallest generator m, indexed by residue.
-
-    Entry r is the least element of S congruent to r mod m.  It is found by
-    Dijkstra over the m residues, with an edge r -> (r + g) mod m of weight g
-    for every generator g.
-    """
-    if S.gcd() != 1:
-        raise ParameterError(f"gcd of generators must be 1 (got {S.gcd()})")
-    m = min(S.generators)
-    ap = [0] + [math.inf] * (m - 1)
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d > ap[r]:
-            continue
-        for g in S.generators:
-            e = d + g
-            t = e % m
-            if e < ap[t]:
-                ap[t] = e
-                heapq.heappush(heap, (e, t))
-    return ap
-
-
-def _gaps(ap: list[int]) -> Iterator[int]:
+def _gaps(ap: tuple[int, ...]) -> Iterator[int]:
     """The gaps, residue class by residue class: x is a gap iff x < Ap[x mod m]."""
     m = len(ap)
     return chain.from_iterable(range(r, a, m) for r, a in enumerate(ap))
@@ -176,19 +178,15 @@ def frobenius_and_gaps(S: NumericalSemigroup) -> tuple[int, list[int]]:
 
     For ⟨1⟩-like inputs with no gaps the Frobenius number is reported as -1.
     """
-    ap = apery_set(S)
+    ap = S.apery
     return max(ap) - len(ap), sorted(_gaps(ap))
 
 
-def _genus(ap: list[int]) -> int:
+def genus(S: NumericalSemigroup) -> int:
     """Number of gaps, by Selmer's formula sum(Ap) / m - (m - 1) / 2."""
+    ap = S.apery
     m = len(ap)
     return (sum(ap) - m * (m - 1) // 2) // m
-
-
-def genus(S: NumericalSemigroup) -> int:
-    """Number of gaps, by Selmer's formula on Ap(S, m)."""
-    return _genus(apery_set(S))
 
 
 def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
@@ -202,9 +200,9 @@ def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
     pseudo-symmetry.  The genus comes from Selmer's formula, so no gap is
     listed.  ⟨1⟩ has F = -1, which is odd.
     """
-    ap = apery_set(S)
+    ap = S.apery
     frobenius = max(ap) - len(ap)
-    return frobenius % 2 == 0 and 2 * _genus(ap) == frobenius + 2
+    return frobenius % 2 == 0 and 2 * genus(S) == frobenius + 2
 
 
 def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
@@ -242,8 +240,10 @@ def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
     if up_to_level < 0:
         raise ParameterError(f"max level >= 0 violated ({up_to_level})")
     d = S.gcd()
-    gens = [g // d for g in S.generators]
-    top = max(apery_set(NumericalSemigroup(tuple(gens))))
+    if d > 1:
+        S = NumericalSemigroup(tuple(g // d for g in S.generators))
+    gens = S.generators
+    top = max(S.apery)
     m = min(gens)
     mask = (2 << top) - 1
     T = 1

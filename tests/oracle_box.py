@@ -7,10 +7,15 @@ at every level, plateau or not.  For one tuple, `oracle_differs` runs the
 sweep up to its plateau (the first level where H = m, after which H stays m)
 and compares the two routes up to the plateau + 5.
 
-Run as a script, it compares them on every coprime tuple of
-`seed_engine.py`'s box (alpha1..3 in 2..10, alpha4 in 2..5, alpha21 in 1..9,
-10,189 tuples), prints a one-line JSON summary (the tuple count, the largest
-plateau seen and each differing tuple) and exits 1 on any difference:
+`facts_fail` checks the other semigroup facts of one tuple: every coprime
+tuple of the family is pseudo-symmetric, so `is_pseudo_symmetric` must hold,
+and the gap count of `frobenius_and_gaps`, `genus` and (F + 2) / 2 must agree.
+
+Run as a script, it checks both on every coprime tuple of `seed_engine.py`'s
+box (alpha1..3 in 2..10, alpha4 in 2..5, alpha21 in 1..9, 10,189 tuples),
+prints a one-line JSON summary (the tuple count, the largest plateau seen,
+each differing tuple and the count of tuples whose facts fail) and exits 1
+on any difference or failure:
 
     PYTHONPATH=src python tests/oracle_box.py --jobs 2
 """
@@ -22,7 +27,13 @@ import os
 import sys
 from itertools import islice, takewhile
 
-from pseudosym.semigroup import construct_generators, hilbert_oracle
+from pseudosym.semigroup import (
+    construct_generators,
+    frobenius_and_gaps,
+    genus,
+    hilbert_oracle,
+    is_pseudo_symmetric,
+)
 
 from conftest import engine_box
 from reference import hilbert_levels
@@ -42,9 +53,21 @@ def oracle_differs(params) -> tuple[int, bool]:
     return plateau, hilbert_oracle(S, plateau + MARGIN) != sweep
 
 
+def facts_fail(params) -> bool:
+    """Whether the tuple is not pseudo-symmetric or its gap count, genus and (F + 2) / 2 disagree."""
+    S = construct_generators(params)
+    frobenius, gaps = frobenius_and_gaps(S)
+    return not (is_pseudo_symmetric(S) and len(gaps) == genus(S) == (frobenius + 2) / 2)
+
+
+def check(params) -> tuple[int, bool, bool]:
+    return (*oracle_differs(params), facts_fail(params))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="The Hilbert oracle against the per-level sweep on the 10,189-tuple box.")
+        description="The Hilbert oracle against the per-level sweep, and the semigroup facts, "
+                    "on the 10,189-tuple box.")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     args = parser.parse_args(argv)
     if not 1 <= args.jobs <= (os.cpu_count() or 1):
@@ -52,13 +75,14 @@ def main(argv=None) -> int:
     box = engine_box(CLOSURE_BOX_RANGES)
     if args.jobs > 1:
         with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
-            results = pool.map(oracle_differs, box, chunksize=64)
+            results = pool.map(check, box, chunksize=64)
     else:
-        results = list(map(oracle_differs, box))
-    differing = [list(p.as_dict().values()) for p, (_, bad) in zip(box, results) if bad]
-    print(json.dumps({"total": len(box), "largest_plateau": max(plateau for plateau, _ in results),
-                      "differing": differing}))
-    return 1 if differing else 0
+        results = list(map(check, box))
+    differing = [list(p.as_dict().values()) for p, (_, bad, _) in zip(box, results) if bad]
+    facts_failing = sum(failed for _, _, failed in results)
+    print(json.dumps({"total": len(box), "largest_plateau": max(plateau for plateau, _, _ in results),
+                      "differing": differing, "facts_failing": facts_failing}))
+    return 1 if differing or facts_failing else 0
 
 
 if __name__ == "__main__":

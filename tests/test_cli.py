@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import hashlib
+import heapq
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudosym
-from pseudosym import cli, pipeline, stdbasis, toric
+from pseudosym import cli, pipeline, semigroup, stdbasis, toric
 from pseudosym.cli import COMMANDS, OPTIONS, build_parser, main, parse_args
 
 from conftest import FAMILY_TUPLES
@@ -397,6 +398,37 @@ def test_each_derivation_runs_once_per_op(capsys, monkeypatch, argv, counts):
         monkeypatch.setattr(toric, name, counting)
     assert run(capsys, list(argv))[0] == 0
     assert tuple(calls.values()) == counts
+
+
+class _CountingHeapq:
+    """`heapq` for the semigroup module that counts Dijkstra runs over Ap(S, m).
+
+    Each run starts by popping the residue 0 at distance 0, and no later pop
+    is (0, 0): every other distance is positive.
+    """
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.runs = 0
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        self.runs += item == (0, 0)
+        return item
+
+
+LARGE = ["--alpha1", "30", "--alpha2", "40", "--alpha3", "12", "--alpha4", "2", "--alpha21", "14"]
+
+
+@pytest.mark.parametrize("command", ["oracle", "gens", "verify"])
+@pytest.mark.parametrize("values", [LARGE, A4_3], ids=["LARGE", "A4_3"])
+def test_one_apery_set_per_op(capsys, monkeypatch, command, values):
+    # the facts an op reports and its oracle read one semigroup's S.apery
+    counter = _CountingHeapq()
+    monkeypatch.setattr(semigroup, "heapq", counter)
+    assert run(capsys, [command, *values])[0] == 0
+    assert counter.runs == 1
 
 
 # sha256 of stdout, with the exit code, for every single-tuple subcommand in

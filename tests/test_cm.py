@@ -6,7 +6,7 @@ import pytest
 
 import reference as ref
 from pseudosym import cm
-from pseudosym.cm import cm_verdict
+from pseudosym.cm import CmVerdict, cm_verdict
 from pseudosym.poly import LOCAL, monomial, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.pipeline import engine_basis
@@ -32,6 +32,10 @@ class TestDivisibilityCriterion:
         verdict = cm_verdict(mono_ideal((0, 2, 0, 0), (0, 0, 1, 1)))
         assert verdict.cohen_macaulay
         assert verdict.witness is None
+
+    def test_empty_basis_is_cm(self):
+        # the zero ideal: X1 is a nonzerodivisor on the polynomial ring
+        assert cm_verdict([]) == CmVerdict(True, None)
 
     def test_non_monomial_input_rejected(self, monkeypatch):
         # The local lead X1*X2 of a binomial cone is not tested: the cone goes

@@ -87,6 +87,22 @@ class TestPivotRecursion:
         P = hilbert_numerator(leading_ideal(engine_bases[params]))
         assert pairs(P) == load_fixture_numerator(params)
 
+    @pytest.mark.parametrize("gens", [
+        [], [(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 1, 0, 0), (0, 1, 1, 0)],
+    ])
+    def test_unknown_pivot_rejected_on_entry(self, gens):
+        # the first three take no pivot; the name was only checked once one was taken
+        with pytest.raises(ValueError, match="unknown pivot strategy 'bogus'"):
+            hilbert_numerator(gens, pivot="bogus")
+
+    def test_only_random_pivot_seeds_a_generator(self, monkeypatch):
+        gens = [(1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1)]
+        expected = hilbert_numerator(gens, pivot="random", seed=4)
+        monkeypatch.setattr(hilbert, "random", None)
+        assert hilbert_numerator(gens) == hilbert_numerator(gens, pivot="first") == expected
+        with pytest.raises(AttributeError):
+            hilbert_numerator(gens, pivot="random")
+
     def test_pivot_invariance_on_random_ideals(self):
         rng = random.Random(5)
         for _ in range(40):

@@ -1,5 +1,6 @@
 """Generator construction, condition checks, and the brute-force oracles."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -10,7 +11,6 @@ from pseudosym.errors import ParameterError
 from pseudosym.semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
-    apery_set,
     check_conditions,
     construct_generators,
     frobenius_and_gaps,
@@ -22,7 +22,7 @@ from pseudosym.semigroup import (
 
 import reference as ref
 from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, engine_box
-from oracle_box import oracle_differs
+from oracle_box import facts_fail, oracle_differs
 from seed_engine import CLOSURE_BOX_RANGES
 
 
@@ -73,7 +73,7 @@ def test_sorted_plus_c4_imply_c5_and_c6():
 
 @pytest.mark.parametrize("gens", [(), (0, 1), (-2, 3)])
 def test_numerical_semigroup_needs_positive_generators(gens):
-    # (0, 1) made apery_set divide by zero, and (-2, 3) kept its Dijkstra
+    # (0, 1) made the Apery set divide by zero, and (-2, 3) kept its Dijkstra
     # search running forever on a negative edge; both now fail on construction
     with pytest.raises(ParameterError, match="positive"):
         NumericalSemigroup(gens)
@@ -114,7 +114,7 @@ class TestGapsAndPseudoSymmetry:
         assert gaps[0] == 1
 
     def test_noncoprime_rejected(self):
-        for query in (frobenius_and_gaps, genus, is_pseudo_symmetric, apery_set):
+        for query in (frobenius_and_gaps, genus, is_pseudo_symmetric, lambda S: S.apery):
             with pytest.raises(ParameterError, match="gcd"):
                 query(NumericalSemigroup((4, 6, 8, 10)))
 
@@ -204,6 +204,28 @@ def _differential_cases(count, seed):
     return cases
 
 
+class TestAperySet:
+    """`S.apery`, derived once per semigroup, against the reference sieve."""
+
+    @pytest.mark.parametrize("gens", _differential_cases(62, seed=29), ids=str)
+    def test_matches_reference_sieve(self, gens):
+        S = NumericalSemigroup(gens)
+        if math.gcd(*gens) > 1:
+            with pytest.raises(ParameterError, match="gcd"):
+                S.apery
+        else:
+            assert S.apery == tuple(ref.apery_set(gens))
+
+    def test_derived_once_as_a_read_only_tuple(self):
+        S = construct_generators(TUPLE_41)
+        ap = S.apery
+        assert type(ap) is tuple and len(ap) == min(S.generators)
+        assert S.apery is ap
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            S.apery = ()
+        assert S.apery is ap
+
+
 class TestOracleAgainstLevelSweep:
     """The bitmap oracle against the per-level sweep and the order table."""
 
@@ -220,7 +242,7 @@ class TestOracleAgainstLevelSweep:
         # the plateau + 5.
         params = PseudoSymmetricParams(5, 11, 11, 2, 3)
         S = construct_generators(params)
-        assert max(apery_set(S)) >= 50 * min(S.generators)
+        assert max(S.apery) >= 50 * min(S.generators)
         assert oracle_differs(params) == (11, False)
         assert hilbert_oracle(S, 16) == TestAperyKernelAgainstTable.reference_counts(S, 16)
 
@@ -229,6 +251,7 @@ class TestOracleAgainstLevelSweep:
         sample = random.Random(41).sample(engine_box(CLOSURE_BOX_RANGES), 150)
         results = {p: oracle_differs(p) for p in sample}
         assert [p for p, (_, bad) in results.items() if bad] == []
+        assert [p for p in sample if facts_fail(p)] == []
         assert max(plateau for plateau, _ in results.values()) > 20
 
 
@@ -272,7 +295,7 @@ class TestAperyKernelAgainstTable:
     @pytest.mark.parametrize("S", KERNEL_CASES, ids=lambda S: str(S.generators))
     def test_matches_dp(self, S):
         order, gaps = self.reference_table(S)
-        ap = apery_set(S)
+        ap = S.apery
         m = min(S.generators)
         for r in range(m):
             first = next(s for s in range(r, len(order), m) if order[s] >= 0)
@@ -287,7 +310,7 @@ class TestAperyKernelAgainstTable:
     def test_counting_test_agrees_with_apery_maxima(self, S):
         # S is pseudo-symmetric iff the maximal elements of Ap(S, m) under
         # a <=_S b (b - a in S) are exactly {F + m, F/2 + m}.
-        ap = apery_set(S)
+        ap = S.apery
         m = len(ap)
         frobenius = max(ap) - m
         order = membership_table(S, max(ap))
