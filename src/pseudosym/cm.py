@@ -22,9 +22,9 @@ waits for the change that re-records the benchmark's output digests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import Record
 from .poly import Exponent, MonomialOrder, with_order
 from .stdbasis import buchberger_homogeneous, leading_ideal, tangent_cone_ideal
 
@@ -32,10 +32,14 @@ from .stdbasis import buchberger_homogeneous, leading_ideal, tangent_cone_ideal
 CM_ORDER = MonomialOrder(local=False, precedence=(1, 2, 3, 0))
 
 
-@dataclass(frozen=True)
-class CmVerdict:
-    cohen_macaulay: bool
-    witness: Exponent | None  # a minimal generator divisible by X1, if any
+class CmVerdict(Record):
+    _fields = ("cohen_macaulay", "witness")
+    __slots__ = _fields
+
+    def __init__(self, cohen_macaulay: bool, witness: Exponent | None):
+        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
+        # a minimal generator divisible by X1, if any
+        object.__setattr__(self, "witness", witness)
 
 
 def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:

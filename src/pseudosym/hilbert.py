@@ -30,11 +30,10 @@ coefficient, and H stabilizes at Q(1) = sum(Q).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import InconsistencyError, ParameterError
+from .errors import InconsistencyError, ParameterError, Record
 from .poly import Exponent, minimalize_monomials, scan_terms, support
 from .semigroup import PseudoSymmetricParams
 from .toric import check_closed_form_regime
@@ -215,13 +214,18 @@ def second_series(P: list[int]) -> list[int]:
     return Q
 
 
-@dataclass(frozen=True)
-class HilbertReport:
-    hilbert_function: tuple[int, ...]
-    regularity_index: int
-    multiplicity: int
-    non_decreasing: bool
-    first_decrease_level: int | None
+class HilbertReport(Record):
+    _fields = ("hilbert_function", "regularity_index", "multiplicity", "non_decreasing",
+               "first_decrease_level")
+    __slots__ = _fields
+
+    def __init__(self, hilbert_function: tuple[int, ...], regularity_index: int, multiplicity: int,
+                 non_decreasing: bool, first_decrease_level: int | None):
+        object.__setattr__(self, "hilbert_function", hilbert_function)
+        object.__setattr__(self, "regularity_index", regularity_index)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "non_decreasing", non_decreasing)
+        object.__setattr__(self, "first_decrease_level", first_decrease_level)
 
 
 def hilbert_function(Q: list[int], up_to_level: int | None = None) -> HilbertReport:

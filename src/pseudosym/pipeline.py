@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import cm, hilbert, stdbasis, toric
-from .errors import ParameterError
+from .errors import ParameterError, Record
 from .poly import LOCAL, Polynomial, monomial, normalize, parse_poly, render_poly
 from .semigroup import (
     NumericalSemigroup,
@@ -271,22 +270,36 @@ def _closed_form_section(system, engine, report, mismatches) -> None:
 # Sweep harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Inclusive parameter ranges plus the filters applied to each tuple."""
 
-    alpha1: tuple[int, int] = (2, 8)
-    alpha2: tuple[int, int] = (2, 8)
-    alpha3: tuple[int, int] = (2, 8)
-    alpha4: tuple[int, int] = (2, 2)
-    alpha21: tuple[int, int] = (1, 7)
-    require_sorted: bool = True
-    require_c4: bool = True
-    k_filter: int | None = None
-    jobs: int = 1
-    max_level: int | None = None
+    _fields = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha21", "require_sorted", "require_c4",
+               "k_filter", "jobs", "max_level")
+    __slots__ = _fields
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        alpha1: tuple[int, int] = (2, 8),
+        alpha2: tuple[int, int] = (2, 8),
+        alpha3: tuple[int, int] = (2, 8),
+        alpha4: tuple[int, int] = (2, 2),
+        alpha21: tuple[int, int] = (1, 7),
+        require_sorted: bool = True,
+        require_c4: bool = True,
+        k_filter: int | None = None,
+        jobs: int = 1,
+        max_level: int | None = None,
+    ):
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        object.__setattr__(self, "alpha3", alpha3)
+        object.__setattr__(self, "alpha4", alpha4)
+        object.__setattr__(self, "alpha21", alpha21)
+        object.__setattr__(self, "require_sorted", require_sorted)
+        object.__setattr__(self, "require_c4", require_c4)
+        object.__setattr__(self, "k_filter", k_filter)
+        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "max_level", max_level)
         for key in ALPHA_KEYS:
             lo, hi = getattr(self, key)
             if lo > hi:

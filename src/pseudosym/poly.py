@@ -51,9 +51,10 @@ check a length again, and no scan has a branch for another length.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
+
+from .errors import Record
 
 Exponent = tuple[int, ...]
 
@@ -66,8 +67,7 @@ class DimensionError(ValueError):
     """An exponent tuple does not have four entries."""
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """Degree-reverse-lexicographic comparator, global or local.
 
     `precedence` lists the four variable indices from most to least
@@ -76,17 +76,19 @@ class MonomialOrder:
     The comparator is total and multiplicative: a > b implies a+q > b+q.
     """
 
-    local: bool
-    precedence: tuple[int, ...] = (0, 1, 2, 3)
-    # The precedence from least to most significant, the order ties are scanned in.
-    _least_first: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("local", "precedence")
+    # `_least_first` is derived from `precedence`, so eq, hash and repr skip it.
+    __slots__ = ("local", "precedence", "_least_first")
 
-    def __post_init__(self):
-        if sorted(self.precedence) != list(range(N_VARS)):
+    def __init__(self, local: bool, precedence: tuple[int, ...] = (0, 1, 2, 3)):
+        if sorted(precedence) != list(range(N_VARS)):
             raise ValueError(
-                f"precedence must be a permutation of 0..{N_VARS - 1}, got {self.precedence!r}"
+                f"precedence must be a permutation of 0..{N_VARS - 1}, got {precedence!r}"
             )
-        object.__setattr__(self, "_least_first", self.precedence[::-1])
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "precedence", precedence)
+        # The precedence from least to most significant, the order ties are scanned in.
+        object.__setattr__(self, "_least_first", precedence[::-1])
 
     def sort_key(self, m: Exponent):
         deg = m[0] + m[1] + m[2] + m[3]

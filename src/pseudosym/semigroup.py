@@ -19,37 +19,44 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
-from .errors import ParameterError
+from .errors import ParameterError, Record
 
 
-@dataclass(frozen=True)
-class PseudoSymmetricParams:
+class PseudoSymmetricParams(Record):
     """The five integers driving the whole construction.
 
-    Requires alpha_i > 1 for i = 1..4 and 0 < alpha21 < alpha1 - 1.
+    Requires alpha_i > 1 for i = 1..4 and 0 < alpha21 < alpha1 - 1.  Each
+    value must be an `int` (a `bool` is not one).
     """
 
-    alpha1: int
-    alpha2: int
-    alpha3: int
-    alpha4: int
-    alpha21: int
+    _fields = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha21")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "alpha3", "alpha4"):
-            if getattr(self, name) <= 1:
-                raise ParameterError(f"{name} > 1 violated ({name}={getattr(self, name)})")
-        if self.alpha21 <= 0:
-            raise ParameterError(f"alpha21 > 0 violated (alpha21={self.alpha21})")
-        if self.alpha21 >= self.alpha1 - 1:
+    def __init__(self, alpha1: int, alpha2: int, alpha3: int, alpha4: int, alpha21: int):
+        # One chained test each on the common path; the loops only name the field.
+        if not (type(alpha1) is type(alpha2) is type(alpha3) is type(alpha4) is type(alpha21) is int):
+            for name, value in zip(self._fields, (alpha1, alpha2, alpha3, alpha4, alpha21)):
+                if type(value) is not int:
+                    raise ParameterError(f"{name} must be an int (got {value!r})")
+        if alpha1 <= 1 or alpha2 <= 1 or alpha3 <= 1 or alpha4 <= 1:
+            for name, value in zip(self._fields, (alpha1, alpha2, alpha3, alpha4)):
+                if value <= 1:
+                    raise ParameterError(f"{name} > 1 violated ({name}={value})")
+        if alpha21 <= 0:
+            raise ParameterError(f"alpha21 > 0 violated (alpha21={alpha21})")
+        if alpha21 >= alpha1 - 1:
             raise ParameterError(
-                f"alpha21 < alpha1 - 1 violated (alpha21={self.alpha21}, alpha1={self.alpha1})"
+                f"alpha21 < alpha1 - 1 violated (alpha21={alpha21}, alpha1={alpha1})"
             )
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        object.__setattr__(self, "alpha3", alpha3)
+        object.__setattr__(self, "alpha4", alpha4)
+        object.__setattr__(self, "alpha21", alpha21)
 
     def as_dict(self) -> dict:
         return {
@@ -61,20 +68,26 @@ class PseudoSymmetricParams:
         }
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Record):
     """The semigroup generated by positive integers.
 
-    An empty tuple or a generator below 1 raises `ParameterError`: the
-    Apery set needs a positive smallest generator as its modulus, and its
-    Dijkstra search needs edges of nonnegative weight.
+    An empty tuple or a generator that is not an `int` (a `bool` is not one)
+    or is below 1 raises `ParameterError`: the Apery set needs a positive
+    smallest generator as its modulus, and its Dijkstra search needs edges
+    of nonnegative weight.
     """
 
-    generators: tuple[int, ...]
+    _fields = ("generators",)
+    # `__dict__` holds the `apery` property once it is read.
+    __slots__ = ("generators", "__dict__")
 
-    def __post_init__(self):
-        if not self.generators or min(self.generators) < 1:
-            raise ParameterError(f"generators must be positive integers (got {self.generators!r})")
+    def __init__(self, generators: tuple[int, ...]):
+        if not generators:
+            raise ParameterError(f"generators must be positive integers (got {generators!r})")
+        for g in generators:
+            if type(g) is not int or g < 1:
+                raise ParameterError(f"generators must be positive integers (got {generators!r})")
+        object.__setattr__(self, "generators", generators)
 
     def gcd(self) -> int:
         return math.gcd(*self.generators)

@@ -26,24 +26,29 @@ lemma); a tail that does not is a construction bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InconsistencyError, ParameterError
+from .errors import InconsistencyError, ParameterError, Record
 from .poly import Exponent, Polynomial, binomial, normalize, weighted_degree
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
 
 
-@dataclass(frozen=True)
-class ToricSystem:
-    params: PseudoSymmetricParams
-    semigroup: NumericalSemigroup
-    generators: tuple[Polynomial, ...]
+class ToricSystem(Record):
+    _fields = ("params", "semigroup", "generators")
+    __slots__ = _fields
+
+    def __init__(self, params: PseudoSymmetricParams, semigroup: NumericalSemigroup,
+                 generators: tuple[Polynomial, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "generators", generators)
 
 
-@dataclass(frozen=True)
-class ClosedFormBasis:
-    k: int
-    elements: tuple[Polynomial, ...]
+class ClosedFormBasis(Record):
+    _fields = ("k", "elements")
+    __slots__ = _fields
+
+    def __init__(self, k: int, elements: tuple[Polynomial, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "elements", elements)
 
 
 def _check_sdegrees(f: Polynomial, S: NumericalSemigroup, label: str) -> None:

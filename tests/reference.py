@@ -4,12 +4,18 @@ Nothing here imports from `pseudosym`, so a shared defect cannot make both
 sides agree.  A polynomial in t is a dict from exponent to nonzero integer
 coefficient; `from_list` and `to_list` convert from and to the package's
 dense coefficient lists.  A monomial is a tuple of exponents.
+
+The eight record types at the end are the package's records as frozen
+dataclasses, with their fields, defaults and checks; a failed check raises
+`ValueError`, the base of the package's `ParameterError`, with the
+package's message.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass, field
 from itertools import combinations, islice, repeat
 
 
@@ -262,3 +268,104 @@ def hilbert_levels(gens):
 def hilbert_by_level_sweep(gens, up_to_level: int) -> list[int]:
     """H(0..up_to_level) from `hilbert_levels`."""
     return list(islice(hilbert_levels(gens), up_to_level + 1))
+
+
+# -- the records as frozen dataclasses -----------------------------------------
+
+@dataclass(frozen=True)
+class PseudoSymmetricParams:
+    alpha1: int
+    alpha2: int
+    alpha3: int
+    alpha4: int
+    alpha21: int
+
+    def __post_init__(self):
+        for name in ("alpha1", "alpha2", "alpha3", "alpha4"):
+            if getattr(self, name) <= 1:
+                raise ValueError(f"{name} > 1 violated ({name}={getattr(self, name)})")
+        if self.alpha21 <= 0:
+            raise ValueError(f"alpha21 > 0 violated (alpha21={self.alpha21})")
+        if self.alpha21 >= self.alpha1 - 1:
+            raise ValueError(
+                f"alpha21 < alpha1 - 1 violated (alpha21={self.alpha21}, alpha1={self.alpha1})"
+            )
+
+
+@dataclass(frozen=True)
+class NumericalSemigroup:
+    generators: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.generators or min(self.generators) < 1:
+            raise ValueError(f"generators must be positive integers (got {self.generators!r})")
+
+
+@dataclass(frozen=True)
+class MonomialOrder:
+    local: bool
+    precedence: tuple[int, ...] = (0, 1, 2, 3)
+    _least_first: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if sorted(self.precedence) != list(range(4)):
+            raise ValueError(f"precedence must be a permutation of 0..3, got {self.precedence!r}")
+        object.__setattr__(self, "_least_first", self.precedence[::-1])
+
+
+@dataclass(frozen=True)
+class ToricSystem:
+    params: object
+    semigroup: object
+    generators: tuple
+
+
+@dataclass(frozen=True)
+class ClosedFormBasis:
+    k: int
+    elements: tuple
+
+
+@dataclass(frozen=True)
+class CmVerdict:
+    cohen_macaulay: bool
+    witness: tuple[int, ...] | None
+
+
+@dataclass(frozen=True)
+class HilbertReport:
+    hilbert_function: tuple[int, ...]
+    regularity_index: int
+    multiplicity: int
+    non_decreasing: bool
+    first_decrease_level: int | None
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    alpha1: tuple[int, int] = (2, 8)
+    alpha2: tuple[int, int] = (2, 8)
+    alpha3: tuple[int, int] = (2, 8)
+    alpha4: tuple[int, int] = (2, 2)
+    alpha21: tuple[int, int] = (1, 7)
+    require_sorted: bool = True
+    require_c4: bool = True
+    k_filter: int | None = None
+    jobs: int = 1
+    max_level: int | None = None
+
+    def __post_init__(self):
+        for key in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha21"):
+            lo, hi = getattr(self, key)
+            if lo > hi:
+                raise ValueError(f"empty range for {key}: {lo}..{hi}")
+        if self.alpha1[0] < 2 or self.alpha2[0] < 2 or self.alpha3[0] < 2 or self.alpha4[0] < 2:
+            raise ValueError("alpha ranges must start at 2 or above")
+        if self.alpha21[0] < 1:
+            raise ValueError("alpha21 range must start at 1 or above")
+        if self.jobs < 1:
+            raise ValueError(f"jobs >= 1 violated (jobs={self.jobs})")
+        if self.max_level is not None and self.max_level < 0:
+            raise ValueError(f"max level >= 0 violated ({self.max_level})")
+        if self.k_filter is not None and self.k_filter < 1:
+            raise ValueError(f"k >= 1 violated (k={self.k_filter})")

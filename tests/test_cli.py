@@ -766,11 +766,13 @@ class TestEntryPath:
         assert (run(capsys, list(argv))[0], len(calls)) == (code, count)
 
     def test_importing_the_cli_loads_no_process_pool(self, tmp_path):
+        # Nor dataclasses: the record types generate no code at import.  -S
+        # keeps a site .pth file from loading a module before the probe runs.
         src = str(Path(pseudosym.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = ("import sys, pseudosym.cli; "
-                 "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-        done = subprocess.run([sys.executable, "-c", probe],
+        probe = ("import sys, pseudosym.cli; print(sorted(m for m in "
+                 "('concurrent.futures', 'multiprocessing', 'dataclasses') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-S", "-c", probe],
                               capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 

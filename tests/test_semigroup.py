@@ -21,7 +21,7 @@ from pseudosym.semigroup import (
 )
 
 import reference as ref
-from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, engine_box
+from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_44, engine_box
 from oracle_box import facts_fail, oracle_differs
 from seed_engine import CLOSURE_BOX_RANGES
 
@@ -76,6 +76,25 @@ def test_numerical_semigroup_needs_positive_generators(gens):
     # (0, 1) made the Apery set divide by zero, and (-2, 3) kept its Dijkstra
     # search running forever on a negative edge; both now fail on construction
     with pytest.raises(ParameterError, match="positive"):
+        NumericalSemigroup(gens)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha1", 13.0), ("alpha2", 14.0), ("alpha3", "6"), ("alpha4", True), ("alpha21", "3"),
+    ("alpha21", None), ("alpha1", 13.5),
+])
+def test_params_refuse_values_that_are_not_ints(field, value):
+    # 13.0 passed the checks and failed later in build_report on a float, "3"
+    # raised TypeError from a comparison; a bool is not an int here either
+    values = {**TUPLE_44.as_dict(), field: value}
+    with pytest.raises(ParameterError, match=rf"^{field} must be an int \(got {value!r}\)$"):
+        PseudoSymmetricParams(**values)
+
+
+@pytest.mark.parametrize("gens", [(True, 3), (3, True), (3.0, 5), (3, "5"), (1.5, 2), (True,)])
+def test_numerical_semigroup_refuses_generators_that_are_not_ints(gens):
+    # (True, 3) was accepted as <1, 3>
+    with pytest.raises(ParameterError, match=r"^generators must be positive integers"):
         NumericalSemigroup(gens)
 
 
