@@ -11,9 +11,13 @@ ring, M a monomial ideal) is computed by the pivot recursion
 
     P(<J, w>) = P(J) - t^deg(w) * P(J : w)
 
-with complete-intersection base cases.  The result is independent of the
-pivot choice; three strategies are provided so that invariance can be tested
-rather than assumed.  `add_shifted` (p + c*t^d*q) is the only arithmetic the
+with one base case, the complete intersection.  The pivot w is the last
+generator of the minimal set, which `poly.minimalize_monomials` sorts by
+(degree, exponents), so w has the largest degree, and J, the set without
+it, is still minimal and sorted and serves as a memo key as it stands.  The
+result does not depend on the pivot; the tests compare it with the
+inclusion-exclusion sum of `tests/reference.py`, which shares no code with
+the recursion.  `add_shifted` (p + c*t^d*q) is the only arithmetic the
 recursion and the closed-form numerator need.  Every monomial has four
 exponents (see `poly`): the colon clamps its four differences one by one,
 and a generating set is a complete intersection when its generators'
@@ -29,9 +33,8 @@ coefficient, and H stabilizes at Q(1) = sum(Q).
 
 from __future__ import annotations
 
-import random
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InconsistencyError, ParameterError, Record
 from .poly import Exponent, minimalize_monomials, scan_terms, support
@@ -98,43 +101,25 @@ def _pairwise_coprime(gens: Iterable[Exponent]) -> bool:
     return True
 
 
-def _pick_pivot(gens: Sequence[Exponent], pivot: str, rng) -> Exponent:
-    if pivot == "first":
-        return gens[0]
-    if pivot == "maxdeg":
-        return min(gens, key=lambda m: (-sum(m), m))
-    return rng.choice(gens)
-
-
-def hilbert_numerator(gens: Iterable[Exponent], pivot: str = "maxdeg",
-                      seed: int = 0) -> list[int]:
+def hilbert_numerator(gens: Iterable[Exponent]) -> list[int]:
     """Numerator of the Hilbert series of the quotient by a monomial ideal.
 
-    The empty ideal gives 1; pairwise-coprime generators form a complete
-    intersection and give the product of (1 - t^deg).  Otherwise one
-    generator w is split off the minimalized generating set J + {w} and the
-    recursion above applies.  Results are memoized per call.  An unknown
-    `pivot` raises `ValueError` on entry; only "random" reads `seed`.
+    Pairwise-coprime generators form a complete intersection and give the
+    product of (1 - t^deg): 1 for the empty ideal, and 1 - t^0 = 0 for the
+    unit ideal, whose minimal set is the unit alone.  Otherwise the last
+    generator w of the minimal set J + {w} is split off and the recursion
+    above applies.  Results are memoized per call.
     """
-    if pivot not in ("first", "maxdeg", "random"):
-        raise ValueError(f"unknown pivot strategy {pivot!r}")
-    rng = random.Random(seed) if pivot == "random" else None
     memo: dict[tuple[Exponent, ...], list[int]] = {}
 
     def run(ideal: tuple[Exponent, ...]) -> list[int]:
-        if not ideal:
-            return [1]
-        if not any(ideal[0]):
-            # unit ideal, empty quotient; minimalized, the ideal lists the unit first
-            return []
         cached = memo.get(ideal)
         if cached is not None:
             return cached
         if _pairwise_coprime(ideal):
             result = _product(map(sum, ideal))
         else:
-            w = _pick_pivot(ideal, pivot, rng)
-            rest = tuple(m for m in ideal if m != w)
+            w, rest = ideal[-1], ideal[:-1]
             colon = tuple(monomial_colon(rest, w))
             result = add_shifted(run(rest), -1, sum(w), run(colon))
         memo[ideal] = result

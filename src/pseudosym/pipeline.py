@@ -58,6 +58,9 @@ def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
         if name not in _PACKAGED_NAMES:
             return None
         ref = _PACKAGED_FIXTURES.joinpath(name)
+    elif fixtures_dir == "":
+        # Path("") is the working directory: the fixture checks would vanish silently
+        raise ParameterError("fixtures_dir: expected a directory, got an empty value")
     elif not Path(fixtures_dir).is_dir():
         raise ParameterError(f"no fixture directory at {fixtures_dir}")
     else:

@@ -18,12 +18,13 @@ two monomials can only cancel, never need collecting, so they are built by
 too, whose one `MonomialOrder.greater` call decides the lead.
 
 Each fact the engine uses has one function: `MonomialOrder.greater`
-compares two monomials (`sort_key` is the same order as a sort key),
-`weighted_degree` grades a monomial, `support` is the set of variables a
-monomial contains, and `Polynomial.is_homogeneous` tests a polynomial
-against a grading.  A polynomial's `coeff`, `lead` and `tail` are read as
-fields.  A polynomial carries no ecart; only the order of the engine's
-reducer list uses one (see `stdbasis`).
+compares two monomials (a sort by the order wraps it in
+`functools.cmp_to_key`, see `stdbasis.minimalize`), `weighted_degree`
+grades a monomial, `support` is the set of variables a monomial contains,
+and `Polynomial.is_homogeneous` tests a polynomial against a grading.  A
+polynomial's `coeff`, `lead` and `tail` are read as fields.  A polynomial
+carries no ecart; only the order of the engine's reducer list uses one (see
+`stdbasis`).
 
 The engine's exponent arithmetic is written out four entries wide: total
 degree is ``a[0] + a[1] + a[2] + a[3]``, divisibility is four ``<=``
@@ -90,19 +91,12 @@ class MonomialOrder(Record):
         # The precedence from least to most significant, the order ties are scanned in.
         object.__setattr__(self, "_least_first", precedence[::-1])
 
-    def sort_key(self, m: Exponent):
-        deg = m[0] + m[1] + m[2] + m[3]
-        # Reverse-lex: at the least significant differing variable, the
-        # smaller exponent wins; encode as negated exponents scanned from
-        # least to most significant.
-        tail = tuple(-m[i] for i in self._least_first)
-        return (-deg if self.local else deg, *tail)
-
     def greater(self, a: Exponent, b: Exponent) -> bool:
         """True iff x^a > x^b.
 
-        The same rule as `sort_key`, decided by one total-degree comparison
-        and, on a tie, a scan from the least significant variable.
+        Decided by one total-degree comparison and, on a tie, a scan from
+        the least significant variable: at the first one where a and b
+        differ, the smaller exponent wins.
         """
         deg_a = a[0] + a[1] + a[2] + a[3]
         deg_b = b[0] + b[1] + b[2] + b[3]

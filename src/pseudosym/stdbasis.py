@@ -15,7 +15,9 @@ of least ecart in creation order: the reducer Mora's rule picks.  Under a
 global ordering every ecart is 0, and `nf_global` is `nf_mora`.  Pairs run
 in FIFO creation order, the product criterion skips those with coprime
 leads, and `minimalize` keeps the elements whose leads
-`poly.minimalize_monomials` keeps, so the returned basis is minimal.
+`poly.minimalize_monomials` keeps, so the returned basis is minimal.  It
+lists them largest lead first, sorted by the one comparison of the order,
+`MonomialOrder.greater`, through `functools.cmp_to_key`.
 
 Every monomial has four exponents (see `poly`), so the divisor scan of
 `nf_mora` is four ``<=`` comparisons per reducer, and the basis loop keeps
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import InconsistencyError
@@ -105,9 +108,10 @@ def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
     if not G:
         return []
     first = {g.lm: g for g in reversed(G)}  # earlier elements overwrite later
-    order = G[0].order
+    greater = G[0].order.greater
     kept = [first[lm] for lm in minimalize_monomials(first)]
-    kept.sort(key=lambda g: order.sort_key(g.lm), reverse=True)
+    # The kept leads are distinct, so `greater` is strict on them.
+    kept.sort(key=cmp_to_key(lambda f, g: -1 if greater(f.lm, g.lm) else 1))
     return kept
 
 

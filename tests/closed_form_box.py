@@ -24,16 +24,14 @@ readings differ, and each failing tuple with the facts it fails) and exits
     PYTHONPATH=src python tests/closed_form_box.py --jobs 2
 """
 
-import argparse
 import json
-import multiprocessing
-import os
 import sys
 
 from pseudosym.errors import InconsistencyError
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.toric import closed_form_basis, compute_k, tail_monomials, toric_generators
 
+from conftest import map_box
 from reference import tail_length
 
 TOP = 40
@@ -98,18 +96,8 @@ def check_tuple(params) -> tuple[list[str], bool]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=f"The closed-form lemma on every regime tuple with alphas <= {TOP}.")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= (os.cpu_count() or 1):
-        parser.error(f"--jobs must be between 1 and the CPU count, got {args.jobs}")
-    box = regime_tuples(TOP)
-    if args.jobs > 1:
-        with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
-            results = pool.map(check_tuple, box, chunksize=256)
-    else:
-        results = list(map(check_tuple, box))
+    box, results = map_box(f"The closed-form lemma on every regime tuple with alphas <= {TOP}.",
+                           lambda: regime_tuples(TOP), check_tuple, 256, argv)
     failing = [[*p.as_dict().values(), failed] for p, (failed, _) in zip(box, results) if failed]
     print(json.dumps({
         "total": len(box),

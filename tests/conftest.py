@@ -1,4 +1,7 @@
+import argparse
 import itertools
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import strategies as st
@@ -36,6 +39,25 @@ def engine_box(ranges=ENGINE_BOX_RANGES) -> list[PseudoSymmetricParams]:
         for t in itertools.product(*ranges)
         if t[4] < t[0] - 1 and check_conditions(PseudoSymmetricParams(*t))["coprime"]
     ]
+
+
+def map_box(description: str, make_box, check, chunksize: int, argv=None) -> tuple[list, list]:
+    """A box script's run: parse its `--jobs` option, then `check` every tuple of `make_box()`.
+
+    `--jobs` is 1 by default and at most the CPU count; more than one job
+    maps over a spawn pool in chunks of `chunksize`.  Returns the box and
+    the results in box order.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    args = parser.parse_args(argv)
+    if not 1 <= args.jobs <= (os.cpu_count() or 1):
+        parser.error(f"--jobs must be between 1 and the CPU count, got {args.jobs}")
+    box = make_box()
+    if args.jobs > 1:
+        with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
+            return box, pool.map(check, box, chunksize=chunksize)
+    return box, list(map(check, box))
 
 
 @st.composite

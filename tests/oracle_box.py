@@ -20,10 +20,7 @@ on any difference or failure:
     PYTHONPATH=src python tests/oracle_box.py --jobs 2
 """
 
-import argparse
 import json
-import multiprocessing
-import os
 import sys
 from itertools import islice, takewhile
 
@@ -35,7 +32,7 @@ from pseudosym.semigroup import (
     is_pseudo_symmetric,
 )
 
-from conftest import engine_box
+from conftest import engine_box, map_box
 from reference import hilbert_levels
 from seed_engine import CLOSURE_BOX_RANGES
 
@@ -65,19 +62,9 @@ def check(params) -> tuple[int, bool, bool]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="The Hilbert oracle against the per-level sweep, and the semigroup facts, "
-                    "on the 10,189-tuple box.")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= (os.cpu_count() or 1):
-        parser.error(f"--jobs must be between 1 and the CPU count, got {args.jobs}")
-    box = engine_box(CLOSURE_BOX_RANGES)
-    if args.jobs > 1:
-        with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
-            results = pool.map(check, box, chunksize=64)
-    else:
-        results = list(map(check, box))
+    box, results = map_box(
+        "The Hilbert oracle against the per-level sweep, and the semigroup facts, on the 10,189-tuple box.",
+        lambda: engine_box(CLOSURE_BOX_RANGES), check, 64, argv)
     differing = [list(p.as_dict().values()) for p, (_, bad, _) in zip(box, results) if bad]
     facts_failing = sum(failed for _, _, failed in results)
     print(json.dumps({"total": len(box), "largest_plateau": max(plateau for plateau, _, _ in results),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 
 
 def clean(p: dict[int, int]) -> dict[int, int]:
@@ -113,13 +113,21 @@ def taylor_numerator(gens) -> dict[int, int]:
 
     P = sum over subsets S of the generators of (-1)^|S| * t^deg(lcm(S)),
     read off the Taylor resolution; any generating set gives the same P.
+    The subsets are summed grouped by their lcm: adding a generator g to
+    every subset counted so far sends the signed count of an lcm L to
+    lcm(L, g) with its sign flipped, so the cost follows the number of
+    distinct lcms, not 2^len(gens).
     """
     gens = list(gens)
+    one = tuple(0 for _ in gens[0]) if gens else ()
+    signed = {one: 1}  # the empty subset, whose lcm is 1
+    for g in gens:
+        for lcm, count in list(signed.items()):
+            key = tuple(map(max, lcm, g))
+            signed[key] = signed.get(key, 0) - count
     out: dict[int, int] = {}
-    for size in range(len(gens) + 1):
-        for subset in combinations(gens, size):
-            deg = sum(map(max, zip(*subset))) if subset else 0
-            out[deg] = out.get(deg, 0) + (-1) ** size
+    for lcm, count in signed.items():
+        out[sum(lcm)] = out.get(sum(lcm), 0) + count
     return clean(out)
 
 
@@ -153,6 +161,17 @@ def tail_length(params, strict: bool = False) -> int | None:
         if (lhs < rhs) if strict else (lhs <= rhs):
             return k
     return None
+
+
+def order_key(order, m: tuple[int, ...]) -> tuple[int, ...]:
+    """A sort key of x^m under the degrevlex order with fields `local` and `precedence`.
+
+    Larger keys are larger monomials: total degree first, negated for a
+    local order, then the exponents negated and read from the least
+    significant variable, where the smaller exponent wins.
+    """
+    deg = sum(m)
+    return (-deg if order.local else deg, *(-m[i] for i in reversed(order.precedence)))
 
 
 def minimal_monomials(gens) -> set[tuple[int, ...]]:

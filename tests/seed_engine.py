@@ -34,10 +34,7 @@ on any difference:
     PYTHONPATH=src python tests/seed_engine.py --jobs 2
 """
 
-import argparse
 import json
-import multiprocessing
-import os
 import sys
 from collections import deque
 from operator import add, le, mul, sub
@@ -47,7 +44,7 @@ from pseudosym.cm import CM_ORDER
 from pseudosym.poly import Polynomial, normalize, with_order
 from pseudosym.toric import toric_generators
 
-from conftest import engine_box
+from conftest import engine_box, map_box
 
 CLOSURE_BOX_RANGES = (range(2, 11), range(2, 11), range(2, 11), range(2, 6), range(1, 10))
 
@@ -157,18 +154,9 @@ def closure_differs(params) -> dict[str, bool]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Closure identity of the engine's basis loop and the frozen one, on both routes of the 10,189-tuple box.")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= (os.cpu_count() or 1):
-        parser.error(f"--jobs must be between 1 and the CPU count, got {args.jobs}")
-    box = engine_box(CLOSURE_BOX_RANGES)
-    if args.jobs > 1:
-        with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
-            results = pool.map(closure_differs, box, chunksize=64)
-    else:
-        results = list(map(closure_differs, box))
+    box, results = map_box(
+        "Closure identity of the engine's basis loop and the frozen one, on both routes of the 10,189-tuple box.",
+        lambda: engine_box(CLOSURE_BOX_RANGES), closure_differs, 64, argv)
     differing = [[*p.as_dict().values(), route]
                  for p, routes in zip(box, results) for route, bad in routes.items() if bad]
     print(json.dumps({"total": len(box), "cm_route": sum("cm" in routes for routes in results),

@@ -26,7 +26,7 @@ from pseudosym.stdbasis import leading_ideal
 from pseudosym.toric import closed_form_basis, compute_k, toric_generators
 
 from closed_form_box import check_tuple, regime_tuples
-from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, monomial_lists
+from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, engine_box, monomial_lists
 
 
 def random_ideal(rng, max_gens=5, max_deg=6):
@@ -38,6 +38,35 @@ def random_ideal(rng, max_gens=5, max_deg=6):
                 gens.append(m)
                 break
     return gens
+
+
+# The alpha4 = 2 family boxes of the benchmark: alpha1..3 <= 10, and the large one.
+FAMILY_BOX_RANGES = (range(2, 11), range(2, 11), range(2, 11), (2,), range(1, 10))
+LARGE_BOX_RANGES = (range(20, 33), range(15, 41), range(4, 13), (2,), range(1, 31))
+FAMILY_CONDITIONS = ("c1", "c2", "c3", "c4", "sorted", "coprime")
+
+
+def in_family(t: tuple[int, ...]) -> bool:
+    """Whether t is a valid tuple with conditions (1)-(4) and sorted coprime generators."""
+    if t[4] >= t[0] - 1:
+        return False
+    conds = check_conditions(PseudoSymmetricParams(*t))
+    return all(conds[c] for c in FAMILY_CONDITIONS)
+
+
+def family_box(ranges) -> list[PseudoSymmetricParams]:
+    return [PseudoSymmetricParams(*t) for t in itertools.product(*ranges) if in_family(t)]
+
+
+def large_box_draw(seed: int, size: int) -> list[PseudoSymmetricParams]:
+    """`size` distinct family tuples of the large box, drawn uniformly by rejection."""
+    rng = random.Random(seed)
+    drawn: dict[tuple[int, ...], None] = {}
+    while len(drawn) < size:
+        t = tuple(rng.choice(r) for r in LARGE_BOX_RANGES)
+        if in_family(t):
+            drawn[t] = None
+    return [PseudoSymmetricParams(*t) for t in drawn]
 
 
 def stored(params) -> list[int]:
@@ -75,7 +104,9 @@ class TestPivotRecursion:
         assert hilbert_numerator([(1, 0, 0, 0)]) == [1, -1]
 
     def test_unit_ideal(self):
+        # the unit alone is a complete intersection: 1 - t^0 = 0
         assert hilbert_numerator([(0, 0, 0, 0)]) == []
+        assert hilbert_numerator([(0, 0, 0, 0), (1, 0, 0, 0)]) == []
 
     def test_complete_intersection(self):
         P = hilbert_numerator([(0, 0, 0, 1), (0, 2, 0, 0), (0, 0, 1, 0)])
@@ -87,31 +118,24 @@ class TestPivotRecursion:
         P = hilbert_numerator(leading_ideal(engine_bases[params]))
         assert pairs(P) == load_fixture_numerator(params)
 
-    @pytest.mark.parametrize("gens", [
-        [], [(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 1, 0, 0), (0, 1, 1, 0)],
-    ])
-    def test_unknown_pivot_rejected_on_entry(self, gens):
-        # the first three take no pivot; the name was only checked once one was taken
-        with pytest.raises(ValueError, match="unknown pivot strategy 'bogus'"):
-            hilbert_numerator(gens, pivot="bogus")
-
-    def test_only_random_pivot_seeds_a_generator(self, monkeypatch):
-        gens = [(1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1)]
-        expected = hilbert_numerator(gens, pivot="random", seed=4)
-        monkeypatch.setattr(hilbert, "random", None)
-        assert hilbert_numerator(gens) == hilbert_numerator(gens, pivot="first") == expected
-        with pytest.raises(AttributeError):
-            hilbert_numerator(gens, pivot="random")
-
-    def test_pivot_invariance_on_random_ideals(self):
+    def test_random_ideals_match_inclusion_exclusion(self):
         rng = random.Random(5)
         for _ in range(40):
             gens = random_ideal(rng)
-            results = {
-                str(hilbert_numerator(gens, pivot=p, seed=9))
-                for p in ("first", "maxdeg", "random")
-            }
-            assert len(results) == 1, gens
+            assert hilbert_numerator(gens) == ref.to_list(ref.taylor_numerator(gens)), gens
+
+    def test_benchmark_box_ideals_match_inclusion_exclusion(self):
+        # the leading ideals of every verify op of the family_sweep and engine_offfamily workloads
+        box = family_box(FAMILY_BOX_RANGES) + engine_box()
+        assert len(box) == 233 + 782
+        for params in box:
+            lead = leading_ideal(engine_basis(toric_generators(params)))
+            assert hilbert_numerator(lead) == ref.to_list(ref.taylor_numerator(lead)), params
+
+    def test_large_box_draw_matches_inclusion_exclusion(self):
+        for params in large_box_draw(seed=25, size=100):
+            lead = leading_ideal(engine_basis(toric_generators(params)))
+            assert hilbert_numerator(lead) == ref.to_list(ref.taylor_numerator(lead)), params
 
     def test_counts_match_direct_enumeration(self):
         rng = random.Random(6)
@@ -283,7 +307,6 @@ class TestFourWideScansAgainstReference:
     @given(coprime_sets())
     def test_coprime_sets_are_complete_intersections(self, gens):
         assert hilbert_numerator(gens) == ref.to_list(ref.taylor_numerator(gens))
-        assert hilbert_numerator(gens, pivot="random", seed=3) == ref.to_list(ref.taylor_numerator(gens))
 
     def test_shared_variable_two_generators_apart(self):
         # in (degree, tuple) order X1^2 and X1*X3^2 are not neighbours, and
@@ -356,11 +379,10 @@ class TestListHelpersAgainstReference:
         assert rep.first_decrease_level == (min(negatives) if negatives else None)
         assert Q == before
 
-    @given(st.lists(monomials, max_size=5), st.sampled_from(["first", "maxdeg", "random"]),
-           st.integers(0, 9))
-    def test_pivot_recursion(self, gens, pivot, seed):
+    @given(st.lists(monomials, max_size=5))
+    def test_pivot_recursion(self, gens):
         before = list(gens)
-        got = hilbert_numerator(gens, pivot=pivot, seed=seed)
+        got = hilbert_numerator(gens)
         assert got == ref.to_list(ref.taylor_numerator(gens)) and no_trailing_zero(got)
         assert gens == before
 

@@ -8,6 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as ref
 from pseudosym import PseudoSymmetricParams, cm, stdbasis
 from pseudosym.errors import InconsistencyError
 from pseudosym.pipeline import basis_set, engine_basis, load_fixture_basis
@@ -230,12 +231,12 @@ def old_minimalize(G):
     if not G:
         return []
     order = G[0].order
-    ranked = sorted(enumerate(G), key=lambda ig: (sum(ig[1].lm), order.sort_key(ig[1].lm), ig[0]))
+    ranked = sorted(enumerate(G), key=lambda ig: (sum(ig[1].lm), ref.order_key(order, ig[1].lm), ig[0]))
     kept = []
     for _, g in ranked:
         if not any(divides(k.lm, g.lm) for k in kept):
             kept.append(g)
-    kept.sort(key=lambda g: order.sort_key(g.lm), reverse=True)
+    kept.sort(key=lambda g: ref.order_key(order, g.lm), reverse=True)
     return kept
 
 
