@@ -38,6 +38,7 @@ from .semigroup import (
     PseudoSymmetricParams,
     check_conditions,
     construct_generators,
+    frobenius,
     frobenius_and_gaps,
     genus,
     hilbert_oracle,

@@ -27,11 +27,14 @@ import sys
 from . import hilbert, pipeline, stdbasis, toric
 from .errors import InconsistencyError, ParameterError
 from .pipeline import SweepConfig, build_report, run_sweep
+# perfbench/tracing.py patches cli.frobenius_and_gaps and cli.is_pseudo_symmetric: keep both bound.
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
-    frobenius_and_gaps,
+    frobenius,
+    frobenius_and_gaps,  # noqa: F401
+    genus,
     hilbert_oracle,
     is_pseudo_symmetric,
 )
@@ -102,13 +105,16 @@ def _params_from_args(args) -> PseudoSymmetricParams:
 
 
 def _semigroup_facts(params: PseudoSymmetricParams) -> tuple[NumericalSemigroup, dict]:
-    """The checked semigroup plus the facts `gens` and `oracle` both report."""
+    """The checked semigroup plus the facts `gens` and `oracle` both report.
+
+    All three are read from `S.apery`: the genus by Selmer's formula, so no
+    gap is listed.
+    """
     S = pipeline.numerical_semigroup(params)
-    frobenius, gaps = frobenius_and_gaps(S)
     return S, {
         "n": list(S.generators),
-        "frobenius": frobenius,
-        "genus": len(gaps),
+        "frobenius": frobenius(S),
+        "genus": genus(S),
         "pseudo_symmetric": is_pseudo_symmetric(S),
     }
 

@@ -52,17 +52,24 @@ def fixture_stem(params: PseudoSymmetricParams) -> str:
     )
 
 
+def _check_fixtures_dir(fixtures_dir: str | Path | None) -> None:
+    """Refuse a `fixtures_dir` that is given but is not a directory."""
+    if fixtures_dir is None:
+        return
+    if fixtures_dir == "":
+        # Path("") is the working directory: the fixture checks would vanish silently
+        raise ParameterError("fixtures_dir: expected a directory, got an empty value")
+    if not Path(fixtures_dir).is_dir():
+        raise ParameterError(f"no fixture directory at {fixtures_dir}")
+
+
 def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
     """`parse` applied to the named fixture's text; None when there is no such file."""
+    _check_fixtures_dir(fixtures_dir)
     if fixtures_dir is None:
         if name not in _PACKAGED_NAMES:
             return None
         ref = _PACKAGED_FIXTURES.joinpath(name)
-    elif fixtures_dir == "":
-        # Path("") is the working directory: the fixture checks would vanish silently
-        raise ParameterError("fixtures_dir: expected a directory, got an empty value")
-    elif not Path(fixtures_dir).is_dir():
-        raise ParameterError(f"no fixture directory at {fixtures_dir}")
     else:
         ref = Path(fixtures_dir) / name
     if not ref.is_file():
@@ -152,8 +159,12 @@ def hilbert_section(P: list[int], max_level: int | None) -> dict:
 def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
                  fixtures_dir: str | Path | None = None,
                  timing: bool = False) -> dict:
-    """Run the full pipeline on one tuple and cross-check every route."""
+    """Run the full pipeline on one tuple and cross-check every route.
+
+    A `fixtures_dir` that is not a directory is refused before any stage runs.
+    """
     started = time.perf_counter()
+    _check_fixtures_dir(fixtures_dir)
     mismatches: list[str] = []
     report: dict = {"params": params.as_dict()}
 

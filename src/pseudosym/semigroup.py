@@ -17,7 +17,6 @@ that the kernel is tested against.
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import cached_property
 from itertools import chain
@@ -73,8 +72,7 @@ class NumericalSemigroup(Record):
 
     An empty tuple or a generator that is not an `int` (a `bool` is not one)
     or is below 1 raises `ParameterError`: the Apery set needs a positive
-    smallest generator as its modulus, and its Dijkstra search needs edges
-    of nonnegative weight.
+    smallest generator as its modulus.
     """
 
     _fields = ("generators",)
@@ -96,25 +94,37 @@ class NumericalSemigroup(Record):
     def apery(self) -> tuple[int, ...]:
         """Ap(S, m) for the smallest generator m, indexed by residue.
 
-        Entry r is the least element of S congruent to r mod m.  It is found
-        by Dijkstra over the m residues, with an edge r -> (r + g) mod m of
-        weight g for every generator g, on the first read, and then kept.
+        Entry r is the least element of S congruent to r mod m.  It is built
+        by Böcker and Lipták's round-robin recurrence (A fast and simple
+        algorithm for the money changing problem, Algorithmica 48, 2007) on
+        the first read, and then kept.  Start from Ap(<m>) = [0, inf, ...]
+        and add one generator g at a time.  With d = gcd(m, g), the step
+        r -> (r + g) mod m walks each residue class p mod d as one cycle of
+        m/d residues.  The least entry of a class is already final, so one
+        walk round the cycle from it, taking ap[r] = min(ap[r], previous + g)
+        at each step, adds g to the class.  A class whose entries are all
+        still inf is skipped, and a multiple of m adds nothing.  That is
+        O(k * m) time for k generators and O(m) memory.
         """
         if self.gcd() != 1:
             raise ParameterError(f"gcd of generators must be 1 (got {self.gcd()})")
         m = min(self.generators)
         ap = [0] + [math.inf] * (m - 1)
-        heap = [(0, 0)]
-        while heap:
-            d, r = heapq.heappop(heap)
-            if d > ap[r]:
+        for g in self.generators:
+            d = math.gcd(m, g)
+            if d == m:
                 continue
-            for g in self.generators:
-                e = d + g
-                t = e % m
-                if e < ap[t]:
-                    ap[t] = e
-                    heapq.heappush(heap, (e, t))
+            for p in range(d):
+                cur = min(ap[p::d])
+                if cur == math.inf:
+                    continue
+                for _ in range(m // d - 1):
+                    cur += g
+                    r = cur % m
+                    if ap[r] < cur:
+                        cur = ap[r]
+                    else:
+                        ap[r] = cur
         return tuple(ap)
 
 
@@ -186,17 +196,23 @@ def _gaps(ap: tuple[int, ...]) -> Iterator[int]:
     return chain.from_iterable(range(r, a, m) for r, a in enumerate(ap))
 
 
-def frobenius_and_gaps(S: NumericalSemigroup) -> tuple[int, list[int]]:
-    """Largest non-member (max Ap - m) and the full sorted gap list.
-
-    For ⟨1⟩-like inputs with no gaps the Frobenius number is reported as -1.
-    """
+def frobenius(S: NumericalSemigroup) -> int:
+    """The largest non-member, max Ap(S, m) - m; -1 for ⟨1⟩-like inputs with no gaps."""
     ap = S.apery
-    return max(ap) - len(ap), sorted(_gaps(ap))
+    return max(ap) - len(ap)
+
+
+def frobenius_and_gaps(S: NumericalSemigroup) -> tuple[int, list[int]]:
+    """The Frobenius number and the full sorted gap list.
+
+    Listing and sorting the gaps costs O(genus log genus); `frobenius` and
+    `genus` read the Apery set alone.
+    """
+    return frobenius(S), sorted(_gaps(S.apery))
 
 
 def genus(S: NumericalSemigroup) -> int:
-    """Number of gaps, by Selmer's formula sum(Ap) / m - (m - 1) / 2."""
+    """Number of gaps, by Selmer's formula sum(Ap) / m - (m - 1) / 2, with no gap listed."""
     ap = S.apery
     m = len(ap)
     return (sum(ap) - m * (m - 1) // 2) // m
@@ -213,9 +229,8 @@ def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
     pseudo-symmetry.  The genus comes from Selmer's formula, so no gap is
     listed.  ⟨1⟩ has F = -1, which is odd.
     """
-    ap = S.apery
-    frobenius = max(ap) - len(ap)
-    return frobenius % 2 == 0 and 2 * genus(S) == frobenius + 2
+    f = frobenius(S)
+    return f % 2 == 0 and 2 * genus(S) == f + 2
 
 
 def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:

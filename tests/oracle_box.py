@@ -10,12 +10,15 @@ and compares the two routes up to the plateau + 5.
 `facts_fail` checks the other semigroup facts of one tuple: every coprime
 tuple of the family is pseudo-symmetric, so `is_pseudo_symmetric` must hold,
 and the gap count of `frobenius_and_gaps`, `genus` and (F + 2) / 2 must agree.
+`apery_fails` checks the kernel they all read: `S.apery`, built by the
+round-robin recurrence, against `reference.apery_dijkstra`, a shortest-path
+search over the residues.
 
-Run as a script, it checks both on every coprime tuple of `seed_engine.py`'s
-box (alpha1..3 in 2..10, alpha4 in 2..5, alpha21 in 1..9, 10,189 tuples),
-prints a one-line JSON summary (the tuple count, the largest plateau seen,
-each differing tuple and the count of tuples whose facts fail) and exits 1
-on any difference or failure:
+Run as a script, it checks all three on every coprime tuple of
+`seed_engine.py`'s box (alpha1..3 in 2..10, alpha4 in 2..5, alpha21 in 1..9,
+10,189 tuples), prints a one-line JSON summary (the tuple count, the largest
+plateau seen, each differing tuple, the count of tuples whose facts fail and
+the count whose Apery set fails) and exits 1 on any difference or failure:
 
     PYTHONPATH=src python tests/oracle_box.py --jobs 2
 """
@@ -33,7 +36,7 @@ from pseudosym.semigroup import (
 )
 
 from conftest import engine_box, map_box
-from reference import hilbert_levels
+from reference import apery_dijkstra, hilbert_levels
 from seed_engine import CLOSURE_BOX_RANGES
 
 MARGIN = 5
@@ -57,19 +60,28 @@ def facts_fail(params) -> bool:
     return not (is_pseudo_symmetric(S) and len(gaps) == genus(S) == (frobenius + 2) / 2)
 
 
-def check(params) -> tuple[int, bool, bool]:
-    return (*oracle_differs(params), facts_fail(params))
+def apery_fails(params) -> bool:
+    """Whether `S.apery` differs from the Dijkstra route's Apery set."""
+    S = construct_generators(params)
+    return S.apery != apery_dijkstra(S.generators)
+
+
+def check(params) -> tuple[int, bool, bool, bool]:
+    return (*oracle_differs(params), facts_fail(params), apery_fails(params))
 
 
 def main(argv=None) -> int:
     box, results = map_box(
-        "The Hilbert oracle against the per-level sweep, and the semigroup facts, on the 10,189-tuple box.",
+        "The Hilbert oracle against the per-level sweep, the semigroup facts and the Apery set, "
+        "on the 10,189-tuple box.",
         lambda: engine_box(CLOSURE_BOX_RANGES), check, 64, argv)
-    differing = [list(p.as_dict().values()) for p, (_, bad, _) in zip(box, results) if bad]
-    facts_failing = sum(failed for _, _, failed in results)
-    print(json.dumps({"total": len(box), "largest_plateau": max(plateau for plateau, _, _ in results),
-                      "differing": differing, "facts_failing": facts_failing}))
-    return 1 if differing or facts_failing else 0
+    differing = [list(p.as_dict().values()) for p, (_, bad, _, _) in zip(box, results) if bad]
+    facts_failing = sum(failed for _, _, failed, _ in results)
+    apery_failing = sum(failed for _, _, _, failed in results)
+    print(json.dumps({"total": len(box), "largest_plateau": max(plateau for plateau, *_ in results),
+                      "differing": differing, "facts_failing": facts_failing,
+                      "apery_failing": apery_failing}))
+    return 1 if differing or facts_failing or apery_failing else 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ package's message.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass, field
@@ -238,6 +239,29 @@ def apery_set(gens) -> list[int]:
         if member[x] and ap[x % m] is None:
             ap[x % m] = x
     return ap
+
+
+def apery_dijkstra(gens) -> tuple[int, ...]:
+    """Ap(S, m) for the smallest generator m, by residue, by Dijkstra.
+
+    A shortest-path search over the m residues, with an edge
+    r -> (r + g) mod m of weight g for every generator g; it shares no step
+    with the package's round-robin recurrence.  `gens` must have gcd 1.
+    """
+    m = min(gens)
+    ap = [0] + [math.inf] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d > ap[r]:
+            continue
+        for g in gens:
+            e = d + g
+            t = e % m
+            if e < ap[t]:
+                ap[t] = e
+                heapq.heappush(heap, (e, t))
+    return tuple(ap)
 
 
 def pseudo_symmetric_by_apery_maxima(gens) -> bool:

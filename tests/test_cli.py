@@ -4,7 +4,6 @@ import argparse
 import concurrent.futures
 import contextlib
 import hashlib
-import heapq
 import io
 import json
 import os
@@ -400,35 +399,19 @@ def test_each_derivation_runs_once_per_op(capsys, monkeypatch, argv, counts):
     assert tuple(calls.values()) == counts
 
 
-class _CountingHeapq:
-    """`heapq` for the semigroup module that counts Dijkstra runs over Ap(S, m).
-
-    Each run starts by popping the residue 0 at distance 0, and no later pop
-    is (0, 0): every other distance is positive.
-    """
-
-    heappush = staticmethod(heapq.heappush)
-
-    def __init__(self):
-        self.runs = 0
-
-    def heappop(self, heap):
-        item = heapq.heappop(heap)
-        self.runs += item == (0, 0)
-        return item
-
-
 LARGE = ["--alpha1", "30", "--alpha2", "40", "--alpha3", "12", "--alpha4", "2", "--alpha21", "14"]
 
 
 @pytest.mark.parametrize("command", ["oracle", "gens", "verify"])
 @pytest.mark.parametrize("values", [LARGE, A4_3], ids=["LARGE", "A4_3"])
 def test_one_apery_set_per_op(capsys, monkeypatch, command, values):
-    # the facts an op reports and its oracle read one semigroup's S.apery
-    counter = _CountingHeapq()
-    monkeypatch.setattr(semigroup, "heapq", counter)
+    # the facts an op reports and its oracle read one semigroup's S.apery:
+    # the function the cached property calls runs once per op
+    prop = semigroup.NumericalSemigroup.apery
+    derive, derived = prop.func, []
+    monkeypatch.setattr(prop, "func", lambda S: derived.append(S.generators) or derive(S))
     assert run(capsys, [command, *values])[0] == 0
-    assert counter.runs == 1
+    assert len(derived) == 1
 
 
 # sha256 of stdout, with the exit code, for every single-tuple subcommand in
@@ -476,6 +459,35 @@ GOLDEN_STDOUT = [
 def test_stdout_is_pinned(capsys, tuple_name, command, code, digest):
     got_code, out, _ = run(capsys, [command[0], *TUPLES[tuple_name], *command[1:]])
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def _no_gap_list(ap):
+    raise AssertionError("a gap list was built")
+
+
+FACTS_STDOUT = [case for case in GOLDEN_STDOUT if case[1][0] in ("gens", "oracle")]
+
+
+@pytest.mark.parametrize("tuple_name, command, code, digest", FACTS_STDOUT,
+                         ids=[f"{t}-{'-'.join(c).replace('--', '')}" for t, c, _, _ in FACTS_STDOUT])
+def test_gens_and_oracle_list_no_gaps(capsys, monkeypatch, tuple_name, command, code, digest):
+    # Frobenius number, genus and pseudo-symmetry are read from S.apery alone
+    monkeypatch.setattr(semigroup, "_gaps", _no_gap_list)
+    got_code, out, _ = run(capsys, [command[0], *TUPLES[tuple_name], *command[1:]])
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("command", ["gens", "oracle"])
+def test_large_semigroup_lists_no_gaps(capsys, monkeypatch, command):
+    # LARGE has 13,306 gaps; the reported genus is their count all the same
+    S = semigroup.construct_generators(semigroup.PseudoSymmetricParams(30, 40, 12, 2, 14))
+    frobenius, gaps = semigroup.frobenius_and_gaps(S)
+    monkeypatch.setattr(semigroup, "_gaps", _no_gap_list)
+    code, out, _ = run(capsys, [command, *LARGE])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["frobenius"], data["genus"], data["pseudo_symmetric"]) == (frobenius, len(gaps), True)
+    assert len(gaps) == 13306
 
 
 @pytest.mark.parametrize("command", ["gens", "basis", "hilbert", "verify", "oracle"])

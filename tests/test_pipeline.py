@@ -91,6 +91,20 @@ class TestFixtureLoading:
         with pytest.raises(ParameterError, match=message):
             build_report(TUPLE_41, fixtures_dir="")
 
+    @pytest.mark.parametrize("bad", ["", "nonexistent"])
+    def test_bad_directory_refused_before_any_stage(self, tmp_path, monkeypatch, bad):
+        # build_report refused it only once the basis, series and oracle had run
+        def no_stage(*args):
+            raise AssertionError("a pipeline stage ran")
+
+        monkeypatch.setattr(stdbasis, "standard_basis", no_stage)
+        fixtures_dir = bad and tmp_path / bad
+        message = ("fixtures_dir: expected a directory, got an empty value" if bad == ""
+                   else f"no fixture directory at {fixtures_dir}")
+        with pytest.raises(ParameterError) as info:
+            build_report(TUPLE_41, fixtures_dir=fixtures_dir)
+        assert str(info.value) == message
+
     def test_absent_file_is_none(self, tmp_path):
         assert load_fixture_basis(TUPLE_41, tmp_path) is None
         assert load_fixture_numerator(TUPLE_41, tmp_path) is None
@@ -177,7 +191,7 @@ class TestOffFamilyGate:
 
     @pytest.mark.xfail(strict=True, reason=(
         "cm_verdict tests X1, not the variable of the smallest generator "
-        "(here X4, n4 = 9); see ROADMAP item 1"))
+        "(here X4, n4 = 9); see ROADMAP item 2"))
     def test_unsorted_cm_tuple_reported_cm(self):
         report = build_report(PseudoSymmetricParams(3, 2, 2, 4, 1))
         assert report["n"] == [13, 11, 12, 9]

@@ -22,7 +22,7 @@ from pseudosym.semigroup import (
 
 import reference as ref
 from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_44, engine_box
-from oracle_box import facts_fail, oracle_differs
+from oracle_box import apery_fails, facts_fail, oracle_differs
 from seed_engine import CLOSURE_BOX_RANGES
 
 
@@ -235,6 +235,23 @@ class TestAperySet:
         else:
             assert S.apery == tuple(ref.apery_set(gens))
 
+    @pytest.mark.parametrize("gens", [
+        (6, 9, 10), (4, 6, 9),  # gcd(m, g) > 1: the residues split into classes mod d
+        (5, 7, 7, 9), (5, 5, 7),  # a repeated generator, and m listed twice
+        (4, 8, 5, 12),  # multiples of m add nothing
+        (1,), (1, 4, 9),  # m = 1: Ap = (0,)
+        (11, 7, 9, 8), (9, 4, 6),  # unsorted: m is not the first generator
+    ], ids=str)
+    def test_round_robin_edge_cases(self, gens):
+        assert NumericalSemigroup(gens).apery == tuple(ref.apery_set(gens))
+        assert NumericalSemigroup(gens).apery == ref.apery_dijkstra(gens)
+
+    @pytest.mark.parametrize("gens", [(4, 6), (6, 9, 12), (4, 4)], ids=str)
+    def test_gcd_above_one_still_refused(self, gens):
+        d = math.gcd(*gens)
+        with pytest.raises(ParameterError, match=rf"^gcd of generators must be 1 \(got {d}\)$"):
+            NumericalSemigroup(gens).apery
+
     def test_derived_once_as_a_read_only_tuple(self):
         S = construct_generators(TUPLE_41)
         ap = S.apery
@@ -271,6 +288,7 @@ class TestOracleAgainstLevelSweep:
         results = {p: oracle_differs(p) for p in sample}
         assert [p for p, (_, bad) in results.items() if bad] == []
         assert [p for p in sample if facts_fail(p)] == []
+        assert [p for p in sample if apery_fails(p)] == []
         assert max(plateau for plateau, _ in results.values()) > 20
 
 
