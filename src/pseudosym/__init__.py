@@ -22,7 +22,6 @@ from .hilbert import (
 )
 from .pipeline import SweepConfig, build_report, iter_sweep, run_sweep
 from .poly import (
-    GLOBAL,
     LOCAL,
     MonomialOrder,
     Polynomial,

@@ -109,7 +109,6 @@ class MonomialOrder(Record):
 
 
 LOCAL = MonomialOrder(local=True)
-GLOBAL = MonomialOrder(local=False)
 
 
 def weighted_degree(m: Exponent, weights: Sequence[int]) -> int:

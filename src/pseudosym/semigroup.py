@@ -3,16 +3,17 @@
 The constructor realizes the 4-generator parametrization of pseudo-symmetric
 semigroups from the parameters (alpha1..alpha4, alpha21).  Everything else in
 this module is deliberately independent of the polynomial machinery, so it
-can arbitrate results produced by the algebraic route.  One kernel answers
-every semigroup question: the Apery set Ap(S, m) of the smallest generator m,
-derived once per `NumericalSemigroup` as `S.apery`, gives the Frobenius
-number, the gaps, the genus, the pseudo-symmetry test (a count,
-2 * genus = F + 2) and the order-counting Hilbert oracle.  The oracle keeps
-the elements of order >= n, shifted down by n * m, as one big-int bitmap
-over 0..max Ap(S, m); the next level is one shift-or per generator, and H(n)
-is a bit count.  It stops at the plateau H = m.  The maximal-order table
-`membership_table` is kept as the brute-force dynamic-programming reference
-that the kernel is tested against.
+can arbitrate results produced by the algebraic route.  The Apery set
+Ap(S, m) of the smallest generator m, derived once per `NumericalSemigroup`
+as `S.apery`, gives the Frobenius number, the gaps, the genus and the
+pseudo-symmetry test (a count, 2 * genus = F + 2).  The order-counting
+Hilbert oracle does not read it, so it and those facts share no code.  The
+oracle keeps the elements of order >= n, shifted down by n * m, as one
+big-int bitmap over 0..F + m, a window it reads off its own bitmap of S;
+the next level is one shift-or per generator, and H(n) is m minus the
+growth of one bit count.  It stops at the plateau H = m.  The maximal-order
+table `membership_table` is kept as the brute-force dynamic-programming
+reference that the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -238,57 +239,94 @@ def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
 
     The elements of order >= n form nM (M = S minus 0, 0M = S), so
     H(n) = #(nM minus (n+1)M).  Take T_n = nM - n*m, shifted down by n*m for
-    the smallest generator m, as a bitmap: bit x is set when x + n*m is in
+    the smallest generator m, as a bitmap: x is in T_n when x + n*m is in
     nM.  As (n+1)M = nM + G for the generator set G,
-    T_{n+1} = union over g in G of (T_n + g - m), one shift-or per generator,
-    and H(n) = #(T_n minus (T_{n+1} + m)).
+    T_{n+1} = union over g in G of (T_n + g - m), one shift-or per generator.
 
-    Only the bits 0..max Ap(S, m) are kept, and they are exact.  Every shift
+    Only the bits 0..F + m are kept, and they are exact.  Every shift
     g - m is >= 0, so a bit of T_{n+1} depends only on bits of T_n at or below
     it.  In class r mod m an element of order n can only be min_n[r], the least
-    element of nM there, and min_n[r] - n*m <= Ap[r]: from one level to the
-    next min_n[r] stays or grows by m, and min_0 = Ap.  So every counted bit
-    lies in the window.  T_0 = S within the window is built by doubling each
-    generator's multiples, and a generator whose shift leaves the window
-    drops out.  H(0) = 1.  Per class T_n is an arithmetic progression of
-    step m, so H(n) = m exactly when T_{n+1} = T_n; T_{n+1} depends on T_n
-    alone, so H stays m from that plateau on, and the remaining levels are
-    filled with m.  The memory is O(max Ap) bits, whatever L is.
+    element of nM there, and min_n[r] - n*m <= min_0[r] <= F + m: from one
+    level to the next min_n[r] stays or grows by m (min_n[r] + m is in
+    (n+1)M), and every class has a member in F + 1..F + m.  So every counted
+    bit lies in the window.  The int holds the window reversed, bit i
+    standing for F + m - i: adding g - m moves bits down, and those that
+    leave the window at the top fall off, so no mask is needed.
+
+    The window is read from the bitmap itself.  T_0 = S within 0..B, bit i
+    standing for B - i, is built by doubling each generator's multiples; a
+    generator above B drops out.  Once the top m elements of 0..B are all
+    members, so is everything above B (add m), F is the highest non-member
+    and the window is F + m; a right shift drops the B - F - m bits above
+    it.  Otherwise B doubles, from 2 * max(G).  It never exceeds
+    (m - 1) * g, for the least generator g at which the gcd of the
+    generators up to it (sorted) is 1, and that B always passes, so a large
+    redundant generator cannot size the window.  Proof (Schur's bound):
+    let S' be generated by the generators up to g, and w the least element
+    of S' in some class mod m.  As w - m is not in S', w is a sum of t
+    generators of S' other than m, each at most g.  Each partial sum p is
+    the least of S' in its class, since p - m in S' would put w - m in S';
+    so the t + 1 partial sums lie in distinct classes, t <= m - 1 and
+    w <= (m - 1) * g.  S contains S', so its least element in each class is
+    at most (m - 1) * g, and the largest of those is F + m.  For m = 1 that
+    is B = 0 and F = -1: <1, g> is all of N.
+
+    Per class, T_n within the window is the progression from
+    min_n[r] - n*m up to F + m in steps of m.  At the next level its start
+    moves down by m, one element more, when min_n[r] has order >= n + 1, and
+    stays when min_n[r] has order n.  So T_{n+1} contains T_n and
+    H(n) = m - (#T_{n+1} - #T_n), one bit count per level.  H(0) = 1.
+    H(n) = m exactly when T_{n+1} = T_n; T_{n+1} depends on T_n alone, so
+    H stays m from that plateau on, and the remaining levels are filled
+    with m.  The memory is O(F + m) bits, whatever L is.
 
     The same bitmaps give Garcia's Cohen-Macaulay test of the associated
     graded ring: it is CM iff s + m in (n+1)M implies s in nM for every s in
     S, that is iff T_{n+1} & (S - n*m) is a subset of T_n for every n.  A
     witness x = s - n*m of a failure lies in the window: x >= 0 as
-    s + m >= (n+1)*m, and x < min_n[r] - n*m <= Ap[r] as s is not in nM.
+    s + m >= (n+1)*m, and x < min_n[r] - n*m <= F + m as s is not in nM.
 
     With gcd d > 1 only the multiples of d are reached.  S is then d times
     the semigroup of the generators divided by d, with the same orders, so
-    the counts are taken there.
+    the counts are taken there.  The Apery set `S.apery` is not read.
     """
     if up_to_level < 0:
         raise ParameterError(f"max level >= 0 violated ({up_to_level})")
-    d = S.gcd()
-    if d > 1:
-        S = NumericalSemigroup(tuple(g // d for g in S.generators))
     gens = S.generators
-    top = max(S.apery)
+    d = math.gcd(*gens)
+    if d > 1:
+        gens = [g // d for g in gens]
     m = min(gens)
-    mask = (2 << top) - 1
-    T = 1
-    for g in gens:
-        k = g
-        while k <= top:
-            T = (T | T << k) & mask
-            k *= 2
-    shifts = [g - m for g in gens if g - m <= top]
+    p = m
+    for g in sorted(gens):
+        p = math.gcd(p, g)
+        if p == 1:
+            break
+    cap = (m - 1) * g
+    full = (1 << m) - 1
+    bound = min(2 * max(gens), cap)
+    while True:
+        T = 1 << bound  # bit i stands for bound - i
+        for g in gens:
+            k = g
+            while k <= bound:
+                T |= T >> k
+                k *= 2
+        if T & full == full:
+            break
+        bound = min(2 * bound, cap)
+    low = (~T & (T + 1)).bit_length() - 1  # the lowest zero bit stands for F
+    T >>= low - m  # now bit i stands for F + m - i
+    shifts = [g - m for g in gens if g > m]
     counts = []
+    size = T.bit_count()
     h = 0
     while h < m and len(counts) <= up_to_level:
         nxt = T
         for s in shifts:
-            nxt |= T << s
-        nxt &= mask
-        h = (T & ~(nxt << m)).bit_count()
+            nxt |= T >> s
+        grown = nxt.bit_count()
+        h = m - (grown - size)
         counts.append(h)
-        T = nxt
+        T, size = nxt, grown
     return counts + [m] * (up_to_level + 1 - len(counts))

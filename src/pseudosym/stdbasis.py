@@ -13,8 +13,9 @@ keeps its elements in creation order, for pairs and `minimalize`, and a
 reducer list sorted stably by `_ecart`, so the first divisor is the first
 of least ecart in creation order: the reducer Mora's rule picks.  Under a
 global ordering every ecart is 0, and `nf_global` is `nf_mora`.  Pairs run
-in FIFO creation order, the product criterion skips those with coprime
-leads, and `minimalize` keeps the elements whose leads
+in FIFO creation order; the product criterion skips those with coprime
+leads, and a pair of two monomials, whose s-polynomial is 0, is never
+formed.  `minimalize` keeps the elements whose leads
 `poly.minimalize_monomials` keeps, so the returned basis is minimal.  It
 lists them largest lead first, sorted by the one comparison of the order,
 `MonomialOrder.greater`, through `functools.cmp_to_key`.
@@ -126,24 +127,35 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
     if not G:
         raise ValueError("need at least one nonzero polynomial")
     reducers = sorted(G, key=_ecart)
-    masks = [support(g.lead) for g in G]
-    pairs: deque[tuple[int, int]] = deque(
-        (i, j) for j in range(len(G)) for i in range(j)
-    )
+    masks: list[int] = []
+    binomial: list[bool] = []
+    pairs: deque[tuple[int, int]] = deque()
+    for g in G:
+        _add_pairs(g, masks, binomial, pairs)
     while pairs:
         i, j = pairs.popleft()
-        if not masks[i] & masks[j]:
-            continue
         h = nf(spoly(G[i], G[j]), reducers)
         if h.lead is None:
             continue
         g = normalize(h)
         G.append(g)
-        masks.append(support(g.lead))
         insort(reducers, g, key=_ecart)
-        new = len(G) - 1
-        pairs.extend((i, new) for i in range(new))
+        _add_pairs(g, masks, binomial, pairs)
     return G
+
+
+def _add_pairs(g: Polynomial, masks: list[int], binomial: list[bool], pairs: deque) -> None:
+    """Queue the pairs of the new element g with every earlier one, and record g.
+
+    A pair is skipped when its leads are coprime (the product criterion) or
+    when both elements are monomials, whose s-polynomial is 0.
+    """
+    new = len(masks)
+    mask = support(g.lead)
+    is_binomial = g.tail is not None
+    pairs.extend((i, new) for i in range(new) if masks[i] & mask and (is_binomial or binomial[i]))
+    masks.append(mask)
+    binomial.append(is_binomial)
 
 
 def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[Polynomial]:

@@ -405,13 +405,35 @@ LARGE = ["--alpha1", "30", "--alpha2", "40", "--alpha3", "12", "--alpha4", "2", 
 @pytest.mark.parametrize("command", ["oracle", "gens", "verify"])
 @pytest.mark.parametrize("values", [LARGE, A4_3], ids=["LARGE", "A4_3"])
 def test_one_apery_set_per_op(capsys, monkeypatch, command, values):
-    # the facts an op reports and its oracle read one semigroup's S.apery:
-    # the function the cached property calls runs once per op
+    # the facts gens and oracle report read one semigroup's S.apery, so the
+    # function the cached property calls runs once per op; the Hilbert
+    # oracle reads its window off its own bitmap, so verify runs it never
     prop = semigroup.NumericalSemigroup.apery
     derive, derived = prop.func, []
     monkeypatch.setattr(prop, "func", lambda S: derived.append(S.generators) or derive(S))
     assert run(capsys, [command, *values])[0] == 0
-    assert len(derived) == 1
+    assert len(derived) == (0 if command == "verify" else 1)
+
+
+def _no_apery_set(S):
+    raise AssertionError(f"an Apery set of {S.generators} was derived")
+
+
+# sha256 of verify's stdout, recorded while the oracle still read its window
+# off S.apery
+VERIFY_STDOUT = [
+    ("EX41", EX41, "d9954fadd3ecd8de6bbc6dc257a7e5d7f7ce88d4406e7b60c467397481673602"),
+    ("LARGE", LARGE, "dcfc0541645490d81c814dcb65f8b83bd9157fb7da813370f943a4c060137884"),
+    ("A4_3", A4_3, "b2cc4d81bdd3b06cd60213799eb39de081620e31800c83beca3c571036bcfccb"),
+]
+
+
+@pytest.mark.parametrize("values, digest", [case[1:] for case in VERIFY_STDOUT],
+                         ids=[case[0] for case in VERIFY_STDOUT])
+def test_verify_derives_no_apery_set(capsys, monkeypatch, values, digest):
+    monkeypatch.setattr(semigroup.NumericalSemigroup.apery, "func", _no_apery_set)
+    code, out, _ = run(capsys, ["verify", *values])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 # sha256 of stdout, with the exit code, for every single-tuple subcommand in

@@ -11,7 +11,6 @@ import reference as ref
 from pseudosym.cm import CM_ORDER
 from pseudosym.pipeline import basis_set
 from pseudosym.poly import (
-    GLOBAL,
     LOCAL,
     DimensionError,
     MonomialOrder,
@@ -32,6 +31,7 @@ from pseudosym.stdbasis import _ecart, tangent_cone_ideal
 
 from conftest import monomial_lists
 
+GLOBAL_ORDER = MonomialOrder(local=False)
 monos = st.tuples(*([st.integers(0, 6)] * 4))
 
 
@@ -61,7 +61,7 @@ class TestCompare:
     def test_irreflexive(self):
         m = (3, 1, 4, 1)
         assert not gt(LOCAL, m, m)
-        assert not gt(GLOBAL, m, m)
+        assert not gt(GLOBAL_ORDER, m, m)
 
     def test_degree_tie_reverse_lex(self):
         # equal degree 76: X2^76 beats X1^75*X3 on the X1>X2>X3>X4 precedence
@@ -70,7 +70,7 @@ class TestCompare:
     def test_local_one_is_largest(self):
         one = (0, 0, 0, 0)
         assert gt(LOCAL, one, (0, 1, 0, 0))
-        assert gt(GLOBAL, (0, 1, 0, 0), one)
+        assert gt(GLOBAL_ORDER, (0, 1, 0, 0), one)
 
     def test_length_mismatch_rejected(self):
         # the validating constructor is where exponent lengths are checked
@@ -250,8 +250,8 @@ def shapes(draw):
     return {a: sign, draw(monos.filter(lambda b: b != a)): -sign}
 
 
-orders = st.sampled_from([LOCAL, GLOBAL])
-all_orders = st.sampled_from([LOCAL, GLOBAL, CM_ORDER])
+orders = st.sampled_from([LOCAL, GLOBAL_ORDER])
+all_orders = st.sampled_from([LOCAL, GLOBAL_ORDER, CM_ORDER])
 
 
 def build(f, order):
@@ -320,7 +320,7 @@ class TestBinomialFormulas:
         # every way of making a new polynomial must leave both equal to what
         # its terms say
         F = build(f, order)
-        other = GLOBAL if order.local else LOCAL
+        other = GLOBAL_ORDER if order.local else LOCAL
         for G in (F, -F, times(F, m), with_order(F, other), normalize(F)):
             local = G.order.local
             terms = {t.mono: t.coeff for t in G.terms}
@@ -376,7 +376,7 @@ def engine_results(F, G):
     yield -F
     yield -zero(F.order)
     yield normalize(F)
-    for order in (LOCAL, GLOBAL, CM_ORDER):
+    for order in (LOCAL, GLOBAL_ORDER, CM_ORDER):
         yield with_order(F, order)
     yield with_order(zero(F.order), LOCAL)
 
@@ -392,7 +392,7 @@ class TestTrustedConstructor:
         for R in engine_results(F, G):
             assert_as_validated(R)
 
-    @given(shapes(), shapes(), st.sampled_from([GLOBAL, CM_ORDER]))
+    @given(shapes(), shapes(), st.sampled_from([GLOBAL_ORDER, CM_ORDER]))
     def test_global_orderings_have_ecart_zero(self, f, g, order):
         # what lets nf_global be nf_mora: under a global ordering the lead
         # has the top degree, so every nonzero polynomial has ecart 0 and the
@@ -402,7 +402,7 @@ class TestTrustedConstructor:
             if not R.is_zero and not R.order.local:
                 assert _ecart(R) == 0
 
-    @pytest.mark.parametrize("order", [LOCAL, GLOBAL, CM_ORDER], ids=["local", "global", "cm"])
+    @pytest.mark.parametrize("order", [LOCAL, GLOBAL_ORDER, CM_ORDER], ids=["local", "global", "cm"])
     @pytest.mark.parametrize("h, g, expect", [
         # the moved tail of g is the tail of h: zero
         ("X1*X2-X2*X3", "X1-X3", "0"),
@@ -423,9 +423,9 @@ class TestTrustedConstructor:
         f = P("X1*X2-X3*X4")
         assert with_order(f, LOCAL).lm == (1, 1, 0, 0)
         assert with_order(f, CM_ORDER).lm == (0, 0, 1, 1)
-        assert with_order(with_order(f, CM_ORDER), GLOBAL).lm == (1, 1, 0, 0)
+        assert with_order(with_order(f, CM_ORDER), GLOBAL_ORDER).lm == (1, 1, 0, 0)
 
-    @pytest.mark.parametrize("order", [LOCAL, GLOBAL, CM_ORDER], ids=["local", "global", "cm"])
+    @pytest.mark.parametrize("order", [LOCAL, GLOBAL_ORDER, CM_ORDER], ids=["local", "global", "cm"])
     def test_refusals_kept(self, order):
         with pytest.raises(ValueError, match="does not divide"):
             reduce_step(P("X1-X2^2", order), P("X1^2-X3^2", order))
@@ -436,7 +436,7 @@ class TestTrustedConstructor:
         with pytest.raises(ValueError):
             spoly(P("X1-X2^2", order), zero(order))
         with pytest.raises(ValueError, match="different monomial orderings"):
-            spoly(P("X1-X2^2", order), P("X1-X2^2", LOCAL if order != LOCAL else GLOBAL))
+            spoly(P("X1-X2^2", order), P("X1-X2^2", LOCAL if order != LOCAL else GLOBAL_ORDER))
 
 
 class TestTextFormat:
@@ -464,7 +464,7 @@ class TestTextFormat:
 
     def test_constant_term_renders_as_one(self):
         assert render_poly(P("X1^2-1")) == "-1+X1^2"
-        assert render_poly(-monomial((0, 0, 0, 0), GLOBAL)) == "-1"
+        assert render_poly(-monomial((0, 0, 0, 0), GLOBAL_ORDER)) == "-1"
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -478,7 +478,7 @@ class TestTextFormat:
 
 @st.composite
 def drawn_polys(draw, max_exp):
-    """Zero, a signed monomial or a signed binomial under LOCAL, GLOBAL or CM_ORDER.
+    """Zero, a signed monomial or a signed binomial under LOCAL, GLOBAL_ORDER or CM_ORDER.
 
     Monomials have exponents 0..max_exp, and the unit monomial is drawn on
     purpose, not only by chance.

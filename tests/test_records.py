@@ -18,11 +18,12 @@ import pytest
 import pseudosym
 from pseudosym.cm import CM_ORDER
 from pseudosym.errors import ParameterError, Record
-from pseudosym.poly import GLOBAL, LOCAL
+from pseudosym.poly import LOCAL, MonomialOrder
 from pseudosym.toric import toric_generators
 
 import reference as ref
 
+GLOBAL_ORDER = MonomialOrder(local=False)
 RECORDS = ("PseudoSymmetricParams", "NumericalSemigroup", "MonomialOrder", "ToricSystem",
            "ClosedFormBasis", "CmVerdict", "HilbertReport", "SweepConfig")
 
@@ -141,7 +142,7 @@ class TestAgainstDataclass:
             assert repr(twin) == repr(new)
 
 
-@pytest.mark.parametrize("order", [LOCAL, GLOBAL, CM_ORDER], ids=["LOCAL", "GLOBAL", "CM_ORDER"])
+@pytest.mark.parametrize("order", [LOCAL, GLOBAL_ORDER, CM_ORDER], ids=["LOCAL", "GLOBAL", "CM_ORDER"])
 def test_module_orders_round_trip_with_their_scan_order(order):
     for twin in (pickle.loads(pickle.dumps(order)), copy.deepcopy(order)):
         assert twin == order and twin._least_first == order._least_first == order.precedence[::-1]

@@ -195,6 +195,33 @@ class TestHilbertOracle:
         assert hilbert_oracle(NumericalSemigroup(gens), 3) == [1, 1, 1, 1]
         assert ref.hilbert_by_level_sweep(gens, 3) == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("gens", [
+        (50, 51),  # window F + m = 2499: B doubles five times from 2 * 51, the last cut to 49 * 51
+        (2, 3),
+        (1, 4, 9),  # m = 1: the window is 0..0
+        (12, 20, 30),  # gcd 2: counted on (6, 10, 15), where no generator is coprime to m
+        (7, 7, 9, 11), (50, 50, 51),  # m listed twice
+    ], ids=str)
+    def test_window_edge_cases_match_the_sweep(self, gens):
+        S = NumericalSemigroup(gens)
+        for level in (0, 3, 60):
+            assert hilbert_oracle(S, level) == ref.hilbert_by_level_sweep(gens, level), level
+        assert "apery" not in vars(S)
+
+    @pytest.mark.parametrize("gens", [(1, 10**9), (3, 4, 10**9)], ids=str)
+    def test_redundant_large_generator_does_not_size_the_window(self, gens):
+        # the window is capped by (m - 1) * 4 = 8 for (3, 4, ...) and 0 for
+        # m = 1; a 10**9-bit window would take 125 MB
+        S = NumericalSemigroup(gens)
+        tracemalloc.start()
+        try:
+            H = hilbert_oracle(S, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        assert H == ref.hilbert_by_level_sweep(gens, 20)
+
     def test_plateau_fills_the_remaining_levels(self):
         S = construct_generators(PseudoSymmetricParams(30, 40, 12, 2, 14))
         m = min(S.generators)
@@ -279,17 +306,18 @@ class TestOracleAgainstLevelSweep:
         params = PseudoSymmetricParams(5, 11, 11, 2, 3)
         S = construct_generators(params)
         assert max(S.apery) >= 50 * min(S.generators)
-        assert oracle_differs(params) == (11, False)
+        assert oracle_differs(params) == (11, False, False)
         assert hilbert_oracle(S, 16) == TestAperyKernelAgainstTable.reference_counts(S, 16)
 
     def test_sample_of_the_closure_box(self):
         # the whole 10,189-tuple box runs in CI: PYTHONPATH=src python tests/oracle_box.py
         sample = random.Random(41).sample(engine_box(CLOSURE_BOX_RANGES), 150)
         results = {p: oracle_differs(p) for p in sample}
-        assert [p for p, (_, bad) in results.items() if bad] == []
+        assert [p for p, (_, bad, _) in results.items() if bad] == []
+        assert [p for p, (_, _, read) in results.items() if read] == []
         assert [p for p in sample if facts_fail(p)] == []
         assert [p for p in sample if apery_fails(p)] == []
-        assert max(plateau for plateau, _ in results.values()) > 20
+        assert max(plateau for plateau, *_ in results.values()) > 20
 
 
 def _random_coprime_semigroups(count, seed):
@@ -372,3 +400,4 @@ def test_oracle_memory_does_not_grow_with_level():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+    assert "apery" not in vars(S)
