@@ -14,7 +14,6 @@ from .errors import InconsistencyError, ParameterError
 from .hilbert import (
     HilbertReport,
     closed_form_numerator,
-    closed_form_second_series,
     hilbert_function,
     hilbert_numerator,
     monomial_colon,
@@ -25,7 +24,6 @@ from .poly import (
     LOCAL,
     MonomialOrder,
     Polynomial,
-    Term,
     binomial,
     normalize,
     parse_poly,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gens, basis, hilbert, verify, sweep, oracle.  Exit codes are
-scriptable: 0 success, 2 invalid input, 3 a verification mismatch (a finding,
-not a crash), 4 an internal consistency failure.  Each single-tuple
-subcommand reports a slice of the facts `pipeline` produces, and first refuses
-a tuple whose generators are not coprime (exit 2).
+scriptable: 0 success, 2 invalid input or a failed write to stdout, 3 a
+verification mismatch (a finding, not a crash), 4 an internal consistency
+failure.  Each single-tuple subcommand reports a slice of the facts
+`pipeline` produces, and first refuses a tuple whose generators are not
+coprime (exit 2).
 
 Every option is declared once, in `OPTIONS`, with the subcommands that take
 it.  A call that starts with a subcommand and is well formed (each option
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import hilbert, pipeline, stdbasis, toric
@@ -388,13 +390,25 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_args(argv)
     try:
-        return COMMANDS[args.command][1](args)
+        code = COMMANDS[args.command][1](args)
+        sys.stdout.flush()
+        return code
     except ParameterError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except InconsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:
+        # A failed write to stdout.  Pointing fd 1 at the null device lets
+        # the interpreter's flush at exit drop what is still buffered, with
+        # no second error; a closed pipe ends quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

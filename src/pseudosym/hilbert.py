@@ -1,4 +1,4 @@
-"""Hilbert series of monomial quotients and the closed forms for alpha4 = 2.
+"""Hilbert series of monomial quotients and the closed-form numerator for alpha4 = 2.
 
 A polynomial in t is a list of integer coefficients by exponent,
 ``[1, 0, -3]`` for 1 - 3t^2.  Every list this module returns has no
@@ -129,7 +129,7 @@ def hilbert_numerator(gens: Iterable[Exponent]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the alpha4 = 2 family
+# Closed-form numerator for the alpha4 = 2 family
 # ---------------------------------------------------------------------------
 
 def closed_form_numerator(params: PseudoSymmetricParams, k: int) -> list[int]:
@@ -154,27 +154,6 @@ def closed_form_numerator(params: PseudoSymmetricParams, k: int) -> list[int]:
     for c, e, degrees in terms:
         P = add_shifted(P, c, e, _product(degrees))
     return P
-
-
-def closed_form_second_series(params: PseudoSymmetricParams, k: int) -> list[int]:
-    """Second series predicted for the family, as a sum of geometric blocks.
-
-    Q = 1 + t + t*(1 + ... + t^(k*a2-1)) + t*(1 + ... + t^(a2-1))*(1 + ... + t^(a3-2))
-    - t^(a21+1), minus the tail blocks t^e * (1 + ... + t^(a2-1)): they come
-    from -r2(t) divided by (1-t).  Outside `toric.check_closed_form_regime`
-    it raises `ParameterError`.
-    """
-    check_closed_form_regime(params)
-    a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
-    block = [1] * a2
-    Q = add_shifted([1, 1], 1, 1, [1] * (k * a2))
-    for i in range(a3 - 1):
-        Q = add_shifted(Q, 1, 1 + i, block)
-    Q = add_shifted(Q, -1, a21 + 1, [1])
-    for j in range(2, k + 1):
-        e = (k - j) * a1 + (k - j + 2) * a21 + a3 + j - k
-        Q = add_shifted(Q, -1, e, block)
-    return Q
 
 
 def divide_by_one_minus_t(P: list[int]) -> list[int]:

@@ -7,8 +7,7 @@ standard-basis computation produces, since the s-polynomial and the
 reduction step of two such polynomials are again one of them.  So a
 polynomial is stored as those parts, with the ordering that decided which
 monomial leads.  Hashing, equality and `render_poly` read `coeff`, `lead` and
-`tail` directly; `terms`, leading term first, is a view built only when a
-caller asks for it.
+`tail` directly.
 
 `Polynomial(terms, order)` validates outside input: parsed text, `monomial`
 and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import re
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import Record
 
@@ -144,11 +143,6 @@ def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
     return kept
 
 
-class Term(NamedTuple):
-    coeff: int
-    mono: Exponent
-
-
 class Polynomial:
     """coeff * (x^lead - x^tail) with coeff ±1; `lead` is None for zero, `tail` for a monomial.
 
@@ -179,15 +173,6 @@ class Polynomial:
             raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
         f = _pair(1, signed.get(1), signed.get(-1), order)
         self.coeff, self.lead, self.tail, self.order = f.coeff, f.lead, f.tail, order
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        """The nonzero terms, leading term first."""
-        if self.lead is None:
-            return ()
-        if self.tail is None:
-            return (Term(self.coeff, self.lead),)
-        return (Term(self.coeff, self.lead), Term(-self.coeff, self.tail))
 
     @property
     def is_zero(self) -> bool:

@@ -54,10 +54,8 @@ class ClosedFormBasis(Record):
 def _check_sdegrees(f: Polynomial, S: NumericalSemigroup, label: str) -> None:
     """Raise `InconsistencyError` unless f is homogeneous for the grading Xi -> ni."""
     if not f.is_homogeneous(S.generators):
-        degs = {weighted_degree(t.mono, S.generators) for t in f.terms}
-        raise InconsistencyError(
-            f"S-degree mismatch in {label}: monomials grade to {sorted(degs)}"
-        )
+        degs = sorted(weighted_degree(m, S.generators) for m in (f.lead, f.tail))
+        raise InconsistencyError(f"S-degree mismatch in {label}: monomials grade to {degs}")
 
 
 def generator_monomials(params: PseudoSymmetricParams) -> list[tuple[Exponent, Exponent]]:

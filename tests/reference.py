@@ -3,7 +3,9 @@
 Nothing here imports from `pseudosym`, so a shared defect cannot make both
 sides agree.  A polynomial in t is a dict from exponent to nonzero integer
 coefficient; `from_list` and `to_list` convert from and to the package's
-dense coefficient lists.  A monomial is a tuple of exponents.
+dense coefficient lists.  A monomial is a tuple of exponents, and a term a
+(coefficient, exponents) pair; `terms` reads a package polynomial's terms
+off its parts `coeff`, `lead` and `tail`.
 
 The eight record types at the end are the package's records as frozen
 dataclasses, with their fields, defaults and checks; a failed check raises
@@ -132,6 +134,26 @@ def taylor_numerator(gens) -> dict[int, int]:
     return clean(out)
 
 
+def closed_form_second_series(params, k: int) -> dict[int, int]:
+    """The family's second series as the README proposition writes it, in blocks.
+
+    Q = 1 + t + t*[k*a2] + sum_{i=0..a3-2} t^(1+i)*[a2] - t^(a21+1) - sum_{j=2..k} t^(e_j)*[a2]
+    with [L] = 1 + ... + t^(L-1) and e_j = (k-j)*a1 + (k-j+2)*a21 + a3 + j - k:
+    the tail blocks come from -r2(t) divided by (1-t).  There is no regime
+    check.  `params` needs only the attributes alpha1, alpha2, alpha3 and
+    alpha21.
+    """
+    a1, a2, a3, a21 = params.alpha1, params.alpha2, params.alpha3, params.alpha21
+    block = geom(a2)
+    Q = add({0: 1}, tpow(1), mul(tpow(1), geom(k * a2)), tpow(a21 + 1, -1))
+    for i in range(a3 - 1):
+        Q = add(Q, mul(tpow(1 + i), block))
+    for j in range(2, k + 1):
+        e = (k - j) * a1 + (k - j + 2) * a21 + a3 + j - k
+        Q = add(Q, mul(tpow(e, -1), block))
+    return Q
+
+
 def regrouped_second_series(params, k: int) -> dict[int, int]:
     """Equivalent regrouping of the family's second series.
 
@@ -199,6 +221,19 @@ def render_terms(terms) -> str:
         chunks.append(("-" if coeff < 0 else "+") + (body or "1"))
     text = "".join(chunks)
     return text[1:] if text.startswith("+") else text
+
+
+def terms(f) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The nonzero (coefficient, exponents) terms of a package polynomial, leading first.
+
+    Read off its parts: coeff * (x^lead - x^tail), where `lead` is None for
+    zero and `tail` is None for a monomial.
+    """
+    if f.lead is None:
+        return ()
+    if f.tail is None:
+        return ((f.coeff, f.lead),)
+    return ((f.coeff, f.lead), (-f.coeff, f.tail))
 
 
 def basis_term_sets(bases) -> frozenset:

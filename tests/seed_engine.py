@@ -1,12 +1,12 @@
 """The basis loop and reducer scans as the engine first ran them.
 
 `seed_nf_mora` is Mora's weak normal form as the engine first ran it: every
-reducer is tested with `divides`, leads and ecarts are read off the terms,
-the first divisor of least ecart in the given order wins, and h joins the
-reducers when the chosen ecart exceeds its own.  On input that is
-homogeneous for positive weights an appended h can never be chosen: every h
-of one normal form has the same weighted degree, and of two distinct
-monomials of one positive degree neither divides the other.
+reducer is tested with `divides`, leads and ecarts are read off the terms
+that `reference.terms` lists, the first divisor of least ecart in the given
+order wins, and h joins the reducers when the chosen ecart exceeds its own.
+On input that is homogeneous for positive weights an appended h can never
+be chosen: every h of one normal form has the same weighted degree, and of
+two distinct monomials of one positive degree neither divides the other.
 `seed_nf_global` is plain first-divisor reduction.  Both reduce with
 `seed_reduce_step`, and `seed_closure` forms pairs with `seed_spoly` and
 skips them with `coprime`: the formulas of `poly.reduce_step`, `poly.spoly`
@@ -39,6 +39,7 @@ import sys
 from collections import deque
 from operator import add, le, mul, sub
 
+import reference as ref
 from pseudosym import stdbasis
 from pseudosym.cm import CM_ORDER
 from pseudosym.poly import Polynomial, normalize, with_order
@@ -59,9 +60,14 @@ def coprime(a, b):
     return not any(map(mul, a, b))
 
 
+def lead_mono(f):
+    """The exponents of f's leading term, the first that `reference.terms` lists."""
+    return ref.terms(f)[0][1]
+
+
 def seed_spoly(f, g):
     """lcm-cancellation of the leading terms: x^(d+L-c) - x^(b+L-a), a term absent for a monomial."""
-    a, c = f.terms[0].mono, g.terms[0].mono
+    a, c = lead_mono(f), lead_mono(g)
     lcm = tuple(map(max, a, c))
     terms = []
     if g.tail is not None:
@@ -73,27 +79,28 @@ def seed_spoly(f, g):
 
 def seed_reduce_step(h, g):
     """h less the multiple of g that cancels LM(h); LM(g) must divide LM(h)."""
-    shift = tuple(map(sub, h.terms[0].mono, g.terms[0].mono))
+    (hc, hm), *h_rest = ref.terms(h)
+    (gc, gm), *g_rest = ref.terms(g)
+    shift = tuple(map(sub, hm, gm))
     if min(shift) < 0:
         raise ValueError("the reducer's lead does not divide")
-    ratio = h.terms[0].coeff * g.terms[0].coeff  # lc(h) / lc(g), as both are ±1
-    terms = [(-ratio * t.coeff, tuple(map(add, t.mono, shift))) for t in g.terms[1:]]
-    terms += h.terms[1:]
-    return Polynomial(terms, h.order)
+    ratio = hc * gc  # lc(h) / lc(g), as both are ±1
+    terms = [(-ratio * c, tuple(map(add, m, shift))) for c, m in g_rest]
+    return Polynomial(terms + h_rest, h.order)
 
 
 def seed_ecart(f):
-    return max(sum(t.mono) for t in f.terms) - sum(f.terms[0].mono)
+    return max(sum(m) for _, m in ref.terms(f)) - sum(lead_mono(f))
 
 
 def seed_nf_mora(h, basis):
     reducers = list(basis)
     while not h.is_zero:
-        lm = h.terms[0].mono
+        lm = lead_mono(h)
         chosen = None
         chosen_ecart = -1
         for g in reducers:
-            if divides(g.terms[0].mono, lm):
+            if divides(lead_mono(g), lm):
                 e = seed_ecart(g)
                 if chosen is None or e < chosen_ecart:
                     chosen, chosen_ecart = g, e
@@ -108,7 +115,7 @@ def seed_nf_mora(h, basis):
 def seed_nf_global(h, basis):
     while not h.is_zero:
         for g in basis:
-            if divides(g.terms[0].mono, h.terms[0].mono):
+            if divides(lead_mono(g), lead_mono(h)):
                 h = seed_reduce_step(h, g)
                 break
         else:
@@ -138,7 +145,7 @@ def seed_closure(gens, nf):
 
 
 def terms(G):
-    return [g.terms for g in G]
+    return [ref.terms(g) for g in G]
 
 
 def closure_differs(params) -> dict[str, bool]:

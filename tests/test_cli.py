@@ -376,6 +376,15 @@ def test_tail_built_from_strict_k_is_an_internal_failure(capsys, monkeypatch):
     assert "breaks the closed-form leading pattern" in err
 
 
+def test_generators_of_unequal_degree_are_an_internal_failure(capsys, monkeypatch):
+    real = toric.generator_monomials
+    monkeypatch.setattr(toric, "generator_monomials",
+                        lambda params: [((1, 0, 0, 0), (0, 1, 0, 0)), *real(params)[1:]])
+    code, out, err = run(capsys, ["verify", *EX41])
+    assert (code, out) == (4, "")
+    assert err == "internal consistency failure: S-degree mismatch in f1: monomials grade to [141, 161]\n"
+
+
 DERIVATIONS = ("toric_generators", "closed_form_basis", "compute_k")
 
 
@@ -755,6 +764,20 @@ def parse_outcome(parse, argv):
         return exc.code, out.getvalue(), err.getvalue()
 
 
+def run_module(argv, cwd, **streams):
+    """`python -m pseudosym.cli *argv` in a new interpreter that imports this package."""
+    src = str(Path(pseudosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pseudosym.cli", *argv],
+                          text=True, env=env, cwd=cwd, timeout=120, **streams)
+
+
+# The sweep prints 162 kB in one call; the gens output waits in the buffer
+# for the flush at the end of `main`.
+UNWRITABLE_ARGVS = [("sweep", "--alpha1", "2:9", "--alpha2", "2:9", "--alpha3", "2:6"),
+                    ("gens", *EX41), ("verify", *EX41)]
+
+
 class TestEntryPath:
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         _, expected, _ = run(capsys, ["gens", *EX41])
@@ -763,11 +786,28 @@ class TestEntryPath:
 
     def test_module_entry_matches_in_process(self, capsys, tmp_path):
         _, expected, _ = run(capsys, ["verify", *EX41])
-        src = str(Path(pseudosym.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "pseudosym.cli", "verify", *EX41],
-                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        done = run_module(["verify", *EX41], tmp_path, capture_output=True)
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", UNWRITABLE_ARGVS, ids=lambda argv: argv[0])
+    def test_closed_pipe_exits_2_quietly(self, tmp_path, argv):
+        # the reader is gone before the first write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_module(argv, tmp_path, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", UNWRITABLE_ARGVS, ids=lambda argv: argv[0])
+    def test_full_device_exits_2_with_one_line(self, tmp_path, argv):
+        with open("/dev/full", "w") as full:
+            done = run_module(argv, tmp_path, stdout=full, stderr=subprocess.PIPE)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("cannot write output: ") and done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", FRONT_END_ARGVS, ids=lambda argv: " ".join(argv))
     def test_reader_matches_the_full_parser(self, monkeypatch, argv):

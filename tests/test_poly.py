@@ -15,7 +15,6 @@ from pseudosym.poly import (
     DimensionError,
     MonomialOrder,
     Polynomial,
-    Term,
     binomial,
     minimalize_monomials,
     monomial,
@@ -46,7 +45,7 @@ def gt(order: MonomialOrder, a, b) -> bool:
 
 def times(f: Polynomial, m) -> Polynomial:
     """The product of f with the monomial x^m, through the validating constructor."""
-    return Polynomial([(c, tuple(map(add, t, m))) for c, t in f.terms], f.order)
+    return Polynomial([(c, tuple(map(add, t, m))) for c, t in ref.terms(f)], f.order)
 
 
 # Local and global degrevlex on each of the 24 variable precedences.
@@ -117,12 +116,10 @@ class TestLeadingTermAndEcart:
     def test_f2_leading_term(self):
         # alpha2 = 20 > alpha21 + 1 = 9 puts the mixed monomial in front
         f2 = P("X2^20-X1^8*X4")
-        assert f2.terms[0] == Term(Fraction(-1), (8, 0, 0, 1))
         assert (f2.coeff, f2.lead) == (-1, (8, 0, 0, 1))
 
     def test_single_term(self):
         f = -monomial((2, 1, 0, 0), LOCAL)
-        assert f.terms == (Term(-1, (2, 1, 0, 0)),)
         assert (f.coeff, f.lead, f.tail) == (-1, (2, 1, 0, 0), None)
 
     def test_f6_leading_term_by_degree(self):
@@ -132,8 +129,7 @@ class TestLeadingTermAndEcart:
         assert f6.coeff == -1
 
     def test_zero_has_no_leading_term(self):
-        assert zero(LOCAL).terms == ()
-        assert zero(LOCAL).lead is None
+        assert (zero(LOCAL).lead, zero(LOCAL).tail) == (None, None)
         with pytest.raises(ValueError):
             zero(LOCAL).lm
 
@@ -172,21 +168,21 @@ class TestSpoly:
             return
         lcm = tuple(map(max, f.lm, g.lm))
         s = spoly(f, g)
-        assert all(t.mono != lcm for t in s.terms)
+        assert lcm not in (s.lead, s.tail)
 
 
 class TestArithmetic:
     def test_additive_identity(self):
         # the constructor's collection of like terms is the only addition left
         f = P("X1^2-X2*X3")
-        assert Polynomial([*f.terms, *zero(LOCAL).terms], LOCAL) == f
-        assert Polynomial([*f.terms, *(-f).terms], LOCAL).is_zero
+        assert Polynomial([*ref.terms(f), *ref.terms(zero(LOCAL))], LOCAL) == f
+        assert Polynomial([*ref.terms(f), *ref.terms(-f)], LOCAL).is_zero
 
     def test_term_multiple_stays_sorted(self):
         f3 = P("X3^7-X1^7*X2")
         shifted = times(f3, (1, 0, 0, 0))
         assert shifted == P("X1*X3^7-X1^8*X2")
-        ks = [ref.order_key(f3.order, t.mono) for t in shifted.terms]
+        ks = [ref.order_key(f3.order, m) for _, m in ref.terms(shifted)]
         assert ks == sorted(ks, reverse=True)
 
     def test_normalize_flips_sign_once(self):
@@ -237,7 +233,7 @@ def ref_reduce(h, g, local):
 
 
 def as_dict(f):
-    return {t.mono: t.coeff for t in f.terms}
+    return {m: c for c, m in ref.terms(f)}
 
 
 @st.composite
@@ -323,8 +319,8 @@ class TestBinomialFormulas:
         other = GLOBAL_ORDER if order.local else LOCAL
         for G in (F, -F, times(F, m), with_order(F, other), normalize(F)):
             local = G.order.local
-            terms = {t.mono: t.coeff for t in G.terms}
-            assert G.lm == G.terms[0].mono == ref_lead(terms, local)
+            terms = as_dict(G)
+            assert G.lm == ref.terms(G)[0][1] == ref_lead(terms, local)
             assert _ecart(G) == max(map(sum, terms)) - sum(ref_lead(terms, local))
 
 
@@ -355,8 +351,8 @@ class TestDivides:
 
 
 def assert_as_validated(R):
-    V = Polynomial(R.terms, R.order)
-    assert R.terms == V.terms and all(type(t) is Term for t in R.terms)
+    V = Polynomial(ref.terms(R), R.order)
+    assert ref.terms(R) == ref.terms(V)
     assert R.order == V.order
     if V.is_zero:
         assert R.is_zero
@@ -417,7 +413,7 @@ class TestTrustedConstructor:
         for R in (reduce_step(H, G), spoly(H, G), -H, normalize(H)):
             assert_as_validated(R)
         R = reduce_step(H, G)
-        assert len(R.terms) == {"0": 0, "monomial": 1, "binomial": 2}[expect]
+        assert len(ref.terms(R)) == {"0": 0, "monomial": 1, "binomial": 2}[expect]
 
     def test_degree_tie_follows_precedence(self):
         f = P("X1*X2-X3*X4")
@@ -502,7 +498,7 @@ def same_terms(draw, f):
         return with_order(f, draw(all_orders))
     if how == "negate":
         return -(-f)
-    return Polynomial(list(reversed(f.terms)), draw(all_orders))
+    return Polynomial(list(reversed(ref.terms(f))), draw(all_orders))
 
 
 class TestHashContract:
@@ -512,7 +508,7 @@ class TestHashContract:
         for h in (g, same_terms(data.draw, f), same_terms(data.draw, g)):
             if f == h:
                 assert hash(f) == hash(h)
-            assert (f == h) == (frozenset(f.terms) == frozenset(h.terms))
+            assert (f == h) == (frozenset(ref.terms(f)) == frozenset(ref.terms(h)))
 
     @given(st.lists(drawn_polys(1), max_size=5), st.data())
     def test_basis_set_agrees_with_term_sets(self, A, data):
@@ -521,11 +517,11 @@ class TestHashContract:
         B = data.draw(st.permutations(B)) + data.draw(st.lists(drawn_polys(1), max_size=1))
         for left, right in ((A, B), (B, A), (A, A)):
             assert (basis_set(left) == basis_set(right)) == (
-                ref.basis_term_sets([f.terms for f in left]) == ref.basis_term_sets([f.terms for f in right]))
+                ref.basis_term_sets(map(ref.terms, left)) == ref.basis_term_sets(map(ref.terms, right)))
 
 
 class TestRendererAgainstTerms:
     @given(drawn_polys(15))
     def test_matches_term_renderer_and_parses_back(self, f):
-        assert render_poly(f) == ref.render_terms(f.terms)
+        assert render_poly(f) == ref.render_terms(ref.terms(f))
         assert parse_poly(render_poly(f), f.order) == f

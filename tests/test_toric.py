@@ -2,6 +2,8 @@
 
 import pytest
 
+import reference as ref
+from pseudosym import toric
 from pseudosym.errors import InconsistencyError, ParameterError
 from pseudosym.poly import LOCAL, binomial, normalize, parse_poly, weighted_degree
 from pseudosym.semigroup import PseudoSymmetricParams, construct_generators
@@ -62,6 +64,15 @@ class TestSdegree:
         with pytest.raises(InconsistencyError, match=r"in f2: monomials grade to \[141, 161\]"):
             _check_sdegrees(B("X1-X2"), S, "f2")
 
+    def test_generators_of_unequal_degree_are_refused(self, monkeypatch):
+        # f1 = X1 - X2 grades to n1 = 141 and n2 = 161
+        real = toric.generator_monomials
+        monkeypatch.setattr(toric, "generator_monomials",
+                            lambda params: [((1, 0, 0, 0), (0, 1, 0, 0)), *real(params)[1:]])
+        with pytest.raises(InconsistencyError) as raised:
+            toric_generators(TUPLE_41)
+        assert str(raised.value) == "S-degree mismatch in f1: monomials grade to [141, 161]"
+
 
 class TestComputeK:
     @pytest.mark.parametrize("params,nonstrict,strict", [
@@ -97,7 +108,7 @@ class TestClosedFormBasis:
     def test_every_element_is_a_kernel_binomial(self):
         S = construct_generators(TUPLE_44)
         for f in closed_form_basis(toric_generators(TUPLE_44)).elements:
-            assert len(f.terms) == 2
+            assert len(ref.terms(f)) == 2
             assert f.is_homogeneous(S.generators)
 
     def test_leading_pattern_below_and_at_k(self):
