@@ -29,7 +29,8 @@ import sys
 from . import hilbert, pipeline, stdbasis, toric
 from .errors import InconsistencyError, ParameterError
 from .pipeline import SweepConfig, build_report, run_sweep
-# perfbench/tracing.py patches cli.frobenius_and_gaps and cli.is_pseudo_symmetric: keep both bound.
+# perfbench/tracing.py patches cli.frobenius_and_gaps and cli.is_pseudo_symmetric by name;
+# frobenius_and_gaps is bound only for it.
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
@@ -64,7 +65,8 @@ def _dump(obj, indent: str = "\n") -> str:
     With an indent `json` encodes through pure-Python generators; this joins
     strings instead.  A dict's scalar values, a list of one scalar type (H,
     the basis lines) and a list of int lists (the [exponent, coefficient]
-    pairs of P and Q) are written in place; only other containers recurse.
+    pairs of P and Q, one f-string per pair) are written in place; only
+    other containers recurse.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -85,8 +87,11 @@ def _dump(obj, indent: str = "\n") -> str:
             items = map(_SCALARS[kind], obj)
         elif (kind is list and all([type(item) is list for item in obj])
               and all([type(e) is int for item in obj for e in item])):
-            sep = "," + inner + "  "
-            items = ["[" + sep[1:] + sep.join(map(int.__repr__, item)) + inner + "]" if item else "[]"
+            pad = inner + "  "
+            sep = "," + pad
+            # an [exponent, coefficient] pair in one f-string, any other int list joined
+            items = [f"[{pad}{item[0]!r},{pad}{item[1]!r}{inner}]" if len(item) == 2
+                     else "[" + pad + sep.join(map(int.__repr__, item)) + inner + "]" if item else "[]"
                      for item in obj]
         else:
             items = [_dump(item, inner) for item in obj]
@@ -301,9 +306,24 @@ def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
     parser.set_defaults(**COMMANDS[name][2])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help to stdout raises.
+
+    argparse drops the `OSError`; raised, it reaches `main`, which handles
+    it as it handles a failed write of any other output.  Subcommand parsers
+    are made with the class of their parent, so they raise too.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand and its options."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudosym",
         description=(
             "4-generated pseudo-symmetric numerical semigroups: generators, "
@@ -388,8 +408,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = parse_args(argv)
     try:
+        try:
+            args = parse_args(argv)
+        except SystemExit:
+            # help or usage, printed before argparse exits: written out here,
+            # so that a failed write is handled below
+            sys.stdout.flush()
+            raise
         code = COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code

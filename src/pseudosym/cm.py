@@ -8,7 +8,10 @@ When the tangent-cone generators are not all monomials the check runs on the
 leading ideal of a Groebner basis computed under degrevlex with X1 last in
 precedence; with X1 smallest, the initial ideal commutes with the colon by
 X1, so the divisibility test on it is still exact.  Both cases end in the
-same test in `cm_verdict`.
+same test in `cm_verdict`, which reads the lowest forms as parts from
+`stdbasis._lowest_forms`: a monomial cone is decided from them with no
+polynomial built, and a binomial cone is built once, straight under
+`CM_ORDER`, for `buchberger_homogeneous`.
 
 Known defect: the criterion needs the variable of the smallest generator,
 and this module always tests X1.  That is right whenever n1 is the smallest
@@ -25,8 +28,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import Record
-from .poly import Exponent, MonomialOrder, with_order
-from .stdbasis import buchberger_homogeneous, leading_ideal, tangent_cone_ideal
+from .poly import Exponent, MonomialOrder, _pair, minimalize_monomials
+from .stdbasis import _lowest_forms, buchberger_homogeneous, leading_ideal
 
 # Global degrevlex with precedence X2 > X3 > X4 > X1 (X1 least significant).
 CM_ORDER = MonomialOrder(local=False, precedence=(1, 2, 3, 0))
@@ -45,14 +48,18 @@ class CmVerdict(Record):
 def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
     """Verdict from a local standard basis.
 
-    The test runs on the leads of a monomial tangent cone, and otherwise on
-    the leading ideal of the Groebner basis of its lowest forms re-sorted
-    under `CM_ORDER`.
+    The test runs on the minimal lowest forms of a monomial tangent cone,
+    with no polynomial built, and otherwise on the leading ideal of the
+    Groebner basis of the lowest forms, built once, straight under
+    `CM_ORDER`.
     """
-    cone = tangent_cone_ideal(standard_basis_elements)
-    if any(g.tail is not None for g in cone):
-        cone = buchberger_homogeneous([with_order(g, CM_ORDER) for g in cone])
+    forms = _lowest_forms(standard_basis_elements)
+    if any(minus is not None for _, minus in forms):
+        leads = leading_ideal(buchberger_homogeneous([_pair(1, plus, minus, CM_ORDER)
+                                                      for plus, minus in forms]))
+    else:
+        # an empty basis is the zero ideal, whose quotient X1 never kills
+        leads = minimalize_monomials(plus for plus, _ in forms)
     var = 0  # X1, last in CM_ORDER's precedence
-    # an empty basis is the zero ideal, whose quotient X1 never kills
-    bad = [m for m in (leading_ideal(cone) if cone else ()) if m[var] > 0]
+    bad = [m for m in leads if m[var] > 0]
     return CmVerdict(not bad, min(bad, default=None))

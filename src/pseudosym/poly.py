@@ -13,8 +13,14 @@ monomial leads.  Hashing, equality and `render_poly` read `coeff`, `lead` and
 and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
 and so `normalize`, `with_order`) are ±(x^a - x^b) by construction: their
 two monomials can only cancel, never need collecting, so they are built by
-`_pair` straight from the operands' parts.  The constructor ends in `_pair`
+`_pair` straight from the operands' parts.  So are the curve's binomials
+(`toric.toric_generators`), the normal forms of `stdbasis.nf_mora` and the
+tangent cones of `stdbasis` and `cm`.  The constructor ends in `_pair`
 too, whose one `MonomialOrder.greater` call decides the lead.
+
+`reduce_step` is the one-step reduction as a function, for callers and
+tests; the engine does not call it.  `stdbasis.nf_mora` works the same
+step on exponent tuples and builds one polynomial per normal form.
 
 Each fact the engine uses has one function: `MonomialOrder.greater`
 compares two monomials (a sort by the order wraps it in
@@ -28,9 +34,9 @@ carries no ecart; only the order of the engine's reducer list uses one (see
 The engine's exponent arithmetic is written out four entries wide: total
 degree is ``a[0] + a[1] + a[2] + a[3]``, divisibility is four ``<=``
 comparisons, and the lcm, shift and clamped difference of `spoly`,
-`reduce_step` and `hilbert.monomial_colon` build their four entries one by
-one.  Two monomials are coprime exactly when their `support` masks share
-no bit.
+`reduce_step`, the step of `stdbasis.nf_mora` and `hilbert.monomial_colon`
+build their four entries one by one.  Two monomials are coprime exactly
+when their `support` masks share no bit.
 
 Two ordering kinds are provided:
 
@@ -151,8 +157,9 @@ class Polynomial:
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
     `ValueError`; what passes takes its fields from `_pair`.  The engine's
-    own results (`spoly`, `reduce_step`, negation, `with_order`) skip the
-    checks and come straight from `_pair`.  Equality and
+    own results (`spoly`, `reduce_step`, negation, `with_order`, normal
+    forms, lowest forms and the curve's binomials) skip the checks and come
+    straight from `_pair`.  Equality and
     hashing look only at the signed term set, read from the parts, so two
     polynomials with the same terms compare equal, and hash alike, even if
     tagged with different orderings.

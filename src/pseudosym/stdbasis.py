@@ -24,10 +24,16 @@ Every monomial has four exponents (see `poly`), so the divisor scan of
 `nf_mora` is four ``<=`` comparisons per reducer, and the basis loop keeps
 each element's `poly.support` mask beside it: two leads are coprime exactly
 when their masks share no bit, so the product criterion is one ``&``.
+`nf_mora` takes its steps on exponent tuples, the sign, lead and tail of
+the remainder, with `MonomialOrder.greater` deciding each new lead, and
+builds one polynomial per call.  The basis loop drops a repeated input by
+its normalized parts, lead and tail.
 
 The lowest forms of a local standard basis generate the tangent-cone ideal.
 A ±1 monomial or homogeneous binomial is its own lowest form; any other
 binomial's is its lower-degree term, the lead under the local ordering.
+`_lowest_forms` applies that rule and returns parts; `tangent_cone_ideal`
+builds them into polynomials, and `cm.cm_verdict` reads them directly.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import InconsistencyError
+# perfbench/tracing.py counts calls to stdbasis.reduce_step and stdbasis.spoly by
+# name; reduce_step is bound only for it, since nf_mora steps on exponent tuples.
 from .poly import (
     N_VARS,
     STANDARD_GRADING,
@@ -46,7 +54,7 @@ from .poly import (
     _pair,
     minimalize_monomials,
     normalize,
-    reduce_step,
+    reduce_step,  # noqa: F401
     spoly,
     support,
 )
@@ -81,23 +89,45 @@ def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     h and `reducers` must be homogeneous for one positive weight vector; on
     other input under the local ordering the division may never end, and
     the step budget raises `InconsistencyError`.
+
+    Each step is `poly.reduce_step` worked on h's parts: the sign, lead and
+    tail stay exponent tuples, `greater` orders the shifted reducer tail
+    against h's tail, and one polynomial is built at the end; h itself
+    comes back when no step is taken.
     """
+    coeff, lead, tail, greater = h.coeff, h.lead, h.tail, h.order.greater
     steps = 0
-    while h.lead is not None:
-        a0, a1, a2, a3 = h.lead
+    while lead is not None:
+        a0, a1, a2, a3 = lead
         for g in reducers:
             b = g.lead
             if b[0] <= a0 and b[1] <= a1 and b[2] <= a2 and b[3] <= a3:
                 break
         else:
             break
-        h = reduce_step(h, g)
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
             raise InconsistencyError(
                 "reduction exceeded the step budget; is the input homogeneous for positive weights?"
             )
-    return h
+        # coeff*(x^(d + a - b) - x^tail), d the tail of g: the parts `_pair` would give
+        d = g.tail
+        if d is None:
+            if tail is None:
+                lead = None
+            else:
+                coeff, lead, tail = -coeff, tail, None
+        else:
+            plus = (d[0] + a0 - b[0], d[1] + a1 - b[1], d[2] + a2 - b[2], d[3] + a3 - b[3])
+            if plus == tail:
+                lead = tail = None
+            elif tail is not None and greater(tail, plus):
+                coeff, lead, tail = -coeff, tail, plus
+            else:
+                lead = plus
+    if not steps:
+        return h
+    return _pair(coeff, lead, tail, h.order)
 
 
 def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
@@ -119,10 +149,13 @@ def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
 def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
     """The basis loop: `gens` and every nonzero reduced s-polynomial, in creation order."""
     G = []
+    seen = set()
     for f in gens:
         if not f.is_zero:
             nf_f = normalize(f)
-            if nf_f not in G:
+            # normalized, two polynomials are equal exactly when their parts are
+            if (nf_f.lead, nf_f.tail) not in seen:
+                seen.add((nf_f.lead, nf_f.tail))
                 G.append(nf_f)
     if not G:
         raise ValueError("need at least one nonzero polynomial")
@@ -194,13 +227,27 @@ def leading_ideal(G: Sequence[Polynomial]) -> list[Exponent]:
     return minimalize_monomials(g.lm for g in G)
 
 
+def _lowest_forms(G: Sequence[Polynomial]) -> list[tuple[Exponent, Exponent | None]]:
+    """The normalized lowest form of each element of G as parts (plus, minus): x^plus - x^minus.
+
+    A monomial or a homogeneous binomial is its own lowest form, read with
+    its lead first; any other binomial's is its lower-degree term, with
+    minus None.  A zero element raises `ValueError`.
+    """
+    forms = []
+    for g in G:
+        lead, tail = g.lead, g.tail
+        if lead is None:
+            raise ValueError("zero polynomial has no lowest form")
+        if tail is not None:
+            deg_lead = lead[0] + lead[1] + lead[2] + lead[3]
+            deg_tail = tail[0] + tail[1] + tail[2] + tail[3]
+            if deg_lead != deg_tail:
+                lead, tail = (lead if deg_lead < deg_tail else tail), None
+        forms.append((lead, tail))
+    return forms
+
+
 def tangent_cone_ideal(G: Sequence[Polynomial]) -> list[Polynomial]:
     """Normalized lowest forms of a standard basis, by the ±1 rule above."""
-    cone = []
-    for g in G:
-        if g.is_zero:
-            raise ValueError("zero polynomial has no lowest form")
-        if not g.is_homogeneous():
-            g = _pair(1, min(g.lead, g.tail, key=sum), None, g.order)
-        cone.append(normalize(g))
-    return cone
+    return [_pair(1, plus, minus, g.order) for g, (plus, minus) in zip(G, _lowest_forms(G))]

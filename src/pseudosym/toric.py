@@ -27,7 +27,7 @@ lemma); a tail that does not is a construction bug.
 from __future__ import annotations
 
 from .errors import InconsistencyError, ParameterError, Record
-from .poly import Exponent, Polynomial, binomial, normalize, weighted_degree
+from .poly import LOCAL, Exponent, Polynomial, _pair, binomial, normalize, weighted_degree
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
 
 
@@ -80,7 +80,8 @@ def toric_generators(params: PseudoSymmetricParams) -> ToricSystem:
     S = construct_generators(params)
     polys = []
     for i, (plus, minus) in enumerate(generator_monomials(params), start=1):
-        f = binomial(plus, minus)
+        # two distinct monomials by construction: built without the constructor's checks
+        f = _pair(1, plus, minus, LOCAL)
         _check_sdegrees(f, S, f"f{i}")
         polys.append(f)
     return ToricSystem(params, S, tuple(polys))

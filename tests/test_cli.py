@@ -778,6 +778,19 @@ UNWRITABLE_ARGVS = [("sweep", "--alpha1", "2:9", "--alpha2", "2:9", "--alpha3", 
                     ("gens", *EX41), ("verify", *EX41)]
 
 
+# Help printed by argparse, which drops a failed write: unbuffered, the
+# write itself fails; buffered, the flush in `main` does.
+HELP_ARGVS = [("--help",), ("verify", "--help")]
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+def set_buffering(monkeypatch, unbuffered):
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+
 class TestEntryPath:
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         _, expected, _ = run(capsys, ["gens", *EX41])
@@ -803,6 +816,29 @@ class TestEntryPath:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize("argv", UNWRITABLE_ARGVS, ids=lambda argv: argv[0])
     def test_full_device_exits_2_with_one_line(self, tmp_path, argv):
+        with open("/dev/full", "w") as full:
+            done = run_module(argv, tmp_path, stdout=full, stderr=subprocess.PIPE)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("cannot write output: ") and done.stderr.count("\n") == 1
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_to_a_closed_pipe_exits_2_quietly(self, tmp_path, monkeypatch, argv, unbuffered):
+        set_buffering(monkeypatch, unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_module(argv, tmp_path, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @BUFFERING
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_to_a_full_device_exits_2_with_one_line(self, tmp_path, monkeypatch, argv, unbuffered):
+        set_buffering(monkeypatch, unbuffered)
         with open("/dev/full", "w") as full:
             done = run_module(argv, tmp_path, stdout=full, stderr=subprocess.PIPE)
         assert done.returncode == 2

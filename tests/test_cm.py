@@ -7,13 +7,16 @@ import pytest
 import reference as ref
 from pseudosym import cm
 from pseudosym.cm import CmVerdict, cm_verdict
-from pseudosym.poly import LOCAL, monomial, parse_poly
+from pseudosym.poly import LOCAL, MonomialOrder, monomial, normalize, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.pipeline import engine_basis
 from pseudosym.stdbasis import leading_ideal, tangent_cone_ideal
 from pseudosym.toric import toric_generators
 
 from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
+
+
+GLOBAL = MonomialOrder(local=False)
 
 
 def mono_ideal(*monos):
@@ -53,6 +56,31 @@ class TestDivisibilityCriterion:
         verdict = cm_verdict([f])
         assert len(calls) == 1
         assert verdict.cohen_macaulay and verdict.witness is None
+
+
+class TestLowestFormRule:
+    """`cm_verdict` reads each element's lowest form by the rule, not its lead or its sign."""
+
+    def test_global_basis_with_a_non_homogeneous_binomial(self):
+        # Under a global order X1^3 leads, but the lowest form is X2*X3.
+        f = parse_poly("X1^3-X2*X3", GLOBAL)
+        assert f.lm == (3, 0, 0, 0)
+        assert cm_verdict([f]) == CmVerdict(True, None)
+        # Beside a homogeneous binomial the cone is binomial: X2*X3 and
+        # X2*X4 - X1*X3, whose s-polynomial leaves X1*X3^2 under CM_ORDER.
+        g = parse_poly("X1*X3-X2*X4", GLOBAL)
+        assert cm_verdict([f, g]) == CmVerdict(False, (1, 0, 2, 0))
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("-X1*X2", CmVerdict(False, (1, 1, 0, 0))),
+        # the local lead is X2, so the element reads -(X2 - X1^2)
+        ("X1^2-X2", CmVerdict(True, None)),
+        ("X3^2-X1*X2", CmVerdict(True, None)),
+    ])
+    def test_unnormalized_element(self, text, verdict):
+        f = parse_poly(text, LOCAL)
+        assert f.coeff == -1
+        assert cm_verdict([f]) == cm_verdict([normalize(f)]) == verdict
 
 
 class TestColonStability:

@@ -400,20 +400,92 @@ class TestGradedInput:
 
     def test_closure_matches_seed_driven_closure(self):
         # the whole box runs in CI: PYTHONPATH=src python tests/seed_engine.py
-        sample = random.Random(13).sample(engine_box(), 60)
+        sample = closure_sample()
         results = {p: closure_differs(p) for p in sample}
         assert [p for p, routes in results.items() if any(routes.values())] == []
         # the sample takes both routes: a binomial cone runs the CM closure
         assert 0 < sum("cm" in routes for routes in results.values()) < len(sample)
 
+    def test_cm_cone_is_the_regraded_tangent_cone(self, monkeypatch):
+        # the cone cm_verdict builds for Buchberger, element for element
+        built = []
+        real = cm.buchberger_homogeneous
+        monkeypatch.setattr(cm, "buchberger_homogeneous", lambda gens: built.append(gens) or real(gens))
+        routes = set()
+        for params in closure_sample():
+            G = engine_basis(toric_generators(params))
+            built.clear()
+            cm.cm_verdict(G)
+            cone = tangent_cone_ideal(G)
+            routes.add(is_monomial_cone(cone))
+            if is_monomial_cone(cone):
+                assert built == []
+            else:
+                expected = [with_order(g, cm.CM_ORDER) for g in cone]
+                assert [parts(g) for g in built[0]] == [parts(g) for g in expected]
+        assert routes == {True, False}
+
+
+def closure_sample():
+    """60 tuples of the engine box that take both routes of the closure."""
+    return random.Random(13).sample(engine_box(), 60)
+
+
+def parts(g):
+    return g.coeff, g.lead, g.tail, g.order
+
+
+def count_steps(nf, h, reducers):
+    """The steps `nf` takes on h: the least step budget it keeps within.
+
+    A call of s steps raises under any budget below s and under none from s
+    on, so an exponential and then a binary search on the budget finds s.
+    """
+    budget = stdbasis.MAX_REDUCTION_STEPS
+
+    def within(limit):
+        stdbasis.MAX_REDUCTION_STEPS = limit
+        try:
+            nf(h, reducers)
+        except InconsistencyError:
+            return False
+        return True
+
+    try:
+        high = 1
+        while not within(high):
+            high *= 2
+        low = 0
+        while low < high:
+            mid = (low + high) // 2
+            if within(mid):
+                high = mid
+            else:
+                low = mid + 1
+    finally:
+        stdbasis.MAX_REDUCTION_STEPS = budget
+    return low
+
 
 def count_engine_calls(monkeypatch):
-    """Count each call of the engine's stages by (name, whether the result is zero)."""
+    """Count each call of the engine's stages by (name, whether the result is zero).
+
+    `nf_mora` and `nf_global` also count their reduction steps, read by
+    `count_steps`, under ("step", whether the step leaves zero): only the
+    last step of a call that ends in zero does.
+    """
     counts = Counter()
-    for name in ("nf_mora", "nf_global", "reduce_step", "spoly"):
+    for name in ("nf_mora", "nf_global", "spoly"):
         def wrapper(*args, _fn=getattr(stdbasis, name), _name=name):
             result = _fn(*args)
             counts[_name, result.is_zero] += 1
+            if _name != "spoly":
+                steps = count_steps(_fn, *args)
+                if steps and result.is_zero:
+                    counts["step", True] += 1
+                    steps -= 1
+                if steps:
+                    counts["step", False] += steps
             return result
 
         monkeypatch.setattr(stdbasis, name, wrapper)
@@ -421,14 +493,19 @@ def count_engine_calls(monkeypatch):
 
 
 class TestEngineWork:
-    """Which pairs are reduced and which reducer is picked, as call counts.
+    """Which pairs are reduced, which reducer is picked and how many steps
+    each normal form takes, as counts.
 
     The figures were recorded from the engine before leads were stored on
-    the polynomial, when `nf_mora` still chose the reducer by ecart; a change
-    of pair order, pair skipping or reducer choice moves them.  The two
-    CM-route figures were recorded again when pairs of two monomials, whose
+    the polynomial, when `nf_mora` still chose the reducer by ecart and
+    took each step through `reduce_step`; a change of pair order, pair
+    skipping, reducer choice or step count moves them.  The two CM-route
+    figures were recorded again when pairs of two monomials, whose
     s-polynomial is 0, stopped being formed: no zero s-polynomial is left,
-    and the reduce_step counts did not move.
+    and the step counts did not move.  The step counts are the
+    `reduce_step` call counts of that engine, by whether the step left
+    zero; `nf_mora` now steps on exponent tuples and `count_steps` reads
+    them off the step budget.
     """
 
     def test_local_route_on_6_6_2_4_4(self, monkeypatch):
@@ -436,7 +513,7 @@ class TestEngineWork:
         assert len(engine_basis(toric_generators(PseudoSymmetricParams(6, 6, 2, 4, 4)))) == 29
         assert counts == {
             ("nf_mora", True): 1247, ("nf_mora", False): 49,
-            ("reduce_step", True): 1214, ("reduce_step", False): 5893,
+            ("step", True): 1214, ("step", False): 5893,
             ("spoly", True): 33, ("spoly", False): 1263,
         }
 
@@ -446,7 +523,7 @@ class TestEngineWork:
         assert not cm.cm_verdict(G).cohen_macaulay
         assert counts == {
             ("nf_global", True): 11, ("nf_global", False): 1,
-            ("reduce_step", True): 11, ("reduce_step", False): 1,
+            ("step", True): 11, ("step", False): 1,
             ("spoly", False): 12,
         }
 
@@ -459,6 +536,15 @@ class TestEngineWork:
         assert (verdict.cohen_macaulay, verdict.witness) == (False, (4, 0, 0, 1))
         assert counts == {
             ("nf_global", True): 295, ("nf_global", False): 2,
-            ("reduce_step", True): 295, ("reduce_step", False): 1698,
+            ("step", True): 295, ("step", False): 1698,
             ("spoly", False): 297,
         }
+
+    def test_step_count_is_read_off_the_budget(self):
+        # X1^3*X2 - X3^4 by X1*X2 - X3^2, then X1^2*X3^2 - X3^4 by X1^2 - X2^2:
+        # two steps to X2^2*X3^2 - X3^4, which X2^2*X3^2 - X3^4 cancels in a third
+        reducers = [P("X1*X2-X3^2"), P("X1^2-X2^2"), P("X2^2*X3^2-X3^4")]
+        h = P("X1^3*X2-X3^4")
+        assert nf_mora(h, reducers).is_zero
+        assert count_steps(nf_mora, h, reducers) == 3
+        assert count_steps(nf_mora, h, []) == 0
