@@ -64,7 +64,7 @@ def _dump(obj, indent: str = "\n") -> str:
 
     With an indent `json` encodes through pure-Python generators; this joins
     strings instead.  A dict's scalar values, a list of one scalar type (H,
-    the basis lines) and a list of int lists (the [exponent, coefficient]
+    the basis lines) and a list of int pairs (the [exponent, coefficient]
     pairs of P and Q, one f-string per pair) are written in place; only
     other containers recurse.
     """
@@ -85,14 +85,12 @@ def _dump(obj, indent: str = "\n") -> str:
         if kind in _SCALARS and all([type(item) is kind for item in obj]):
             # a run of one scalar type: one lookup
             items = map(_SCALARS[kind], obj)
-        elif (kind is list and all([type(item) is list for item in obj])
-              and all([type(e) is int for item in obj for e in item])):
+        elif kind is list and all([type(item) is list and len(item) == 2
+                                   and type(item[0]) is int and type(item[1]) is int
+                                   for item in obj]):
+            # [exponent, coefficient] pairs, one f-string each
             pad = inner + "  "
-            sep = "," + pad
-            # an [exponent, coefficient] pair in one f-string, any other int list joined
-            items = [f"[{pad}{item[0]!r},{pad}{item[1]!r}{inner}]" if len(item) == 2
-                     else "[" + pad + sep.join(map(int.__repr__, item)) + inner + "]" if item else "[]"
-                     for item in obj]
+            items = [f"[{pad}{item[0]!r},{pad}{item[1]!r}{inner}]" for item in obj]
         else:
             items = [_dump(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
@@ -307,16 +305,18 @@ def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that a failed write of help to stdout raises.
+    """argparse's parser, except that help written to stdout is flushed and a failed write raises.
 
     argparse drops the `OSError`; raised, it reaches `main`, which handles
-    it as it handles a failed write of any other output.  Subcommand parsers
-    are made with the class of their parent, so they raise too.
+    it as it handles a failed write of any other output.  The flush makes a
+    buffered stdout fail here too, before argparse exits.  Subcommand
+    parsers are made with the class of their parent, so they do the same.
     """
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
             file.write(message)
+            file.flush()
         else:
             super()._print_message(message, file)
 
@@ -409,13 +409,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        try:
-            args = parse_args(argv)
-        except SystemExit:
-            # help or usage, printed before argparse exits: written out here,
-            # so that a failed write is handled below
-            sys.stdout.flush()
-            raise
+        args = parse_args(argv)
         code = COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code
