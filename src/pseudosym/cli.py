@@ -146,7 +146,7 @@ def cmd_basis(args) -> int:
         summary["count"] = len(engine)
     if args.mode in ("closed", "both"):
         predicted = toric.closed_form_basis(system)
-        summary["k"] = summary["k_nonstrict"] = predicted.k
+        summary["k_nonstrict"] = predicted.k
         summary["k_strict"] = toric.compute_k(params, strict=True)
         if engine is None:
             lines = pipeline.render_basis(predicted.elements)

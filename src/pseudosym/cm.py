@@ -5,13 +5,14 @@ form of the multiplicity element) is a nonzerodivisor.  For a monomial ideal
 that is a divisibility check on the minimal generators: X1 divides none.
 
 When the tangent-cone generators are not all monomials the check runs on the
-leading ideal of a Groebner basis computed under degrevlex with X1 last in
-precedence; with X1 smallest, the initial ideal commutes with the colon by
-X1, so the divisibility test on it is still exact.  Both cases end in the
-same test in `cm_verdict`, which reads the lowest forms as parts from
-`stdbasis._lowest_forms`: a monomial cone is decided from them with no
-polynomial built, and a binomial cone is built once, straight under
-`CM_ORDER`, for `buchberger_homogeneous`.
+leading ideal of a standard basis computed under degrevlex with X1 last in
+precedence.  The cone is homogeneous, so that basis is the Groebner basis
+under the global degrevlex with the same precedence; with X1 smallest, the
+initial ideal commutes with the colon by X1, so the divisibility test on it
+is still exact.  Both cases end in the same test in `cm_verdict`, which
+reads the lowest forms as parts from `stdbasis._lowest_forms`: a monomial
+cone is decided from them with no polynomial built, and a binomial cone is
+built once, straight under `CM_ORDER`, for `buchberger_homogeneous`.
 
 Known defect: the criterion needs the variable of the smallest generator,
 and this module always tests X1.  That is right whenever n1 is the smallest
@@ -31,8 +32,9 @@ from .errors import Record
 from .poly import Exponent, MonomialOrder, _pair, minimalize_monomials
 from .stdbasis import _lowest_forms, buchberger_homogeneous, leading_ideal
 
-# Global degrevlex with precedence X2 > X3 > X4 > X1 (X1 least significant).
-CM_ORDER = MonomialOrder(local=False, precedence=(1, 2, 3, 0))
+# Local degrevlex with precedence X2 > X3 > X4 > X1 (X1 least significant).  On
+# the homogeneous cone it compares every pair as the global degrevlex would.
+CM_ORDER = MonomialOrder(precedence=(1, 2, 3, 0))
 
 
 class CmVerdict(Record):
@@ -50,7 +52,7 @@ def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
 
     The test runs on the minimal lowest forms of a monomial tangent cone,
     with no polynomial built, and otherwise on the leading ideal of the
-    Groebner basis of the lowest forms, built once, straight under
+    standard basis of the lowest forms, built once, straight under
     `CM_ORDER`.
     """
     forms = _lowest_forms(standard_basis_elements)

@@ -3,8 +3,9 @@
 A polynomial in t is a list of integer coefficients by exponent,
 ``[1, 0, -3]`` for 1 - 3t^2.  Every list this module returns has no
 trailing zero, so ``[]`` is the zero polynomial and ``len(p) - 1`` the
-degree of a nonzero p.  No function mutates a list it is given: the pivot
-recursion's memo hands one result to several callers.
+degree of a nonzero p.  No function mutates a list it is given, so a caller
+may pass one list twice, as `_product` does to `add_shifted`, and keep
+using the lists it passed.
 
 The numerator P(t) of the Hilbert series of A/M (A the 4-variable polynomial
 ring, M a monomial ideal) is computed by the pivot recursion
@@ -14,8 +15,8 @@ ring, M a monomial ideal) is computed by the pivot recursion
 with one base case, the complete intersection.  The pivot w is the last
 generator of the minimal set, which `poly.minimalize_monomials` sorts by
 (degree, exponents), so w has the largest degree, and J, the set without
-it, is still minimal and sorted and serves as a memo key as it stands.  The
-result does not depend on the pivot; the tests compare it with the
+it, is still minimal and sorted, so it recurses as it stands.  The result
+does not depend on the pivot; the tests compare it with the
 inclusion-exclusion sum of `tests/reference.py`, which shares no code with
 the recursion.  `add_shifted` (p + c*t^d*q) is the only arithmetic the
 recursion and the closed-form numerator need.  Every monomial has four
@@ -108,24 +109,16 @@ def hilbert_numerator(gens: Iterable[Exponent]) -> list[int]:
     product of (1 - t^deg): 1 for the empty ideal, and 1 - t^0 = 0 for the
     unit ideal, whose minimal set is the unit alone.  Otherwise the last
     generator w of the minimal set J + {w} is split off and the recursion
-    above applies.  Results are memoized per call.
+    above applies.
     """
-    memo: dict[tuple[Exponent, ...], list[int]] = {}
 
-    def run(ideal: tuple[Exponent, ...]) -> list[int]:
-        cached = memo.get(ideal)
-        if cached is not None:
-            return cached
+    def run(ideal: list[Exponent]) -> list[int]:
         if _pairwise_coprime(ideal):
-            result = _product(map(sum, ideal))
-        else:
-            w, rest = ideal[-1], ideal[:-1]
-            colon = tuple(monomial_colon(rest, w))
-            result = add_shifted(run(rest), -1, sum(w), run(colon))
-        memo[ideal] = result
-        return result
+            return _product(map(sum, ideal))
+        w, rest = ideal[-1], ideal[:-1]
+        return add_shifted(run(rest), -1, sum(w), run(monomial_colon(rest, w)))
 
-    return run(tuple(minimalize_monomials(gens)))
+    return run(minimalize_monomials(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Monomials, binomials and degrevlex-style orderings in X1..X4.
+"""Monomials, binomials and local degrevlex orderings in X1..X4.
 
 Monomials are fixed-length tuples of nonnegative integer exponents, one entry
 per variable.  A `Polynomial` is zero, a signed monomial ±x^a, or a binomial
@@ -10,17 +10,17 @@ monomial leads.  Hashing, equality and `render_poly` read `coeff`, `lead` and
 `tail` directly.
 
 `Polynomial(terms, order)` validates outside input: parsed text, `monomial`
-and `binomial`.  The engine's own results (`spoly`, `reduce_step`, negation
-and so `normalize`, `with_order`) are ±(x^a - x^b) by construction: their
-two monomials can only cancel, never need collecting, so they are built by
+and `binomial`.  The engine's own results (`spoly`, negation and so
+`normalize`, `with_order`) are ±(x^a - x^b) by construction: their two
+monomials can only cancel, never need collecting, so they are built by
 `_pair` straight from the operands' parts.  So are the curve's binomials
 (`toric.toric_generators`), the normal forms of `stdbasis.nf_mora` and the
 tangent cones of `stdbasis` and `cm`.  The constructor ends in `_pair`
 too, whose one `MonomialOrder.greater` call decides the lead.
 
-`reduce_step` is the one-step reduction as a function, for callers and
-tests; the engine does not call it.  `stdbasis.nf_mora` works the same
-step on exponent tuples and builds one polynomial per normal form.
+`reduce_step` is the one reduction step.  It takes and returns the parts
+of the remainder, its sign, lead and tail, so `stdbasis.nf_mora` takes
+every step through it and builds one polynomial per normal form.
 
 Each fact the engine uses has one function: `MonomialOrder.greater`
 compares two monomials (a sort by the order wraps it in
@@ -34,18 +34,17 @@ carries no ecart; only the order of the engine's reducer list uses one (see
 The engine's exponent arithmetic is written out four entries wide: total
 degree is ``a[0] + a[1] + a[2] + a[3]``, divisibility is four ``<=``
 comparisons, and the lcm, shift and clamped difference of `spoly`,
-`reduce_step`, the step of `stdbasis.nf_mora` and `hilbert.monomial_colon`
-build their four entries one by one.  Two monomials are coprime exactly
-when their `support` masks share no bit.
+`reduce_step` and `hilbert.monomial_colon` build their four entries one by
+one.  Two monomials are coprime exactly when their `support` masks share no
+bit.
 
-Two ordering kinds are provided:
-
-* global degrevlex: higher total degree wins, so 1 is the smallest monomial;
-* local degrevlex: lower total degree wins, so 1 is the largest monomial.
-  This is the ordering tangent-cone computations run under.
-
-Degree ties are broken reverse-lexicographically against a variable
-precedence list, X1 > X2 > X3 > X4 by default.
+Every ordering is local degrevlex: lower total degree wins, so 1 is the
+largest monomial.  This is the ordering tangent-cone computations run
+under.  Degree ties are broken reverse-lexicographically against a variable
+precedence list, X1 > X2 > X3 > X4 by default.  On two monomials of one
+total degree, as in a homogeneous ideal like the tangent cone `cm` works
+on, only the tie-break decides, so a local ordering compares them as the
+global one with the same precedence would.
 
 Every monomial has exactly four exponents: `MonomialOrder` takes only a
 permutation of the four variables as its precedence, and the validating
@@ -74,7 +73,7 @@ class DimensionError(ValueError):
 
 
 class MonomialOrder(Record):
-    """Degree-reverse-lexicographic comparator, global or local.
+    """Local degree-reverse-lexicographic comparator.
 
     `precedence` lists the four variable indices from most to least
     significant, each once; anything else raises `ValueError`, since a
@@ -82,16 +81,15 @@ class MonomialOrder(Record):
     The comparator is total and multiplicative: a > b implies a+q > b+q.
     """
 
-    _fields = ("local", "precedence")
+    _fields = ("precedence",)
     # `_least_first` is derived from `precedence`, so eq, hash and repr skip it.
-    __slots__ = ("local", "precedence", "_least_first")
+    __slots__ = ("precedence", "_least_first")
 
-    def __init__(self, local: bool, precedence: tuple[int, ...] = (0, 1, 2, 3)):
+    def __init__(self, precedence: tuple[int, ...] = (0, 1, 2, 3)):
         if sorted(precedence) != list(range(N_VARS)):
             raise ValueError(
                 f"precedence must be a permutation of 0..{N_VARS - 1}, got {precedence!r}"
             )
-        object.__setattr__(self, "local", local)
         object.__setattr__(self, "precedence", precedence)
         # The precedence from least to most significant, the order ties are scanned in.
         object.__setattr__(self, "_least_first", precedence[::-1])
@@ -99,21 +97,21 @@ class MonomialOrder(Record):
     def greater(self, a: Exponent, b: Exponent) -> bool:
         """True iff x^a > x^b.
 
-        Decided by one total-degree comparison and, on a tie, a scan from
-        the least significant variable: at the first one where a and b
-        differ, the smaller exponent wins.
+        Decided by one total-degree comparison, where the lower degree wins,
+        and, on a tie, a scan from the least significant variable: at the
+        first one where a and b differ, the smaller exponent wins.
         """
         deg_a = a[0] + a[1] + a[2] + a[3]
         deg_b = b[0] + b[1] + b[2] + b[3]
         if deg_a != deg_b:
-            return deg_a < deg_b if self.local else deg_a > deg_b
+            return deg_a < deg_b
         for i in self._least_first:
             if a[i] != b[i]:
                 return a[i] < b[i]
         return False
 
 
-LOCAL = MonomialOrder(local=True)
+LOCAL = MonomialOrder()
 
 
 def weighted_degree(m: Exponent, weights: Sequence[int]) -> int:
@@ -157,12 +155,11 @@ class Polynomial:
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
     `ValueError`; what passes takes its fields from `_pair`.  The engine's
-    own results (`spoly`, `reduce_step`, negation, `with_order`, normal
-    forms, lowest forms and the curve's binomials) skip the checks and come
-    straight from `_pair`.  Equality and
-    hashing look only at the signed term set, read from the parts, so two
-    polynomials with the same terms compare equal, and hash alike, even if
-    tagged with different orderings.
+    own results (`spoly`, negation, `with_order`, normal forms, lowest
+    forms and the curve's binomials) skip the checks and come straight from
+    `_pair`.  Equality and hashing look only at the signed term set, read
+    from the parts, so two polynomials with the same terms compare equal,
+    and hash alike, even if tagged with different orderings.
     """
 
     __slots__ = ("coeff", "lead", "tail", "order")
@@ -288,20 +285,32 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     )
 
 
-def reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
-    """One cancellation of the leading term of h by a multiple of g.
+def reduce_step(coeff: int, lead: Exponent | None, tail: Exponent | None, g: Polynomial,
+                greater) -> tuple[int, Exponent | None, Exponent | None]:
+    """One cancellation of the leading term of h = coeff*(x^lead - x^tail) by a multiple of g.
 
-    For h = lc(h)*(x^a - x^b) and the tail x^d of g, what is left is
-    lc(h)*(x^(d + a - LM(g)) - x^b); a term is absent where h or g is a
-    monomial.
+    Works on parts and returns parts: for the tail x^d of g, what is left
+    is coeff*(x^(d + lead - LM(g)) - x^tail), with `greater`, the order's
+    comparison, deciding its lead; a term is absent where h or g is a
+    monomial, and a `lead` of None is zero.  `_pair` builds the parts into a
+    polynomial.  A zero h or g, or an LM(g) that does not divide x^lead,
+    raises `ValueError`.
     """
-    a, lead = h.lm, g.lm
-    s0, s1, s2, s3 = a[0] - lead[0], a[1] - lead[1], a[2] - lead[2], a[3] - lead[3]
+    b = g.lead
+    if lead is None or b is None:
+        raise ValueError("reduce_step of the zero polynomial is undefined")
+    s0, s1, s2, s3 = lead[0] - b[0], lead[1] - b[1], lead[2] - b[2], lead[3] - b[3]
     if s0 < 0 or s1 < 0 or s2 < 0 or s3 < 0:
-        raise ValueError(f"{lead} does not divide {a}")
+        raise ValueError(f"{b} does not divide {lead}")
     d = g.tail
-    return _pair(h.coeff, None if d is None else (d[0] + s0, d[1] + s1, d[2] + s2, d[3] + s3),
-                 h.tail, h.order)
+    if d is None:
+        return (1, None, None) if tail is None else (-coeff, tail, None)
+    plus = (d[0] + s0, d[1] + s1, d[2] + s2, d[3] + s3)
+    if plus == tail:
+        return 1, None, None
+    if tail is not None and greater(tail, plus):
+        return -coeff, tail, plus
+    return coeff, plus, tail
 
 
 def _render_mono(m: Exponent) -> str:

@@ -1,39 +1,42 @@
-"""Standard bases for local orderings, tangent cones, and leading ideals.
+"""Standard bases, tangent cones, and leading ideals.
 
 Every ideal the engine is given is homogeneous for a positive weight
 vector: the curve's binomials for Xi -> ni, a tangent cone for the standard
 grading; `check_graded` checks that where input enters.  A reduction step
 keeps the weighted degree and lowers the lead, and one weighted degree
-holds finitely many monomials, so plain division terminates even under the
-local ordering: `nf_mora` cancels LM(h) by the first reducer whose lead
-divides it, and needs none of Mora's bookkeeping.
+holds finitely many monomials, so plain division terminates even though
+every ordering is local (see `poly`): `nf_mora` cancels LM(h) by the first
+reducer whose lead divides it, and needs none of Mora's bookkeeping.
 
 Mora's choice survives only as the order of the reducers.  The basis loop
 keeps its elements in creation order, for pairs and `minimalize`, and a
 reducer list sorted stably by `_ecart`, so the first divisor is the first
-of least ecart in creation order: the reducer Mora's rule picks.  Under a
-global ordering every ecart is 0, and `nf_global` is `nf_mora`.  Pairs run
-in FIFO creation order; the product criterion skips those with coprime
+of least ecart in creation order: the reducer Mora's rule picks.  On
+homogeneous input, such as the tangent cone `buchberger_homogeneous` is
+given, every ecart is 0, and `nf_global` is `nf_mora`.  Pairs run in FIFO
+creation order; the product criterion skips those with coprime
 leads, and a pair of two monomials, whose s-polynomial is 0, is never
 formed.  `minimalize` keeps the elements whose leads
 `poly.minimalize_monomials` keeps, so the returned basis is minimal.  It
-lists them largest lead first, sorted by the one comparison of the order,
-`MonomialOrder.greater`, through `functools.cmp_to_key`.
+lists them largest lead first, so lowest degree first, sorted by the one
+comparison of the order, `MonomialOrder.greater`, through
+`functools.cmp_to_key`.
 
 Every monomial has four exponents (see `poly`), so the divisor scan of
 `nf_mora` is four ``<=`` comparisons per reducer, and the basis loop keeps
 each element's `poly.support` mask beside it: two leads are coprime exactly
 when their masks share no bit, so the product criterion is one ``&``.
-`nf_mora` takes its steps on exponent tuples, the sign, lead and tail of
-the remainder, with `MonomialOrder.greater` deciding each new lead, and
-builds one polynomial per call.  The basis loop drops a repeated input by
-its normalized parts, lead and tail.
+`nf_mora` takes each step through `poly.reduce_step` on the parts of the
+remainder, its sign, lead and tail, with `MonomialOrder.greater` deciding
+each new lead, and builds one polynomial per call.  The basis loop drops a
+repeated input by its normalized parts, lead and tail.
 
-The lowest forms of a local standard basis generate the tangent-cone ideal.
-A ±1 monomial or homogeneous binomial is its own lowest form; any other
-binomial's is its lower-degree term, the lead under the local ordering.
-`_lowest_forms` applies that rule and returns parts; `tangent_cone_ideal`
-builds them into polynomials, and `cm.cm_verdict` reads them directly.
+The lowest forms of a standard basis generate the tangent-cone ideal.  A ±1
+monomial or homogeneous binomial is its own lowest form; any other
+binomial's is its lower-degree term, which the local ordering makes the
+lead.  `_lowest_forms` applies that rule and returns parts;
+`tangent_cone_ideal` builds them into polynomials, and `cm.cm_verdict`
+reads them directly.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import InconsistencyError
-# perfbench/tracing.py counts calls to stdbasis.reduce_step and stdbasis.spoly by
-# name; reduce_step is bound only for it, since nf_mora steps on exponent tuples.
 from .poly import (
     N_VARS,
     STANDARD_GRADING,
@@ -54,7 +55,7 @@ from .poly import (
     _pair,
     minimalize_monomials,
     normalize,
-    reduce_step,  # noqa: F401
+    reduce_step,
     spoly,
     support,
 )
@@ -76,8 +77,8 @@ def check_graded(gens: Sequence[Polynomial], weights: Sequence[int]) -> None:
 
 
 def _ecart(g: Polynomial) -> int:
-    """Total degree of g above that of its lead: 0 for a monomial and under a global ordering."""
-    return 0 if g.tail is None else max(sum(g.tail) - sum(g.lead), 0)
+    """Total degree of g above that of its lead: 0 for a monomial and a homogeneous binomial."""
+    return 0 if g.tail is None else sum(g.tail) - sum(g.lead)
 
 
 def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
@@ -87,13 +88,12 @@ def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     `reducers` divides.  The result represents u*h modulo the ideal for some
     unit u, which is exactly what membership tests and the basis loop need.
     h and `reducers` must be homogeneous for one positive weight vector; on
-    other input under the local ordering the division may never end, and
-    the step budget raises `InconsistencyError`.
+    other input the division may never end, and the step budget raises
+    `InconsistencyError`.
 
-    Each step is `poly.reduce_step` worked on h's parts: the sign, lead and
-    tail stay exponent tuples, `greater` orders the shifted reducer tail
-    against h's tail, and one polynomial is built at the end; h itself
-    comes back when no step is taken.
+    Each step is `poly.reduce_step` on h's parts, the sign, lead and tail,
+    and one polynomial is built at the end; h itself comes back when no
+    step is taken.
     """
     coeff, lead, tail, greater = h.coeff, h.lead, h.tail, h.order.greater
     steps = 0
@@ -110,21 +110,7 @@ def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
             raise InconsistencyError(
                 "reduction exceeded the step budget; is the input homogeneous for positive weights?"
             )
-        # coeff*(x^(d + a - b) - x^tail), d the tail of g: the parts `_pair` would give
-        d = g.tail
-        if d is None:
-            if tail is None:
-                lead = None
-            else:
-                coeff, lead, tail = -coeff, tail, None
-        else:
-            plus = (d[0] + a0 - b[0], d[1] + a1 - b[1], d[2] + a2 - b[2], d[3] + a3 - b[3])
-            if plus == tail:
-                lead = tail = None
-            elif tail is not None and greater(tail, plus):
-                coeff, lead, tail = -coeff, tail, plus
-            else:
-                lead = plus
+        coeff, lead, tail = reduce_step(coeff, lead, tail, g, greater)
     if not steps:
         return h
     return _pair(coeff, lead, tail, h.order)
@@ -133,8 +119,8 @@ def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
 def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
     """The first element of `G` for each minimal generator of its leading ideal.
 
-    They are returned with the largest leading monomial first, which for a
-    local ordering puts the lowest-degree elements at the front.
+    They are returned with the largest leading monomial first, which puts
+    the lowest-degree elements at the front.
     """
     if not G:
         return []
@@ -192,7 +178,7 @@ def _add_pairs(g: Polynomial, masks: list[int], binomial: list[bool], pairs: deq
 
 
 def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[Polynomial]:
-    """Minimal standard basis of the ideal generated by `gens` (local ordering).
+    """Minimal standard basis of the ideal generated by `gens`.
 
     `gens` must be homogeneous for the positive `weights`, for a monomial
     curve its generators n; other input raises `ValueError`.
@@ -201,21 +187,20 @@ def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[P
     return minimalize(_closure(gens, nf_mora))
 
 
-# Under a global ordering the lead has the highest degree, so every ecart is
-# 0 and the reducers stay in creation order.  The name stays for the global
-# route.
+# On the homogeneous input of `buchberger_homogeneous` every ecart is 0 and
+# the reducers stay in creation order.  The name stays for that route.
 nf_global = nf_mora
 
 
 def buchberger_homogeneous(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Minimal Groebner basis of a homogeneous ideal under a global ordering.
+    """Minimal standard basis of an ideal homogeneous for the standard grading.
 
-    For homogeneous input the Groebner basis is also a standard basis, so
-    this is the fallback route when tangent-cone generators fail to be
-    monomials.
+    Every s-polynomial and remainder is homogeneous too, so the degree rule
+    of the order never decides a comparison, and the result is the Groebner
+    basis under the global ordering with the same precedence.  This is the
+    route taken when tangent-cone generators fail to be monomials.  Input
+    that is not homogeneous raises `ValueError`.
     """
-    if any(not f.is_zero and f.order.local for f in gens):
-        raise ValueError("buchberger_homogeneous needs a global ordering")
     check_graded(gens, STANDARD_GRADING)
     return minimalize(_closure(gens, nf_global))
 
@@ -231,19 +216,16 @@ def _lowest_forms(G: Sequence[Polynomial]) -> list[tuple[Exponent, Exponent | No
     """The normalized lowest form of each element of G as parts (plus, minus): x^plus - x^minus.
 
     A monomial or a homogeneous binomial is its own lowest form, read with
-    its lead first; any other binomial's is its lower-degree term, with
-    minus None.  A zero element raises `ValueError`.
+    its lead first; any other binomial's is its lead, the lower-degree term,
+    with minus None.  A zero element raises `ValueError`.
     """
     forms = []
     for g in G:
         lead, tail = g.lead, g.tail
         if lead is None:
             raise ValueError("zero polynomial has no lowest form")
-        if tail is not None:
-            deg_lead = lead[0] + lead[1] + lead[2] + lead[3]
-            deg_tail = tail[0] + tail[1] + tail[2] + tail[3]
-            if deg_lead != deg_tail:
-                lead, tail = (lead if deg_lead < deg_tail else tail), None
+        if tail is not None and sum(lead) != sum(tail):
+            tail = None
         forms.append((lead, tail))
     return forms
 

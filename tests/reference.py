@@ -187,14 +187,13 @@ def tail_length(params, strict: bool = False) -> int | None:
 
 
 def order_key(order, m: tuple[int, ...]) -> tuple[int, ...]:
-    """A sort key of x^m under the degrevlex order with fields `local` and `precedence`.
+    """A sort key of x^m under the local degrevlex order with field `precedence`.
 
-    Larger keys are larger monomials: total degree first, negated for a
-    local order, then the exponents negated and read from the least
+    Larger keys are larger monomials: total degree first, negated, as the
+    lower degree wins, then the exponents negated and read from the least
     significant variable, where the smaller exponent wins.
     """
-    deg = sum(m)
-    return (-deg if order.local else deg, *(-m[i] for i in reversed(order.precedence)))
+    return (-sum(m), *(-m[i] for i in reversed(order.precedence)))
 
 
 def minimal_monomials(gens) -> set[tuple[int, ...]]:
@@ -381,7 +380,6 @@ class NumericalSemigroup:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    local: bool
     precedence: tuple[int, ...] = (0, 1, 2, 3)
     _least_first: tuple[int, ...] = field(init=False, repr=False, compare=False)
 

@@ -7,16 +7,13 @@ import pytest
 import reference as ref
 from pseudosym import cm
 from pseudosym.cm import CmVerdict, cm_verdict
-from pseudosym.poly import LOCAL, MonomialOrder, monomial, normalize, parse_poly
+from pseudosym.poly import LOCAL, monomial, normalize, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.pipeline import engine_basis
 from pseudosym.stdbasis import leading_ideal, tangent_cone_ideal
 from pseudosym.toric import toric_generators
 
 from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
-
-
-GLOBAL = MonomialOrder(local=False)
 
 
 def mono_ideal(*monos):
@@ -59,16 +56,17 @@ class TestDivisibilityCriterion:
 
 
 class TestLowestFormRule:
-    """`cm_verdict` reads each element's lowest form by the rule, not its lead or its sign."""
+    """`cm_verdict` reads each element's lowest form by the rule, not its sign:
+    the lead of a non-homogeneous binomial, the whole of any other element."""
 
-    def test_global_basis_with_a_non_homogeneous_binomial(self):
-        # Under a global order X1^3 leads, but the lowest form is X2*X3.
-        f = parse_poly("X1^3-X2*X3", GLOBAL)
-        assert f.lm == (3, 0, 0, 0)
+    def test_basis_with_a_non_homogeneous_binomial(self):
+        # The lower-degree term X2*X3 leads, and it is the lowest form.
+        f = parse_poly("X1^3-X2*X3", LOCAL)
+        assert f.lm == (0, 1, 1, 0)
         assert cm_verdict([f]) == CmVerdict(True, None)
         # Beside a homogeneous binomial the cone is binomial: X2*X3 and
         # X2*X4 - X1*X3, whose s-polynomial leaves X1*X3^2 under CM_ORDER.
-        g = parse_poly("X1*X3-X2*X4", GLOBAL)
+        g = parse_poly("X1*X3-X2*X4", LOCAL)
         assert cm_verdict([f, g]) == CmVerdict(False, (1, 0, 2, 0))
 
     @pytest.mark.parametrize("text, verdict", [

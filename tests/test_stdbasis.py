@@ -15,13 +15,11 @@ from pseudosym.pipeline import basis_set, engine_basis, load_fixture_basis
 from pseudosym.poly import (
     LOCAL,
     DimensionError,
-    MonomialOrder,
     Polynomial,
     minimalize_monomials,
     monomial,
     normalize,
     parse_poly,
-    reduce_step,
     spoly,
     weighted_degree,
     with_order,
@@ -40,9 +38,6 @@ from pseudosym.toric import closed_form_basis, toric_generators
 
 from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_A4_3, engine_box
 from seed_engine import closure_differs, divides, seed_nf_global, seed_nf_mora
-
-GLOBAL_ORDER = MonomialOrder(local=False)
-
 
 def P(text, order=LOCAL):
     return parse_poly(text, order)
@@ -184,25 +179,21 @@ class TestLeadingIdeal:
 
 class TestBuchbergerHomogeneous:
     def test_monomial_input_unchanged(self):
-        fs = [monomial((1, 1, 0, 0), GLOBAL_ORDER), monomial((0, 0, 3, 0), GLOBAL_ORDER)]
+        fs = [monomial((1, 1, 0, 0), cm.CM_ORDER), monomial((0, 0, 3, 0), cm.CM_ORDER)]
         assert basis_set(buchberger_homogeneous(fs)) == basis_set(fs)
 
     def test_hand_traced_pair(self):
         # spoly(X1*X2 - X3^2, X3^3) = -X3^5 reduces to zero, so the input
         # is already a Groebner basis; X1*X2*X3 - X3^3 lies in the ideal.
-        f = P("X1*X2-X3^2", GLOBAL_ORDER)
-        g = P("X3^3", GLOBAL_ORDER)
+        f = P("X1*X2-X3^2")
+        g = P("X3^3")
         basis = buchberger_homogeneous([f, g])
         assert basis_set(basis) == basis_set([f, g])
-        assert nf_global(P("X1*X2*X3-X3^3", GLOBAL_ORDER), basis).is_zero
+        assert nf_global(P("X1*X2*X3-X3^3"), basis).is_zero
 
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="non-homogeneous"):
-            buchberger_homogeneous([P("X1^2-X2", GLOBAL_ORDER)])
-
-    def test_local_order_rejected(self):
-        with pytest.raises(ValueError, match="global"):
-            buchberger_homogeneous([P("X1*X2-X3^2", LOCAL)])
+            buchberger_homogeneous([P("X1^2-X2")])
 
     def test_dispatch_rule_monomial_cones_skip_it(self, engine_bases, monkeypatch):
         # the monomial tangent cone of the first example never needs it
@@ -324,17 +315,17 @@ def shapes(draw, order, weights=None, top=3):
 
 @st.composite
 def reduction_cases(draw, graded):
-    """(h, reducers) under LOCAL or GLOBAL_ORDER.
+    """(h, reducers) under LOCAL or CM_ORDER, homogeneous for one grading.
 
-    Under LOCAL the normal form terminates only on graded input, so a
-    `graded` case draws a positive weight vector and keeps every element
-    homogeneous for it; otherwise only LOCAL cases are graded, by degree.
+    The normal form terminates only on graded input, so every element is
+    homogeneous: a `graded` case draws a positive weight vector, and any
+    other is graded by degree, as the CM route's cone is.
     """
-    order = draw(st.sampled_from([LOCAL, GLOBAL_ORDER]))
+    order = draw(st.sampled_from([LOCAL, cm.CM_ORDER]))
     if graded:
         weights = draw(st.tuples(*([st.integers(1, 4)] * 4)))
     else:
-        weights = (1, 1, 1, 1) if order.local else None
+        weights = (1, 1, 1, 1)
     basis = draw(st.lists(shapes(order, weights), min_size=1, max_size=6))
     return draw(shapes(order, weights, top=6)), basis
 
@@ -435,60 +426,28 @@ def parts(g):
     return g.coeff, g.lead, g.tail, g.order
 
 
-def count_steps(nf, h, reducers):
-    """The steps `nf` takes on h: the least step budget it keeps within.
-
-    A call of s steps raises under any budget below s and under none from s
-    on, so an exponential and then a binary search on the budget finds s.
-    """
-    budget = stdbasis.MAX_REDUCTION_STEPS
-
-    def within(limit):
-        stdbasis.MAX_REDUCTION_STEPS = limit
-        try:
-            nf(h, reducers)
-        except InconsistencyError:
-            return False
-        return True
-
-    try:
-        high = 1
-        while not within(high):
-            high *= 2
-        low = 0
-        while low < high:
-            mid = (low + high) // 2
-            if within(mid):
-                high = mid
-            else:
-                low = mid + 1
-    finally:
-        stdbasis.MAX_REDUCTION_STEPS = budget
-    return low
-
-
 def count_engine_calls(monkeypatch):
     """Count each call of the engine's stages by (name, whether the result is zero).
 
-    `nf_mora` and `nf_global` also count their reduction steps, read by
-    `count_steps`, under ("step", whether the step leaves zero): only the
-    last step of a call that ends in zero does.
+    Each `reduce_step` call of `nf_mora` and `nf_global` counts under
+    ("step", whether the step leaves zero): only the last step of a call
+    that ends in zero does.
     """
     counts = Counter()
     for name in ("nf_mora", "nf_global", "spoly"):
         def wrapper(*args, _fn=getattr(stdbasis, name), _name=name):
             result = _fn(*args)
             counts[_name, result.is_zero] += 1
-            if _name != "spoly":
-                steps = count_steps(_fn, *args)
-                if steps and result.is_zero:
-                    counts["step", True] += 1
-                    steps -= 1
-                if steps:
-                    counts["step", False] += steps
             return result
 
         monkeypatch.setattr(stdbasis, name, wrapper)
+
+    def step(*args, _fn=stdbasis.reduce_step):
+        result = _fn(*args)
+        counts["step", result[1] is None] += 1
+        return result
+
+    monkeypatch.setattr(stdbasis, "reduce_step", step)
     return counts
 
 
@@ -497,15 +456,12 @@ class TestEngineWork:
     each normal form takes, as counts.
 
     The figures were recorded from the engine before leads were stored on
-    the polynomial, when `nf_mora` still chose the reducer by ecart and
-    took each step through `reduce_step`; a change of pair order, pair
-    skipping, reducer choice or step count moves them.  The two CM-route
-    figures were recorded again when pairs of two monomials, whose
-    s-polynomial is 0, stopped being formed: no zero s-polynomial is left,
-    and the step counts did not move.  The step counts are the
-    `reduce_step` call counts of that engine, by whether the step left
-    zero; `nf_mora` now steps on exponent tuples and `count_steps` reads
-    them off the step budget.
+    the polynomial, when `nf_mora` still chose the reducer by ecart; a
+    change of pair order, pair skipping, reducer choice or step count moves
+    them.  The two CM-route figures were recorded again when pairs of two
+    monomials, whose s-polynomial is 0, stopped being formed: no zero
+    s-polynomial is left, and the step counts did not move.  The step
+    counts are the `reduce_step` calls, by whether the step left zero.
     """
 
     def test_local_route_on_6_6_2_4_4(self, monkeypatch):
@@ -540,11 +496,14 @@ class TestEngineWork:
             ("spoly", False): 297,
         }
 
-    def test_step_count_is_read_off_the_budget(self):
+    def test_hand_made_example_takes_three_steps(self, monkeypatch):
         # X1^3*X2 - X3^4 by X1*X2 - X3^2, then X1^2*X3^2 - X3^4 by X1^2 - X2^2:
         # two steps to X2^2*X3^2 - X3^4, which X2^2*X3^2 - X3^4 cancels in a third
         reducers = [P("X1*X2-X3^2"), P("X1^2-X2^2"), P("X2^2*X3^2-X3^4")]
         h = P("X1^3*X2-X3^4")
+        counts = count_engine_calls(monkeypatch)
         assert nf_mora(h, reducers).is_zero
-        assert count_steps(nf_mora, h, reducers) == 3
-        assert count_steps(nf_mora, h, []) == 0
+        assert counts == {("step", True): 1, ("step", False): 2}
+        counts.clear()
+        assert nf_mora(h, []) is h
+        assert counts == {}
