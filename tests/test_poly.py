@@ -90,6 +90,15 @@ class TestCompare:
         with pytest.raises(ValueError, match="permutation"):
             MonomialOrder(precedence)
 
+    @given(st.sampled_from(EVERY_ORDER), monos, st.data())
+    def test_equal_degrees_compare_as_under_global_degrevlex(self, order, a, data):
+        # The degree rule decides nothing between monomials of one degree, so
+        # on a homogeneous ideal the local order is the global one with the
+        # same precedence: global degrevlex keys the degree unnegated.
+        b = tuple(data.draw(st.permutations(a)))
+        global_key = lambda m: (sum(m), *(-m[i] for i in reversed(order.precedence)))
+        assert gt(order, a, b) == (global_key(a) > global_key(b))
+
     def test_every_permutation_is_antisymmetric(self):
         variables = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
         for order in EVERY_ORDER:
@@ -253,6 +262,15 @@ def shapes(draw):
 orders = st.sampled_from([LOCAL, CM_ORDER])
 
 
+@st.composite
+def homogeneous_shapes(draw):
+    """A signed monomial or a +-1 binomial whose two terms have one total degree."""
+    sign = draw(st.sampled_from([1, -1]))
+    a = draw(monos)
+    b = tuple(draw(st.permutations(a)))
+    return {a: sign} if b == a else {a: sign, b: -sign}
+
+
 def build(f, order):
     return Polynomial([(c, m) for m, c in f.items()], order)
 
@@ -380,6 +398,11 @@ def engine_results(F, G):
     yield with_order(zero(F.order), LOCAL)
 
 
+# The module's two orders and one more precedence, X4 first and X1 last.
+ORDERS = [LOCAL, CM_ORDER, MonomialOrder((3, 2, 1, 0))]
+ORDER_IDS = ["local", "cm", "reversed"]
+
+
 class TestTrustedConstructor:
     @given(orders, monos, monos)
     def test_greater_agrees_with_reference_key(self, order, a, b):
@@ -391,14 +414,25 @@ class TestTrustedConstructor:
         for R in engine_results(F, G):
             assert_as_validated(R)
 
-    @pytest.mark.parametrize("order", [LOCAL, CM_ORDER], ids=["local", "cm"])
+    @given(homogeneous_shapes(), homogeneous_shapes(), orders)
+    def test_homogeneous_input_has_ecart_zero(self, f, g, order):
+        # what lets nf_global be nf_mora on the CM route: on homogeneous
+        # input every result is homogeneous, so every nonzero one has
+        # ecart 0 and the reducers stay in creation order
+        F, G = build(f, order), build(g, order)
+        for R in (F, G, *engine_results(F, G)):
+            if not R.is_zero:
+                assert _ecart(R) == 0
+
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
     @pytest.mark.parametrize("h, g, expect", [
         # the moved tail of g is the tail of h: zero
         ("X1*X2-X2*X3", "X1-X3", "0"),
         # a monomial reduced by a binomial, and a monomial spoly
         ("X1*X2^2", "X1-X2^2", "monomial"),
         # equal degrees: the leads are decided by reverse-lex, which LOCAL
-        # (X4 least significant) and CM_ORDER (X1 least) decide differently
+        # (X4 least significant) and CM_ORDER (X1 least) decide differently;
+        # the reversed precedence reads X1 least too, then X2 where CM_ORDER reads X4
         ("X1^2*X2-X1*X3*X4", "X1-X3", "binomial"),
     ])
     def test_cancellation_monomials_and_ties(self, order, h, g, expect):
@@ -414,7 +448,7 @@ class TestTrustedConstructor:
         assert with_order(f, CM_ORDER).lm == (0, 0, 1, 1)
         assert with_order(with_order(f, CM_ORDER), LOCAL).lm == (1, 1, 0, 0)
 
-    @pytest.mark.parametrize("order", [LOCAL, CM_ORDER], ids=["local", "cm"])
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
     def test_refusals_kept(self, order):
         with pytest.raises(ValueError, match="does not divide"):
             step(P("X1-X2^2", order), P("X1^2-X3^2", order))

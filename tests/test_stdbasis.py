@@ -20,6 +20,7 @@ from pseudosym.poly import (
     monomial,
     normalize,
     parse_poly,
+    render_poly,
     spoly,
     weighted_degree,
     with_order,
@@ -190,6 +191,16 @@ class TestBuchbergerHomogeneous:
         basis = buchberger_homogeneous([f, g])
         assert basis_set(basis) == basis_set([f, g])
         assert nf_global(P("X1*X2*X3-X3^3"), basis).is_zero
+
+    def test_lowest_degree_first(self):
+        # minimalize sorts by the local order, largest lead first, so the
+        # result runs from degree 2 to degree 5 whatever order the input has
+        gens = [P(text, cm.CM_ORDER) for text in ("X1^3-X4^3", "X2*X3", "X1*X3-X2*X4")]
+        basis = buchberger_homogeneous(gens)
+        assert [render_poly(g) for g in basis] == [
+            "X2*X3", "X2*X4-X1*X3", "X4^3-X1^3", "X1*X3^2", "X1*X3*X4^2-X1^3*X2", "X1^3*X2^2",
+        ]
+        assert [sum(g.lm) for g in basis] == [2, 2, 3, 3, 4, 5]
 
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="non-homogeneous"):
