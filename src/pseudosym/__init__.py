@@ -25,7 +25,6 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     binomial,
-    normalize,
     parse_poly,
     render_poly,
     spoly,

@@ -152,9 +152,7 @@ def cmd_basis(args) -> int:
             lines = pipeline.render_basis(predicted.elements)
             summary["count"] = len(predicted.elements)
         else:
-            summary["match"] = (
-                pipeline.basis_set(predicted.elements) == pipeline.basis_set(engine)
-            )
+            summary["match"] = frozenset(predicted.elements) == frozenset(engine)
 
     if args.fmt == "json":
         summary["elements"] = lines

@@ -12,7 +12,8 @@ initial ideal commutes with the colon by X1, so the divisibility test on it
 is still exact.  Both cases end in the same test in `cm_verdict`, which
 reads the lowest forms as parts from `stdbasis._lowest_forms`: a monomial
 cone is decided from them with no polynomial built, and a binomial cone is
-built once, straight under `CM_ORDER`, for `buchberger_homogeneous`.
+built once from them and handed to `buchberger_homogeneous` with
+`CM_ORDER`, which re-decides each lead under it.
 
 Known defect: the criterion needs the variable of the smallest generator,
 and this module always tests X1.  That is right whenever n1 is the smallest
@@ -52,13 +53,12 @@ def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
 
     The test runs on the minimal lowest forms of a monomial tangent cone,
     with no polynomial built, and otherwise on the leading ideal of the
-    standard basis of the lowest forms, built once, straight under
-    `CM_ORDER`.
+    standard basis under `CM_ORDER` of the lowest forms, built once.
     """
     forms = _lowest_forms(standard_basis_elements)
     if any(minus is not None for _, minus in forms):
-        leads = leading_ideal(buchberger_homogeneous([_pair(1, plus, minus, CM_ORDER)
-                                                      for plus, minus in forms]))
+        leads = leading_ideal(buchberger_homogeneous([_pair(plus, minus) for plus, minus in forms],
+                                                     CM_ORDER))
     else:
         # an empty basis is the zero ideal, whose quotient X1 never kills
         leads = minimalize_monomials(plus for plus, _ in forms)

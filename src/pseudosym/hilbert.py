@@ -39,7 +39,7 @@ from typing import Iterable
 
 from .errors import InconsistencyError, ParameterError, Record
 from .poly import Exponent, minimalize_monomials, scan_terms, support
-from .semigroup import PseudoSymmetricParams
+from .semigroup import PseudoSymmetricParams, check_level
 from .toric import check_closed_form_regime
 
 
@@ -193,8 +193,8 @@ def hilbert_function(Q: list[int], up_to_level: int | None = None) -> HilbertRep
     """
     if not Q:
         raise ParameterError("second series must be nonzero")
-    if up_to_level is not None and up_to_level < 0:
-        raise ParameterError(f"max level >= 0 violated ({up_to_level})")
+    if up_to_level is not None:
+        check_level(up_to_level)
     deg = len(Q) - 1
     level = deg + 5 if up_to_level is None else up_to_level
     H = list(accumulate(Q[:level + 1]))

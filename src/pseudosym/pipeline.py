@@ -28,11 +28,12 @@ from typing import Iterator, Sequence
 
 from . import cm, hilbert, stdbasis, toric
 from .errors import ParameterError, Record
-from .poly import LOCAL, Polynomial, monomial, normalize, parse_poly, render_poly
+from .poly import Polynomial, monomial, parse_poly, render_poly
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
+    check_level,
     construct_generators,
     hilbert_oracle,
 )
@@ -90,7 +91,7 @@ def load_fixture_basis(params: PseudoSymmetricParams,
                        fixtures_dir: str | Path | None = None) -> list[Polynomial] | None:
     return _load_fixture(
         fixture_stem(params) + ".basis.txt", fixtures_dir,
-        lambda text: [normalize(parse_poly(line, LOCAL)) for line in text.splitlines() if line.strip()],
+        lambda text: [parse_poly(line) for line in text.splitlines() if line.strip()],
     )
 
 
@@ -99,10 +100,6 @@ def load_fixture_numerator(params: PseudoSymmetricParams,
     """The stored numerator as the `[exponent, coefficient]` pairs a report prints as "P"."""
     return _load_fixture(fixture_stem(params) + ".numerator.txt", fixtures_dir,
                          lambda text: hilbert.parse_numerator(text.strip()))
-
-
-def basis_set(elements: Sequence[Polynomial]) -> frozenset[Polynomial]:
-    return frozenset(normalize(f) for f in elements)
 
 
 def render_basis(elements: Sequence[Polynomial]) -> list[str]:
@@ -213,7 +210,7 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
             mismatches.append("stored numerator fixture differs from computed one")
     fixture_basis = load_fixture_basis(params, fixtures_dir)
     if fixture_basis is not None:
-        ok = basis_set(fixture_basis) == basis_set(engine)
+        ok = frozenset(fixture_basis) == frozenset(engine)
         report["basis_fixture_match"] = ok
         if not ok:
             mismatches.append("stored basis fixture differs from engine basis")
@@ -244,7 +241,7 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
 def _witness_text(witness) -> str | None:
     if witness is None:
         return None
-    return render_poly(monomial(witness, LOCAL))
+    return render_poly(monomial(witness))
 
 
 def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str]) -> None:
@@ -266,7 +263,7 @@ def _closed_form_section(system, engine, report, mismatches) -> None:
         # stays because stored digests pin verify's output
         "used": predicted.k,
     }
-    match = basis_set(predicted.elements) == basis_set(engine)
+    match = frozenset(predicted.elements) == frozenset(engine)
     report["closed_form"] = {
         "elements": render_basis(predicted.elements),
         "count": len(predicted.elements),
@@ -324,8 +321,8 @@ class SweepConfig(Record):
             raise ParameterError("alpha21 range must start at 1 or above")
         if self.jobs < 1:
             raise ParameterError(f"jobs >= 1 violated (jobs={self.jobs})")
-        if self.max_level is not None and self.max_level < 0:
-            raise ParameterError(f"max level >= 0 violated ({self.max_level})")
+        if self.max_level is not None:
+            check_level(self.max_level)
         if self.k_filter is not None and self.k_filter < 1:
             raise ParameterError(f"k >= 1 violated (k={self.k_filter})")
 

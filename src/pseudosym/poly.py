@@ -1,35 +1,41 @@
 """Monomials, binomials and local degrevlex orderings in X1..X4.
 
 Monomials are fixed-length tuples of nonnegative integer exponents, one entry
-per variable.  A `Polynomial` is zero, a signed monomial ±x^a, or a binomial
-±(x^lead - x^tail) with integer coefficients ±1: the only shapes a toric
-standard-basis computation produces, since the s-polynomial and the
-reduction step of two such polynomials are again one of them.  So a
-polynomial is stored as those parts, with the ordering that decided which
-monomial leads.  Hashing, equality and `render_poly` read `coeff`, `lead` and
-`tail` directly.
+per variable.  A `Polynomial` is zero, a monomial x^a, or a binomial
+x^lead - x^tail: up to sign, the only shapes a toric standard-basis
+computation produces, since the s-polynomial and the reduction step of two
+such polynomials are again one of them.  No decision of the engine reads a
+sign (an ideal, a lead and a zero test are the same for f and -f), so none
+is stored: a polynomial is its two parts, `lead` and `tail`, read with
+leading coefficient +1.  Hashing, equality and `render_poly` read the two
+parts directly.
+
+Which monomial leads is the choice of an ordering, and a polynomial does
+not keep one.  `Polynomial(terms, order)`, `parse_poly` and `binomial`
+decide the lead under the order they are given; the engine takes one order
+per computation, re-decides each input's lead under it (see `stdbasis`),
+and passes its `MonomialOrder.greater` down to `spoly` and `reduce_step`.
 
 `Polynomial(terms, order)` validates outside input: parsed text, `monomial`
-and `binomial`.  The engine's own results (`spoly`, negation and so
-`normalize`, `with_order`) are ±(x^a - x^b) by construction: their two
-monomials can only cancel, never need collecting, so they are built by
-`_pair` straight from the operands' parts.  So are the curve's binomials
-(`toric.toric_generators`), the normal forms of `stdbasis.nf_mora` and the
-tangent cones of `stdbasis` and `cm`.  The constructor ends in `_pair`
-too, whose one `MonomialOrder.greater` call decides the lead.
+and `binomial`.  The engine's own results (`spoly`, the normal forms of
+`stdbasis.nf_mora`, the tangent cones of `stdbasis` and `cm`) and the
+curve's binomials (`toric.toric_generators`) are ±(x^a - x^b) by
+construction: their two monomials can only cancel, never need collecting,
+so they are built by `_pair` straight from parts that `_lead_first` has
+put in order.  The constructor uses `_lead_first` too, whose one
+`MonomialOrder.greater` call decides the lead.
 
 `reduce_step` is the one reduction step.  It takes and returns the parts
-of the remainder, its sign, lead and tail, so `stdbasis.nf_mora` takes
-every step through it and builds one polynomial per normal form.
+of the remainder, its lead and tail, so `stdbasis.nf_mora` takes every
+step through it and builds one polynomial per normal form.
 
 Each fact the engine uses has one function: `MonomialOrder.greater`
 compares two monomials (a sort by the order wraps it in
 `functools.cmp_to_key`, see `stdbasis.minimalize`), `weighted_degree`
 grades a monomial, `support` is the set of variables a monomial contains,
 and `Polynomial.is_homogeneous` tests a polynomial against a grading.  A
-polynomial's `coeff`, `lead` and `tail` are read as fields.  A polynomial
-carries no ecart; only the order of the engine's reducer list uses one (see
-`stdbasis`).
+polynomial carries no ecart; only the order of the engine's reducer list
+uses one (see `stdbasis`).
 
 The engine's exponent arithmetic is written out four entries wide: total
 degree is ``a[0] + a[1] + a[2] + a[3]``, divisibility is four ``<=``
@@ -148,21 +154,21 @@ def minimalize_monomials(monos: Iterable[Exponent]) -> list[Exponent]:
 
 
 class Polynomial:
-    """coeff * (x^lead - x^tail) with coeff ±1; `lead` is None for zero, `tail` for a monomial.
+    """x^lead - x^tail, leading term first; `lead` is None for zero, `tail` for a monomial.
 
     The constructor is the validating entry for outside input.  An exponent
     tuple whose length is not four raises `DimensionError`.  Like terms
     are collected first; anything else that remains (three or more terms, a
     coefficient other than ±1, two terms of the same sign) raises
-    `ValueError`; what passes takes its fields from `_pair`.  The engine's
-    own results (`spoly`, negation, `with_order`, normal forms, lowest
-    forms and the curve's binomials) skip the checks and come straight from
-    `_pair`.  Equality and hashing look only at the signed term set, read
-    from the parts, so two polynomials with the same terms compare equal,
-    and hash alike, even if tagged with different orderings.
+    `ValueError`.  What passes is stored with its lead, decided under
+    `order`, first, and so with leading coefficient +1 whatever its sign
+    was.  The engine's own results (`spoly`, normal forms, lowest forms and
+    the curve's binomials) skip the checks and come straight from `_pair`.
+    Equality and hashing look only at the two parts, so two polynomials are
+    equal exactly when they have the same two terms.
     """
 
-    __slots__ = ("coeff", "lead", "tail", "order")
+    __slots__ = ("lead", "tail")
 
     def __init__(self, terms: Iterable[tuple], order: MonomialOrder):
         acc: dict[Exponent, int] = {}
@@ -175,8 +181,7 @@ class Polynomial:
         signed = {c: m for c, m in kept if c in (1, -1)}
         if len(signed) != len(kept):
             raise ValueError(f"not zero, a monomial or a ±1 binomial: {kept}")
-        f = _pair(1, signed.get(1), signed.get(-1), order)
-        self.coeff, self.lead, self.tail, self.order = f.coeff, f.lead, f.tail, order
+        self.lead, self.tail = _lead_first(signed.get(1), signed.get(-1), order.greater)
 
     @property
     def is_zero(self) -> bool:
@@ -193,104 +198,78 @@ class Polynomial:
         """True for zero, a monomial, and a binomial whose two terms have one degree under `weights`."""
         return self.tail is None or weighted_degree(self.lead, weights) == weighted_degree(self.tail, weights)
 
-    def __neg__(self) -> "Polynomial":
-        return _pair(-self.coeff, self.lead, self.tail, self.order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        # One term set: the same parts, or lead and tail swapped by another ordering.
-        parts, o = (self.coeff, self.lead, self.tail), other
-        return parts == (o.coeff, o.lead, o.tail) or parts == (-o.coeff, o.tail, o.lead)
+        return self.lead == other.lead and self.tail == other.tail
 
     def __hash__(self) -> int:
-        # The parts read with the larger exponent tuple first, so that the two
-        # spellings `__eq__` accepts, (c, a, b) and (-c, b, a), hash alike.
-        tail = self.tail
-        if tail is not None and tail > self.lead:
-            return hash((-self.coeff, tail, self.lead))
-        return hash((self.coeff, self.lead, tail))
+        return hash((self.lead, self.tail))
 
     def __repr__(self) -> str:
         return render_poly(self)
 
 
-def zero(order: MonomialOrder = LOCAL) -> Polynomial:
-    return Polynomial([], order)
+def zero() -> Polynomial:
+    return Polynomial([], LOCAL)
 
 
-def monomial(m: Exponent, order: MonomialOrder = LOCAL) -> Polynomial:
-    return Polynomial([(1, m)], order)
+def monomial(m: Exponent) -> Polynomial:
+    return Polynomial([(1, m)], LOCAL)
 
 
 def binomial(plus: Exponent, minus: Exponent, order: MonomialOrder = LOCAL) -> Polynomial:
-    """The difference of two monomials, plus - minus."""
+    """The difference of two monomials, plus - minus, stored with its lead under `order` first."""
     return Polynomial([(1, plus), (-1, minus)], order)
 
 
-def with_order(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    """Same polynomial with its two monomials compared under a different ordering."""
-    return _pair(f.coeff, f.lead, f.tail, order)
+def _lead_first(a: Exponent | None, b: Exponent | None, greater) -> tuple[Exponent | None, Exponent | None]:
+    """The parts (lead, tail) of ±(x^a - x^b); None is an absent term.
 
-
-def normalize(f: Polynomial) -> Polynomial:
-    """Flip the overall sign so the leading coefficient is +1."""
-    if f.is_zero or f.coeff > 0:
-        return f
-    return -f
-
-
-def _pair(coeff: int, plus: Exponent | None, minus: Exponent | None,
-          order: MonomialOrder) -> Polynomial:
-    """coeff * (x^plus - x^minus) without the constructor's checks; None is an absent term.
-
-    coeff is ±1, and equal monomials cancel to zero.  One `greater` call
-    decides the lead.
+    Equal monomials cancel to zero, (None, None).  One `greater` call, the
+    order's comparison, decides the lead of a binomial.
     """
+    if a == b:
+        return None, None
+    if a is None or (b is not None and greater(b, a)):
+        return b, a
+    return a, b
+
+
+def _pair(lead: Exponent | None, tail: Exponent | None) -> Polynomial:
+    """x^lead - x^tail from parts already in order, without the constructor's checks."""
     f = object.__new__(Polynomial)
-    f.order = order
-    if plus == minus:
-        f.coeff, f.lead, f.tail = 1, None, None
-    elif minus is None:
-        f.coeff, f.lead, f.tail = coeff, plus, None
-    elif plus is None:
-        f.coeff, f.lead, f.tail = -coeff, minus, None
-    elif order.greater(minus, plus):
-        f.coeff, f.lead, f.tail = -coeff, minus, plus
-    else:
-        f.coeff, f.lead, f.tail = coeff, plus, minus
+    f.lead, f.tail = lead, tail
     return f
 
 
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """lcm-cancellation of the leading terms of f and g.
+def spoly(f: Polynomial, g: Polynomial, greater) -> Polynomial:
+    """lcm-cancellation of the leading terms of f and g, its lead decided by `greater`.
 
-    For f = lc(f)*(x^a - x^b), g = lc(g)*(x^c - x^d) and L = lcm(a, c) this
-    is x^(d+L-c) - x^(b+L-a), less the tail term of a monomial operand.
+    For f = x^a - x^b, g = x^c - x^d and L = lcm(a, c) this is
+    ±(x^(d+L-c) - x^(b+L-a)), less the tail term of a monomial operand.
+    f and g must lead under the order of `greater`.
     """
     a, b, c, d = f.lead, f.tail, g.lead, g.tail
     if a is None or c is None:
         raise ValueError("spoly of the zero polynomial is undefined")
-    if f.order is not g.order and f.order != g.order:
-        raise ValueError("operands use different monomial orderings")
     a0, a1, a2, a3 = a
     c0, c1, c2, c3 = c
     l0, l1, l2, l3 = (a0 if a0 > c0 else c0, a1 if a1 > c1 else c1,
                       a2 if a2 > c2 else c2, a3 if a3 > c3 else c3)
-    return _pair(
-        1,
+    return _pair(*_lead_first(
         None if d is None else (d[0] + l0 - c0, d[1] + l1 - c1, d[2] + l2 - c2, d[3] + l3 - c3),
         None if b is None else (b[0] + l0 - a0, b[1] + l1 - a1, b[2] + l2 - a2, b[3] + l3 - a3),
-        f.order,
-    )
+        greater,
+    ))
 
 
-def reduce_step(coeff: int, lead: Exponent | None, tail: Exponent | None, g: Polynomial,
-                greater) -> tuple[int, Exponent | None, Exponent | None]:
-    """One cancellation of the leading term of h = coeff*(x^lead - x^tail) by a multiple of g.
+def reduce_step(lead: Exponent | None, tail: Exponent | None, g: Polynomial,
+                greater) -> tuple[Exponent | None, Exponent | None]:
+    """One cancellation of the leading term of h = x^lead - x^tail by a multiple of g.
 
     Works on parts and returns parts: for the tail x^d of g, what is left
-    is coeff*(x^(d + lead - LM(g)) - x^tail), with `greater`, the order's
+    is ±(x^(d + lead - LM(g)) - x^tail), with `greater`, the order's
     comparison, deciding its lead; a term is absent where h or g is a
     monomial, and a `lead` of None is zero.  `_pair` builds the parts into a
     polynomial.  A zero h or g, or an LM(g) that does not divide x^lead,
@@ -304,13 +283,13 @@ def reduce_step(coeff: int, lead: Exponent | None, tail: Exponent | None, g: Pol
         raise ValueError(f"{b} does not divide {lead}")
     d = g.tail
     if d is None:
-        return (1, None, None) if tail is None else (-coeff, tail, None)
+        return tail, None
     plus = (d[0] + s0, d[1] + s1, d[2] + s2, d[3] + s3)
     if plus == tail:
-        return 1, None, None
+        return None, None
     if tail is not None and greater(tail, plus):
-        return -coeff, tail, plus
-    return coeff, plus, tail
+        return tail, plus
+    return plus, tail
 
 
 def _render_mono(m: Exponent) -> str:
@@ -329,14 +308,11 @@ def _render_mono(m: Exponent) -> str:
 
 
 def render_poly(f: Polynomial) -> str:
-    """Plain-text form like ``X1^16-X3*X4`` (terms in the polynomial's order)."""
+    """Plain-text form like ``X1^16-X3*X4``, the leading term first."""
     if f.lead is None:
         return "0"
     lead = _render_mono(f.lead)
-    if f.tail is None:
-        return lead if f.coeff > 0 else "-" + lead
-    tail = _render_mono(f.tail)
-    return f"{lead}-{tail}" if f.coeff > 0 else f"-{lead}+{tail}"
+    return lead if f.tail is None else f"{lead}-{_render_mono(f.tail)}"
 
 
 _INT_RE = re.compile(r"-?\d+$")
@@ -375,5 +351,7 @@ def parse_poly(text: str, order: MonomialOrder = LOCAL) -> Polynomial:
     """Parse the plain-text form produced by `render_poly` (see `scan_terms`).
 
     Text that is not zero, a monomial or a ±1 binomial raises `ValueError`.
+    Either sign is accepted: ``X3*X4-X1^16`` and ``X1^16-X3*X4`` parse to
+    one polynomial, stored with its lead under `order` first.
     """
     return Polynomial(scan_terms(text, VAR_NAMES), order)

@@ -234,6 +234,20 @@ def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
     return f % 2 == 0 and 2 * genus(S) == f + 2
 
 
+# The largest level a caller may ask H up to.  The lists of H that
+# `hilbert_oracle` and `hilbert.hilbert_function` return have one entry per
+# level, so an unchecked level sizes them; H is constant from its plateau on.
+MAX_LEVEL = 100_000
+
+
+def check_level(level: int) -> None:
+    """Raise `ParameterError` unless 0 <= level <= `MAX_LEVEL`."""
+    if level < 0:
+        raise ParameterError(f"max level >= 0 violated ({level})")
+    if level > MAX_LEVEL:
+        raise ParameterError(f"max level <= {MAX_LEVEL} violated ({level})")
+
+
 def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
     """H(0..L) counted combinatorially: H(n) = #{s in S : order(s) = n}.
 
@@ -290,8 +304,7 @@ def hilbert_oracle(S: NumericalSemigroup, up_to_level: int) -> list[int]:
     the semigroup of the generators divided by d, with the same orders, so
     the counts are taken there.  The Apery set `S.apery` is not read.
     """
-    if up_to_level < 0:
-        raise ParameterError(f"max level >= 0 violated ({up_to_level})")
+    check_level(up_to_level)
     gens = S.generators
     d = math.gcd(*gens)
     if d > 1:

@@ -8,6 +8,12 @@ holds finitely many monomials, so plain division terminates even though
 every ordering is local (see `poly`): `nf_mora` cancels LM(h) by the first
 reducer whose lead divides it, and needs none of Mora's bookkeeping.
 
+A computation runs under one order, given once: `standard_basis` takes it
+as `order=`, `LOCAL` by default, and `buchberger_homogeneous` as its second
+argument.  Each re-decides the lead of every input under that order, and
+`nf_mora`, `spoly`, `reduce_step` and `minimalize` are handed its
+`MonomialOrder.greater`; a polynomial carries no order and no sign.
+
 Mora's choice survives only as the order of the reducers.  The basis loop
 keeps its elements in creation order, for pairs and `minimalize`, and a
 reducer list sorted stably by `_ecart`, so the first divisor is the first
@@ -27,13 +33,13 @@ Every monomial has four exponents (see `poly`), so the divisor scan of
 each element's `poly.support` mask beside it: two leads are coprime exactly
 when their masks share no bit, so the product criterion is one ``&``.
 `nf_mora` takes each step through `poly.reduce_step` on the parts of the
-remainder, its sign, lead and tail, with `MonomialOrder.greater` deciding
-each new lead, and builds one polynomial per call.  The basis loop drops a
-repeated input by its normalized parts, lead and tail.
+remainder, its lead and tail, with `greater` deciding each new lead, and
+builds one polynomial per call.  The basis loop drops a repeated input,
+once its lead is decided, as an equal polynomial: the same lead and tail.
 
-The lowest forms of a standard basis generate the tangent-cone ideal.  A ±1
+The lowest forms of a standard basis generate the tangent-cone ideal.  A
 monomial or homogeneous binomial is its own lowest form; any other
-binomial's is its lower-degree term, which the local ordering makes the
+binomial's is its lower-degree term, which every local ordering makes the
 lead.  `_lowest_forms` applies that rule and returns parts;
 `tangent_cone_ideal` builds them into polynomials, and `cm.cm_verdict`
 reads them directly.
@@ -48,13 +54,15 @@ from typing import Sequence
 
 from .errors import InconsistencyError
 from .poly import (
+    LOCAL,
     N_VARS,
     STANDARD_GRADING,
     Exponent,
+    MonomialOrder,
     Polynomial,
+    _lead_first,
     _pair,
     minimalize_monomials,
-    normalize,
     reduce_step,
     spoly,
     support,
@@ -81,21 +89,22 @@ def _ecart(g: Polynomial) -> int:
     return 0 if g.tail is None else sum(g.tail) - sum(g.lead)
 
 
-def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+def nf_mora(h: Polynomial, reducers: Sequence[Polynomial], greater) -> Polynomial:
     """Weak normal form of h: cancel LM(h) by the first of `reducers` whose lead divides it.
 
     Returns 0 or a polynomial whose leading monomial no leading monomial of
     `reducers` divides.  The result represents u*h modulo the ideal for some
     unit u, which is exactly what membership tests and the basis loop need.
-    h and `reducers` must be homogeneous for one positive weight vector; on
+    h and `reducers` must lead under the order whose `MonomialOrder.greater`
+    is `greater`, and be homogeneous for one positive weight vector; on
     other input the division may never end, and the step budget raises
     `InconsistencyError`.
 
-    Each step is `poly.reduce_step` on h's parts, the sign, lead and tail,
-    and one polynomial is built at the end; h itself comes back when no
-    step is taken.
+    Each step is `poly.reduce_step` on h's parts, the lead and tail, and
+    one polynomial is built at the end; h itself comes back when no step is
+    taken.
     """
-    coeff, lead, tail, greater = h.coeff, h.lead, h.tail, h.order.greater
+    lead, tail = h.lead, h.tail
     steps = 0
     while lead is not None:
         a0, a1, a2, a3 = lead
@@ -110,39 +119,38 @@ def nf_mora(h: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
             raise InconsistencyError(
                 "reduction exceeded the step budget; is the input homogeneous for positive weights?"
             )
-        coeff, lead, tail = reduce_step(coeff, lead, tail, g, greater)
+        lead, tail = reduce_step(lead, tail, g, greater)
     if not steps:
         return h
-    return _pair(coeff, lead, tail, h.order)
+    return _pair(lead, tail)
 
 
-def minimalize(G: Sequence[Polynomial]) -> list[Polynomial]:
+def minimalize(G: Sequence[Polynomial], greater) -> list[Polynomial]:
     """The first element of `G` for each minimal generator of its leading ideal.
 
-    They are returned with the largest leading monomial first, which puts
-    the lowest-degree elements at the front.
+    They are returned with the largest leading monomial under `greater`
+    first, which puts the lowest-degree elements at the front.
     """
-    if not G:
-        return []
     first = {g.lm: g for g in reversed(G)}  # earlier elements overwrite later
-    greater = G[0].order.greater
     kept = [first[lm] for lm in minimalize_monomials(first)]
     # The kept leads are distinct, so `greater` is strict on them.
     kept.sort(key=cmp_to_key(lambda f, g: -1 if greater(f.lm, g.lm) else 1))
     return kept
 
 
-def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
-    """The basis loop: `gens` and every nonzero reduced s-polynomial, in creation order."""
+def _closure(gens: Sequence[Polynomial], nf, greater) -> list[Polynomial]:
+    """The basis loop: `gens` and every nonzero reduced s-polynomial, in creation order.
+
+    Each element of `gens` is taken with its lead re-decided by `greater`.
+    """
     G = []
     seen = set()
     for f in gens:
-        if not f.is_zero:
-            nf_f = normalize(f)
-            # normalized, two polynomials are equal exactly when their parts are
-            if (nf_f.lead, nf_f.tail) not in seen:
-                seen.add((nf_f.lead, nf_f.tail))
-                G.append(nf_f)
+        if f.lead is not None:
+            f = _pair(*_lead_first(f.lead, f.tail, greater))
+            if f not in seen:
+                seen.add(f)
+                G.append(f)
     if not G:
         raise ValueError("need at least one nonzero polynomial")
     reducers = sorted(G, key=_ecart)
@@ -153,13 +161,12 @@ def _closure(gens: Sequence[Polynomial], nf) -> list[Polynomial]:
         _add_pairs(g, masks, binomial, pairs)
     while pairs:
         i, j = pairs.popleft()
-        h = nf(spoly(G[i], G[j]), reducers)
+        h = nf(spoly(G[i], G[j], greater), reducers, greater)
         if h.lead is None:
             continue
-        g = normalize(h)
-        G.append(g)
-        insort(reducers, g, key=_ecart)
-        _add_pairs(g, masks, binomial, pairs)
+        G.append(h)
+        insort(reducers, h, key=_ecart)
+        _add_pairs(h, masks, binomial, pairs)
     return G
 
 
@@ -177,14 +184,15 @@ def _add_pairs(g: Polynomial, masks: list[int], binomial: list[bool], pairs: deq
     binomial.append(is_binomial)
 
 
-def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[Polynomial]:
-    """Minimal standard basis of the ideal generated by `gens`.
+def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int],
+                   order: MonomialOrder = LOCAL) -> list[Polynomial]:
+    """Minimal standard basis under `order` of the ideal generated by `gens`.
 
     `gens` must be homogeneous for the positive `weights`, for a monomial
     curve its generators n; other input raises `ValueError`.
     """
     check_graded(gens, weights)
-    return minimalize(_closure(gens, nf_mora))
+    return minimalize(_closure(gens, nf_mora, order.greater), order.greater)
 
 
 # On the homogeneous input of `buchberger_homogeneous` every ecart is 0 and
@@ -192,8 +200,8 @@ def standard_basis(gens: Sequence[Polynomial], weights: Sequence[int]) -> list[P
 nf_global = nf_mora
 
 
-def buchberger_homogeneous(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Minimal standard basis of an ideal homogeneous for the standard grading.
+def buchberger_homogeneous(gens: Sequence[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """Minimal standard basis under `order` of an ideal homogeneous for the standard grading.
 
     Every s-polynomial and remainder is homogeneous too, so the degree rule
     of the order never decides a comparison, and the result is the Groebner
@@ -202,7 +210,7 @@ def buchberger_homogeneous(gens: Sequence[Polynomial]) -> list[Polynomial]:
     that is not homogeneous raises `ValueError`.
     """
     check_graded(gens, STANDARD_GRADING)
-    return minimalize(_closure(gens, nf_global))
+    return minimalize(_closure(gens, nf_global, order.greater), order.greater)
 
 
 def leading_ideal(G: Sequence[Polynomial]) -> list[Exponent]:
@@ -213,7 +221,7 @@ def leading_ideal(G: Sequence[Polynomial]) -> list[Exponent]:
 
 
 def _lowest_forms(G: Sequence[Polynomial]) -> list[tuple[Exponent, Exponent | None]]:
-    """The normalized lowest form of each element of G as parts (plus, minus): x^plus - x^minus.
+    """The lowest form of each element of G as parts (plus, minus): x^plus - x^minus.
 
     A monomial or a homogeneous binomial is its own lowest form, read with
     its lead first; any other binomial's is its lead, the lower-degree term,
@@ -231,5 +239,5 @@ def _lowest_forms(G: Sequence[Polynomial]) -> list[tuple[Exponent, Exponent | No
 
 
 def tangent_cone_ideal(G: Sequence[Polynomial]) -> list[Polynomial]:
-    """Normalized lowest forms of a standard basis, by the ±1 rule above."""
-    return [_pair(1, plus, minus, g.order) for g, (plus, minus) in zip(G, _lowest_forms(G))]
+    """Lowest forms of a standard basis, by the rule above, each led as in G."""
+    return [_pair(plus, minus) for plus, minus in _lowest_forms(G)]

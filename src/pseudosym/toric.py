@@ -27,7 +27,7 @@ lemma); a tail that does not is a construction bug.
 from __future__ import annotations
 
 from .errors import InconsistencyError, ParameterError, Record
-from .poly import LOCAL, Exponent, Polynomial, _pair, binomial, normalize, weighted_degree
+from .poly import LOCAL, Exponent, Polynomial, _lead_first, _pair, binomial, weighted_degree
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
 
 
@@ -81,7 +81,7 @@ def toric_generators(params: PseudoSymmetricParams) -> ToricSystem:
     polys = []
     for i, (plus, minus) in enumerate(generator_monomials(params), start=1):
         # two distinct monomials by construction: built without the constructor's checks
-        f = _pair(1, plus, minus, LOCAL)
+        f = _pair(*_lead_first(plus, minus, LOCAL.greater))
         _check_sdegrees(f, S, f"f{i}")
         polys.append(f)
     return ToricSystem(params, S, tuple(polys))
@@ -158,4 +158,4 @@ def closed_form_basis(system: ToricSystem) -> ClosedFormBasis:
             )
         elements.append(f)
 
-    return ClosedFormBasis(k, tuple(normalize(f) for f in elements))
+    return ClosedFormBasis(k, tuple(elements))

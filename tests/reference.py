@@ -5,7 +5,8 @@ sides agree.  A polynomial in t is a dict from exponent to nonzero integer
 coefficient; `from_list` and `to_list` convert from and to the package's
 dense coefficient lists.  A monomial is a tuple of exponents, and a term a
 (coefficient, exponents) pair; `terms` reads a package polynomial's terms
-off its parts `coeff`, `lead` and `tail`.
+off its parts `lead` and `tail`, and `with_order` rebuilds a package
+polynomial from them under another order.
 
 The eight record types at the end are the package's records as frozen
 dataclasses, with their fields, defaults and checks; a failed check raises
@@ -225,14 +226,23 @@ def render_terms(terms) -> str:
 def terms(f) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The nonzero (coefficient, exponents) terms of a package polynomial, leading first.
 
-    Read off its parts: coeff * (x^lead - x^tail), where `lead` is None for
-    zero and `tail` is None for a monomial.
+    Read off its parts: x^lead - x^tail, where `lead` is None for zero and
+    `tail` is None for a monomial.
     """
     if f.lead is None:
         return ()
     if f.tail is None:
-        return ((f.coeff, f.lead),)
-    return ((f.coeff, f.lead), (-f.coeff, f.tail))
+        return ((1, f.lead),)
+    return ((1, f.lead), (-1, f.tail))
+
+
+def with_order(f, order):
+    """f rebuilt by its class's validating constructor, its lead decided under `order`.
+
+    A binomial whose lead `order` puts the other way comes back as its
+    negative, x^tail - x^lead.
+    """
+    return type(f)(terms(f), order)
 
 
 def basis_term_sets(bases) -> frozenset:
@@ -443,5 +453,7 @@ class SweepConfig:
             raise ValueError(f"jobs >= 1 violated (jobs={self.jobs})")
         if self.max_level is not None and self.max_level < 0:
             raise ValueError(f"max level >= 0 violated ({self.max_level})")
+        if self.max_level is not None and self.max_level > 100_000:
+            raise ValueError(f"max level <= 100000 violated ({self.max_level})")
         if self.k_filter is not None and self.k_filter < 1:
             raise ValueError(f"k >= 1 violated (k={self.k_filter})")

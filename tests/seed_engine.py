@@ -11,15 +11,19 @@ two distinct monomials of one positive degree neither divides the other.
 `seed_reduce_step`, and `seed_closure` forms pairs with `seed_spoly` and
 skips them with `coprime`: the formulas of `poly.reduce_step`, `poly.spoly`
 and the product criterion as the engine first ran them, with generic
-`map` arithmetic over the exponents, results built by the validating
-`Polynomial` constructor, and no support masks.
+`map` arithmetic over the exponents, signed terms, results built by the
+validating `Polynomial` constructor under the order each function is
+given, and no support masks.  `seed_closure` rebuilds every generator
+under its order with `reference.with_order`, as the engine did while a
+polynomial still carried its order.
 
 `seed_closure` is the basis loop frozen as it was when the normal form
 still chose the reducer itself: it hands the normal form the elements in
 creation order.  The engine's `stdbasis._closure` hands `nf_mora`, a plain
-first-divisor scan, a reducer list kept in stable ecart order instead, and
-must build the same closure, element by element, on both routes, with its
-four-wide divisor scan, lcm, shift and support-mask product criterion:
+first-divisor scan, a reducer list kept in stable ecart order instead,
+re-decides each generator's lead itself, and must build the same closure,
+element by element (each element's lead and tail), on both routes, with
+its four-wide divisor scan, lcm, shift and support-mask product criterion:
 
 * the local route, the curve's binomials against `seed_nf_mora`;
 * the CM route, taken where the tangent cone is not monomial: the cone's
@@ -42,7 +46,7 @@ from operator import add, le, mul, sub
 import reference as ref
 from pseudosym import stdbasis
 from pseudosym.cm import CM_ORDER
-from pseudosym.poly import Polynomial, normalize, with_order
+from pseudosym.poly import LOCAL, Polynomial
 from pseudosym.toric import toric_generators
 
 from conftest import engine_box, map_box
@@ -65,7 +69,7 @@ def lead_mono(f):
     return ref.terms(f)[0][1]
 
 
-def seed_spoly(f, g):
+def seed_spoly(f, g, order):
     """lcm-cancellation of the leading terms: x^(d+L-c) - x^(b+L-a), a term absent for a monomial."""
     a, c = lead_mono(f), lead_mono(g)
     lcm = tuple(map(max, a, c))
@@ -74,10 +78,10 @@ def seed_spoly(f, g):
         terms.append((1, tuple(map(sub, map(add, g.tail, lcm), c))))
     if f.tail is not None:
         terms.append((-1, tuple(map(sub, map(add, f.tail, lcm), a))))
-    return Polynomial(terms, f.order)
+    return Polynomial(terms, order)
 
 
-def seed_reduce_step(h, g):
+def seed_reduce_step(h, g, order):
     """h less the multiple of g that cancels LM(h); LM(g) must divide LM(h)."""
     (hc, hm), *h_rest = ref.terms(h)
     (gc, gm), *g_rest = ref.terms(g)
@@ -86,14 +90,14 @@ def seed_reduce_step(h, g):
         raise ValueError("the reducer's lead does not divide")
     ratio = hc * gc  # lc(h) / lc(g), as both are ±1
     terms = [(-ratio * c, tuple(map(add, m, shift))) for c, m in g_rest]
-    return Polynomial(terms + h_rest, h.order)
+    return Polynomial(terms + h_rest, order)
 
 
 def seed_ecart(f):
     return max(sum(m) for _, m in ref.terms(f)) - sum(lead_mono(f))
 
 
-def seed_nf_mora(h, basis):
+def seed_nf_mora(h, basis, order):
     reducers = list(basis)
     while not h.is_zero:
         lm = lead_mono(h)
@@ -108,55 +112,55 @@ def seed_nf_mora(h, basis):
             break
         if chosen_ecart > seed_ecart(h):
             reducers.append(h)
-        h = seed_reduce_step(h, chosen)
+        h = seed_reduce_step(h, chosen, order)
     return h
 
 
-def seed_nf_global(h, basis):
+def seed_nf_global(h, basis, order):
     while not h.is_zero:
         for g in basis:
             if divides(lead_mono(g), lead_mono(h)):
-                h = seed_reduce_step(h, g)
+                h = seed_reduce_step(h, g, order)
                 break
         else:
             return h
     return h
 
 
-def seed_closure(gens, nf):
+def seed_closure(gens, nf, order):
     G = []
     for f in gens:
         if not f.is_zero:
-            nf_f = normalize(f)
-            if nf_f not in G:
-                G.append(nf_f)
+            f = ref.with_order(f, order)
+            if f not in G:
+                G.append(f)
     pairs = deque((i, j) for j in range(len(G)) for i in range(j))
     while pairs:
         i, j = pairs.popleft()
         if coprime(G[i].lead, G[j].lead):
             continue
-        h = nf(seed_spoly(G[i], G[j]), G)
+        h = nf(seed_spoly(G[i], G[j], order), G, order)
         if h.is_zero:
             continue
-        G.append(normalize(h))
+        G.append(h)
         new = len(G) - 1
         pairs.extend((i, new) for i in range(new))
     return G
 
 
-def terms(G):
-    return [ref.terms(g) for g in G]
+def parts(G):
+    return [(g.lead, g.tail) for g in G]
 
 
 def closure_differs(params) -> dict[str, bool]:
     """Each route the tuple takes, mapped to whether its closure differs from the frozen loop's."""
     gens = toric_generators(params).generators
-    local = stdbasis._closure(gens, stdbasis.nf_mora)
-    routes = {"local": terms(local) != terms(seed_closure(gens, seed_nf_mora))}
-    cone = stdbasis.tangent_cone_ideal(stdbasis.minimalize(local))
+    local = stdbasis._closure(gens, stdbasis.nf_mora, LOCAL.greater)
+    routes = {"local": parts(local) != parts(seed_closure(gens, seed_nf_mora, LOCAL))}
+    cone = stdbasis.tangent_cone_ideal(stdbasis.minimalize(local, LOCAL.greater))
     if not all(g.tail is None for g in cone):
-        cone = [with_order(g, CM_ORDER) for g in cone]
-        routes["cm"] = terms(stdbasis._closure(cone, stdbasis.nf_global)) != terms(seed_closure(cone, seed_nf_global))
+        engine = stdbasis._closure(cone, stdbasis.nf_global, CM_ORDER.greater)
+        routes["cm"] = parts(engine) != parts(seed_closure(cone, seed_nf_global, CM_ORDER))
     return routes
 
 

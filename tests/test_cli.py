@@ -541,6 +541,25 @@ def test_negative_max_level_rejected(capsys, command, level):
     assert err == f"max level >= 0 violated ({level})\n"
 
 
+# 10**20 once overflowed the list of levels, and a level just below 2**63
+# raised MemoryError; both are refused before any list of levels is built.
+@pytest.mark.parametrize("level", [10**20, semigroup.MAX_LEVEL + 1], ids=["1e20", "ceiling+1"])
+@pytest.mark.parametrize("command", [["verify", *EX41], ["hilbert", *EX41], ["oracle", *EX41],
+                                     ["sweep", "--alpha1", "16:16", "--alpha2", "20:20", "--alpha3", "7:7",
+                                      "--alpha21", "8:8"]], ids=lambda c: c[0])
+def test_max_level_above_the_ceiling_rejected(capsys, command, level):
+    code, out, err = run(capsys, [*command, "--max-level", str(level)])
+    assert code == 2
+    assert out == ""
+    assert err == f"max level <= {semigroup.MAX_LEVEL} violated ({level})\n"
+
+
+def test_max_level_at_the_ceiling_accepted(capsys):
+    code, out, _ = run(capsys, ["oracle", *EX41, "--max-level", str(semigroup.MAX_LEVEL)])
+    assert code == 0
+    assert len(json.loads(out)["H_oracle"]) == semigroup.MAX_LEVEL + 1
+
+
 class TestFixtureErrors:
     def test_missing_directory_is_invalid_input(self, capsys, tmp_path):
         missing = tmp_path / "nonexistent"

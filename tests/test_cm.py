@@ -7,7 +7,7 @@ import pytest
 import reference as ref
 from pseudosym import cm
 from pseudosym.cm import CmVerdict, cm_verdict
-from pseudosym.poly import LOCAL, monomial, normalize, parse_poly
+from pseudosym.poly import LOCAL, monomial, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.pipeline import engine_basis
 from pseudosym.stdbasis import leading_ideal, tangent_cone_ideal
@@ -17,7 +17,7 @@ from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
 
 
 def mono_ideal(*monos):
-    return [monomial(m, LOCAL) for m in monos]
+    return [monomial(m) for m in monos]
 
 
 class TestDivisibilityCriterion:
@@ -42,9 +42,9 @@ class TestDivisibilityCriterion:
         # through the Groebner basis under CM_ORDER, whose lead is X3^2.
         calls = []
 
-        def traced(gens):
+        def traced(gens, order):
             calls.append(gens)
-            return buchberger(gens)
+            return buchberger(gens, order)
 
         buchberger = cm.buchberger_homogeneous
         monkeypatch.setattr(cm, "buchberger_homogeneous", traced)
@@ -56,8 +56,8 @@ class TestDivisibilityCriterion:
 
 
 class TestLowestFormRule:
-    """`cm_verdict` reads each element's lowest form by the rule, not its sign:
-    the lead of a non-homogeneous binomial, the whole of any other element."""
+    """`cm_verdict` reads each element's lowest form by the rule: the lead of
+    a non-homogeneous binomial, the whole of any other element."""
 
     def test_basis_with_a_non_homogeneous_binomial(self):
         # The lower-degree term X2*X3 leads, and it is the lowest form.
@@ -69,16 +69,16 @@ class TestLowestFormRule:
         g = parse_poly("X1*X3-X2*X4", LOCAL)
         assert cm_verdict([f, g]) == CmVerdict(False, (1, 0, 2, 0))
 
-    @pytest.mark.parametrize("text, verdict", [
-        ("-X1*X2", CmVerdict(False, (1, 1, 0, 0))),
-        # the local lead is X2, so the element reads -(X2 - X1^2)
-        ("X1^2-X2", CmVerdict(True, None)),
-        ("X3^2-X1*X2", CmVerdict(True, None)),
+    @pytest.mark.parametrize("text, negated, verdict", [
+        ("-X1*X2", "X1*X2", CmVerdict(False, (1, 1, 0, 0))),
+        # the local lead is X2, so the element is stored as X2 - X1^2
+        ("X1^2-X2", "X2-X1^2", CmVerdict(True, None)),
+        ("X3^2-X1*X2", "X1*X2-X3^2", CmVerdict(True, None)),
     ])
-    def test_unnormalized_element(self, text, verdict):
+    def test_element_written_with_a_negative_lead(self, text, negated, verdict):
         f = parse_poly(text, LOCAL)
-        assert f.coeff == -1
-        assert cm_verdict([f]) == cm_verdict([normalize(f)]) == verdict
+        assert f == parse_poly(negated, LOCAL)
+        assert cm_verdict([f]) == verdict
 
 
 class TestColonStability:

@@ -20,6 +20,7 @@ from pseudosym.pipeline import (
 )
 from pseudosym.poly import parse_poly, zero
 from pseudosym.semigroup import (
+    MAX_LEVEL,
     PseudoSymmetricParams,
     check_conditions,
     construct_generators,
@@ -145,6 +146,12 @@ class TestSweepConfig:
         # the wording of verify, oracle and hilbert
         assert str(info.value) == "max level >= 0 violated (-1)"
         assert SweepConfig(max_level=0).max_level == 0
+
+    def test_max_level_above_the_ceiling_refused_on_construction(self):
+        with pytest.raises(ParameterError) as info:
+            SweepConfig(max_level=MAX_LEVEL + 1)
+        assert str(info.value) == f"max level <= {MAX_LEVEL} violated ({MAX_LEVEL + 1})"
+        assert SweepConfig(max_level=MAX_LEVEL).max_level == MAX_LEVEL
 
     def test_k_filter_counts_on_the_default_sweep(self):
         everything = list(iter_sweep(SweepConfig()))

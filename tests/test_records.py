@@ -187,6 +187,7 @@ INVALID = [
     ("SweepConfig", ((2, 8), (2, 8), (2, 8), (2, 2), (0, 7))),
     ("SweepConfig", ((2, 8), (2, 8), (2, 8), (2, 2), (1, 7), True, True, None, 0)),
     ("SweepConfig", ((2, 8), (2, 8), (2, 8), (2, 2), (1, 7), True, True, None, 1, -1)),
+    ("SweepConfig", ((2, 8), (2, 8), (2, 8), (2, 2), (1, 7), True, True, None, 1, 100_001)),
     ("SweepConfig", ((2, 8), (2, 8), (2, 8), (2, 2), (1, 7), True, True, 0)),
 ]
 

@@ -9,6 +9,7 @@ import pytest
 
 from pseudosym.errors import ParameterError
 from pseudosym.semigroup import (
+    MAX_LEVEL,
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
@@ -187,6 +188,11 @@ class TestHilbertOracle:
     def test_negative_level_rejected(self):
         with pytest.raises(ParameterError):
             hilbert_oracle(construct_generators(TUPLE_41), -1)
+
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 10**20])
+    def test_level_above_the_ceiling_rejected(self, level):
+        with pytest.raises(ParameterError, match=f"max level <= {MAX_LEVEL} violated"):
+            hilbert_oracle(construct_generators(TUPLE_41), level)
 
     @pytest.mark.parametrize("gens", [(1,), (7,), (2, 2)])
     def test_one_generator_up_to_gcd(self, gens):

@@ -5,7 +5,7 @@ import pytest
 import reference as ref
 from pseudosym import toric
 from pseudosym.errors import InconsistencyError, ParameterError
-from pseudosym.poly import LOCAL, binomial, normalize, parse_poly, weighted_degree
+from pseudosym.poly import LOCAL, binomial, parse_poly, weighted_degree
 from pseudosym.semigroup import PseudoSymmetricParams, construct_generators
 from pseudosym.toric import (
     _check_sdegrees,
@@ -19,7 +19,7 @@ from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, TUPLE_43, TUPLE_44, TUPL
 
 
 def B(text):
-    return normalize(parse_poly(text, LOCAL))
+    return parse_poly(text, LOCAL)
 
 
 class TestToricGenerators:
@@ -32,11 +32,11 @@ class TestToricGenerators:
             "X4^2-X1*X2^19*X3^6",
             "X1^9*X3^6-X2*X4",
         ]
-        assert [normalize(f) for f in system.generators] == [B(t) for t in expected]
+        assert list(system.generators) == [B(t) for t in expected]
 
     def test_alpha4_3_third_binomial(self):
         system = toric_generators(TUPLE_A4_3)
-        assert normalize(system.generators[2]) == B("X3^3-X1^6*X2")
+        assert system.generators[2] == B("X3^3-X1^6*X2")
 
     def test_all_binomials_lie_in_the_kernel(self):
         for params in FAMILY_TUPLES + [TUPLE_A4_3]:

@@ -60,5 +60,8 @@ def test_traced_ops_reach_every_span(tracing, capsys):
     capsys.readouterr()
     seen = {span[tracing.NAME] for span in tracer.spans}
     assert {name for _, _, name in tracing.SPANS} <= seen
-    assert tracer.counts["stdbasis.nf_mora.calls"] > 0
-    assert tracer.counts["poly.polynomials_built"] > 0
+    # every counter wrapped around an engine function, so a rewritten
+    # signature the wrapper no longer reaches reads 0 here
+    for counter in ("stdbasis.nf_mora.calls", "stdbasis.nf_mora.zero", "stdbasis.reduce_steps",
+                    "poly.spoly.calls", "stdbasis.nf_global.calls", "poly.polynomials_built"):
+        assert tracer.counts[counter] > 0, counter
