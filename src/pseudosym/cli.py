@@ -10,7 +10,8 @@ coprime (exit 2).
 Every option is declared once, in `OPTIONS`, with the subcommands that take
 it.  A call that starts with a subcommand and is well formed (each option
 given once, exactly as declared, as `--flag value`, `--flag=value` or a bare
-flag) is read straight from `OPTIONS` by `parse_args`, with no parser built.
+flag) is read by `parse_args` with no parser built, from per-subcommand
+tables that are built from `OPTIONS` once, at import.
 Anything else goes to the full parser `build_parser` makes, every subcommand
 with its options, which is the only producer of help, usage and error texts.
 
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 
-from . import hilbert, pipeline, stdbasis, toric
+from . import hilbert, pipeline, toric
 from .errors import InconsistencyError, ParameterError
 from .pipeline import SweepConfig, build_report, run_sweep
 # perfbench/tracing.py patches cli.frobenius_and_gaps and cli.is_pseudo_symmetric by name;
@@ -35,6 +36,7 @@ from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
+    check_level,
     frobenius,
     frobenius_and_gaps,  # noqa: F401
     genus,
@@ -168,12 +170,16 @@ def cmd_basis(args) -> int:
 
 def cmd_hilbert(args) -> int:
     params = _params_from_args(args)
+    if args.max_level is not None:
+        # refused before any stage runs, as `build_report` refuses it
+        check_level(args.max_level)
     pipeline.numerical_semigroup(params)
     out: dict = {}
     P_engine = P_closed = None
     if args.mode in ("bayer", "both"):
-        lead = stdbasis.leading_ideal(pipeline.engine_basis(toric.toric_generators(params)))
-        P_engine = hilbert.hilbert_numerator(lead)
+        # the numerator minimalizes the engine basis's leads itself
+        engine = pipeline.engine_basis(toric.toric_generators(params))
+        P_engine = hilbert.hilbert_numerator([g.lead for g in engine])
     if args.mode in ("closed", "both"):
         out["k"] = toric.compute_k(params)
         P_closed = hilbert.closed_form_numerator(params, out["k"])
@@ -334,15 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_argv(command: str, tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace of `command` followed by well-formed `tokens`; None for any other form.
+def _argv_table(command: str) -> tuple[dict, dict, dict]:
+    """`command`'s starting values, its valued flags and its bare flags, read from `OPTIONS`.
 
-    Well formed: each token is a flag `command` takes, spelled in full and
-    given once, either bare (a constant or true) or with a value that is
-    not empty and does not start with "-", as the next token or after "=";
-    typed values convert; every required parameter is present; --json and
-    --text not both.  On those argvs `build_parser()` gives the same
-    namespace, which the differential test in the suite checks.
+    A valued flag maps to its dest and the converter of its value, a bare
+    one to its dest and the constant it stores.
     """
     values: dict = dict.fromkeys(pipeline.ALPHA_KEYS)
     valued = {f"--{key}": (key, _alpha_type(command)) for key in pipeline.ALPHA_KEYS}
@@ -358,6 +360,26 @@ def _read_argv(command: str, tokens: list[str]) -> argparse.Namespace | None:
                 bare[flag] = (dest, kwargs.get("const", True))
             values.setdefault(dest, kwargs.get("default", False if action == "store_true" else None))
     values.update(COMMANDS[command][2])
+    return values, valued, bare
+
+
+# Built once, at import: `_read_argv` copies the starting values on each call.
+_ARGV_TABLES = {command: _argv_table(command) for command in COMMANDS}
+_ALPHA_FLAGS = tuple(f"--{key}" for key in pipeline.ALPHA_KEYS)
+
+
+def _read_argv(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace of `command` followed by well-formed `tokens`; None for any other form.
+
+    Well formed: each token is a flag `command` takes, spelled in full and
+    given once, either bare (a constant or true) or with a value that is
+    not empty and does not start with "-", as the next token or after "=";
+    typed values convert; every required parameter is present; --json and
+    --text not both.  On those argvs `build_parser()` gives the same
+    namespace, which the differential test in the suite checks.
+    """
+    defaults, valued, bare = _ARGV_TABLES[command]
+    values = dict(defaults)
 
     seen = set()
     rest = iter(tokens)
@@ -383,7 +405,7 @@ def _read_argv(command: str, tokens: list[str]) -> argparse.Namespace | None:
             values[dest] = value
         else:
             return None
-    if command != "sweep" and not all(f"--{key}" in seen for key in pipeline.ALPHA_KEYS):
+    if command != "sweep" and not all(flag in seen for flag in _ALPHA_FLAGS):
         return None
     if all(flag in seen for flag in EXCLUSIVE):
         return None

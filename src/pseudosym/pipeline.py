@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 from . import cm, hilbert, stdbasis, toric
 from .errors import ParameterError, Record
-from .poly import Polynomial, monomial, parse_poly, render_poly
+from .poly import Polynomial, _render_mono, parse_poly, render_poly
 from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
@@ -158,10 +158,13 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
                  timing: bool = False) -> dict:
     """Run the full pipeline on one tuple and cross-check every route.
 
-    A `fixtures_dir` that is not a directory is refused before any stage runs.
+    A `fixtures_dir` that is not a directory, and a `max_level` outside
+    0..`semigroup.MAX_LEVEL`, are refused before any stage runs.
     """
     started = time.perf_counter()
     _check_fixtures_dir(fixtures_dir)
+    if max_level is not None:
+        check_level(max_level)
     mismatches: list[str] = []
     report: dict = {"params": params.as_dict()}
 
@@ -183,8 +186,9 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
         _closed_form_section(system, engine, report, mismatches)
 
     # Hilbert data always comes from the engine's leading ideal, which is
-    # monomial even when a lowest form is a homogeneous binomial.
-    P = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine))
+    # monomial even when a lowest form is a homogeneous binomial; the
+    # numerator minimalizes the leads itself.
+    P = hilbert.hilbert_numerator([g.lead for g in engine])
     report.update(hilbert_section(P, max_level))
 
     if report["multiplicity"] != min(S.generators):
@@ -241,7 +245,7 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
 def _witness_text(witness) -> str | None:
     if witness is None:
         return None
-    return render_poly(monomial(witness))
+    return _render_mono(witness)
 
 
 def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str]) -> None:

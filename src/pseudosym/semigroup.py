@@ -1,7 +1,9 @@
 """Numerical semigroups from the five-parameter family, plus brute-force oracles.
 
 The constructor realizes the 4-generator parametrization of pseudo-symmetric
-semigroups from the parameters (alpha1..alpha4, alpha21).  Everything else in
+semigroups from the parameters (alpha1..alpha4, alpha21); each
+`PseudoSymmetricParams` derives its semigroup and its condition flags once,
+on the first read, and keeps them beside its fields.  Everything else in
 this module is deliberately independent of the polynomial machinery, so it
 can arbitrate results produced by the algebraic route.  The Apery set
 Ap(S, m) of the smallest generator m, derived once per `NumericalSemigroup`
@@ -21,7 +23,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import ParameterError, Record
 
@@ -30,11 +33,14 @@ class PseudoSymmetricParams(Record):
     """The five integers driving the whole construction.
 
     Requires alpha_i > 1 for i = 1..4 and 0 < alpha21 < alpha1 - 1.  Each
-    value must be an `int` (a `bool` is not one).
+    value must be an `int` (a `bool` is not one).  Equality, the hash, the
+    repr and pickling read the five fields alone, not the derived
+    `semigroup` and `conditions`.
     """
 
     _fields = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha21")
-    __slots__ = _fields
+    # `__dict__` holds `semigroup` and `conditions` once they are read.
+    __slots__ = (*_fields, "__dict__")
 
     def __init__(self, alpha1: int, alpha2: int, alpha3: int, alpha4: int, alpha21: int):
         # One chained test each on the common path; the loops only name the field.
@@ -66,6 +72,33 @@ class PseudoSymmetricParams(Record):
             "alpha4": self.alpha4,
             "alpha21": self.alpha21,
         }
+
+    @cached_property
+    def semigroup(self) -> NumericalSemigroup:
+        """The four generators, in formula order (not sorted); derived on the first read, then kept."""
+        a1, a2, a3, a4, a21 = self.alpha1, self.alpha2, self.alpha3, self.alpha4, self.alpha21
+        n1 = a2 * a3 * (a4 - 1) + 1
+        n2 = a21 * a3 * a4 + (a1 - a21 - 1) * (a3 - 1) + a3
+        n3 = a1 * a4 + (a1 - a21 - 1) * (a2 - 1) * (a4 - 1) - a4 + 1
+        n4 = a1 * a2 * (a3 - 1) + a21 * (a2 - 1) + a2
+        return NumericalSemigroup((n1, n2, n3, n4))
+
+    @cached_property
+    def conditions(self) -> Mapping[str, bool]:
+        """The flags `check_conditions` reports, read-only; derived on the first read, then kept."""
+        a1, a2, a3, a4, a21 = self.alpha1, self.alpha2, self.alpha3, self.alpha4, self.alpha21
+        S = self.semigroup
+        n = S.generators
+        return MappingProxyType({
+            "c1": a1 > a4,
+            "c2": a3 < a1 - a21,
+            "c3": a4 < a2 + a3 - 1,
+            "c4": a2 > a21 + 1,
+            "c5": a21 + a3 > a4,
+            "c6": a1 + a21 + 1 >= a2 + a4,
+            "sorted": n[0] < n[1] < n[2] < n[3],
+            "coprime": S.gcd() == 1,
+        })
 
 
 class NumericalSemigroup(Record):
@@ -130,48 +163,20 @@ class NumericalSemigroup(Record):
 
 
 def construct_generators(params: PseudoSymmetricParams) -> NumericalSemigroup:
-    """The four generators, in formula order (not sorted)."""
-    a1, a2, a3, a4, a21 = (
-        params.alpha1,
-        params.alpha2,
-        params.alpha3,
-        params.alpha4,
-        params.alpha21,
-    )
-    n1 = a2 * a3 * (a4 - 1) + 1
-    n2 = a21 * a3 * a4 + (a1 - a21 - 1) * (a3 - 1) + a3
-    n3 = a1 * a4 + (a1 - a21 - 1) * (a2 - 1) * (a4 - 1) - a4 + 1
-    n4 = a1 * a2 * (a3 - 1) + a21 * (a2 - 1) + a2
-    return NumericalSemigroup((n1, n2, n3, n4))
+    """The four generators, in formula order (not sorted): `params.semigroup`."""
+    return params.semigroup
 
 
 def check_conditions(params: PseudoSymmetricParams) -> dict[str, bool]:
-    """The six generator inequalities, sortedness, and coprimality.
+    """The six generator inequalities, sortedness, and coprimality, as a fresh dict.
 
     Non-coprime generators can come out of the formulas (e.g. alpha values
     (5,4,2,2) with alpha21 = 2 give (9,12,15,30)); those tuples do not define
     a numerical semigroup and every downstream result is out of scope for
-    them, so the flag is surfaced here and filtered on in the sweep.
+    them, so the flag is surfaced here and filtered on in the sweep.  The
+    flags are derived once per `params`, as `params.conditions`.
     """
-    a1, a2, a3, a4, a21 = (
-        params.alpha1,
-        params.alpha2,
-        params.alpha3,
-        params.alpha4,
-        params.alpha21,
-    )
-    S = construct_generators(params)
-    n = S.generators
-    return {
-        "c1": a1 > a4,
-        "c2": a3 < a1 - a21,
-        "c3": a4 < a2 + a3 - 1,
-        "c4": a2 > a21 + 1,
-        "c5": a21 + a3 > a4,
-        "c6": a1 + a21 + 1 >= a2 + a4,
-        "sorted": n[0] < n[1] < n[2] < n[3],
-        "coprime": S.gcd() == 1,
-    }
+    return dict(params.conditions)
 
 
 def membership_table(S: NumericalSemigroup, bound: int) -> list[int]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .errors import InconsistencyError, ParameterError, Record
 from .poly import LOCAL, Exponent, Polynomial, _lead_first, _pair, binomial, weighted_degree
-from .semigroup import NumericalSemigroup, PseudoSymmetricParams, check_conditions, construct_generators
+from .semigroup import NumericalSemigroup, PseudoSymmetricParams, construct_generators
 
 
 class ToricSystem(Record):
@@ -121,7 +121,7 @@ def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
     """
     if params.alpha4 != 2:
         raise ParameterError(f"alpha4 = 2 violated (alpha4={params.alpha4})")
-    conds = check_conditions(params)
+    conds = params.conditions
     for c in ("c1", "c2", "c3", "c4"):
         if not conds[c]:
             raise ParameterError(f"condition ({c[1]}) violated for {params.as_dict()}")

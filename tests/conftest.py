@@ -41,6 +41,24 @@ def engine_box(ranges=ENGINE_BOX_RANGES) -> list[PseudoSymmetricParams]:
     ]
 
 
+# The alpha4 = 2 family box of the benchmark's family_sweep: alpha1..3 <= 10.
+FAMILY_BOX_RANGES = (range(2, 11), range(2, 11), range(2, 11), (2,), range(1, 10))
+FAMILY_CONDITIONS = ("c1", "c2", "c3", "c4", "sorted", "coprime")
+
+
+def in_family(t: tuple[int, ...]) -> bool:
+    """Whether t is a valid tuple with conditions (1)-(4) and sorted coprime generators."""
+    if t[4] >= t[0] - 1:
+        return False
+    conds = check_conditions(PseudoSymmetricParams(*t))
+    return all(conds[c] for c in FAMILY_CONDITIONS)
+
+
+def family_box(ranges=FAMILY_BOX_RANGES) -> list[PseudoSymmetricParams]:
+    """The tuples of a box (the family_sweep one by default) that `in_family` keeps."""
+    return [PseudoSymmetricParams(*t) for t in itertools.product(*ranges) if in_family(t)]
+
+
 def map_box(description: str, make_box, check, chunksize: int, argv=None) -> tuple[list, list]:
     """A box script's run: parse its `--jobs` option, then `check` every tuple of `make_box()`.
 

@@ -29,11 +29,20 @@ its four-wide divisor scan, lcm, shift and support-mask product criterion:
 * the CM route, taken where the tangent cone is not monomial: the cone's
   lowest forms under `cm.CM_ORDER` against `seed_nf_global`.
 
+`check` also compares `cm.cm_verdict` with `forced_verdict`, the verdict
+read off the Groebner basis under `CM_ORDER` of the tangent cone, which
+`buchberger_homogeneous` computes whatever the cone's leads.  `cm_verdict`
+skips that computation when no binomial of the cone leads differently
+under `CM_ORDER` (the lemma of `cm`), and must give the same verdict and
+witness on every tuple.
+
 Run as a script, it compares the closures on every coprime tuple with
 alpha1..3 in 2..10, alpha4 in 2..5 and alpha21 in 1..9 (10,189 tuples),
 prints a one-line JSON summary (the tuple count, how many of them take the
-CM route, and each differing tuple with the route that differs) and exits 1
-on any difference:
+CM route, how many of those `cm_verdict` decides from the local leads,
+each tuple whose verdict differs from the forced route's, and each
+differing tuple with the route that differs) and exits 1 on any
+difference:
 
     PYTHONPATH=src python tests/seed_engine.py --jobs 2
 """
@@ -45,7 +54,7 @@ from operator import add, le, mul, sub
 
 import reference as ref
 from pseudosym import stdbasis
-from pseudosym.cm import CM_ORDER
+from pseudosym.cm import CM_ORDER, CmVerdict, cm_verdict
 from pseudosym.poly import LOCAL, Polynomial
 from pseudosym.toric import toric_generators
 
@@ -152,27 +161,47 @@ def parts(G):
     return [(g.lead, g.tail) for g in G]
 
 
-def closure_differs(params) -> dict[str, bool]:
-    """Each route the tuple takes, mapped to whether its closure differs from the frozen loop's."""
+def forced_verdict(G) -> CmVerdict:
+    """The verdict from the Groebner basis under CM_ORDER of G's tangent cone, however it leads."""
+    cone = stdbasis.tangent_cone_ideal(G)
+    leads = stdbasis.leading_ideal(stdbasis.buchberger_homogeneous(cone, CM_ORDER))
+    bad = [m for m in leads if m[0] > 0]
+    return CmVerdict(not bad, min(bad, default=None))
+
+
+def leads_alike(cone) -> bool:
+    """Whether every binomial of `cone` leads under CM_ORDER as it does under the local order."""
+    return not any(g.tail is not None and CM_ORDER.greater(g.tail, g.lead) for g in cone)
+
+
+def check(params) -> tuple[dict[str, bool], bool, bool]:
+    """The tuple's routes, each mapped to whether its closure differs from the frozen loop's;
+    whether its cone is binomial and `cm_verdict` reads it off the local leads; and whether
+    `cm_verdict` differs from `forced_verdict`."""
     gens = toric_generators(params).generators
     local = stdbasis._closure(gens, stdbasis.nf_mora, LOCAL.greater)
     routes = {"local": parts(local) != parts(seed_closure(gens, seed_nf_mora, LOCAL))}
-    cone = stdbasis.tangent_cone_ideal(stdbasis.minimalize(local, LOCAL.greater))
-    if not all(g.tail is None for g in cone):
+    basis = stdbasis.minimalize(local, LOCAL.greater)
+    cone = stdbasis.tangent_cone_ideal(basis)
+    binomial = not all(g.tail is None for g in cone)
+    if binomial:
         engine = stdbasis._closure(cone, stdbasis.nf_global, CM_ORDER.greater)
         routes["cm"] = parts(engine) != parts(seed_closure(cone, seed_nf_global, CM_ORDER))
-    return routes
+    return routes, binomial and leads_alike(cone), cm_verdict(basis) != forced_verdict(basis)
 
 
 def main(argv=None) -> int:
     box, results = map_box(
-        "Closure identity of the engine's basis loop and the frozen one, on both routes of the 10,189-tuple box.",
-        lambda: engine_box(CLOSURE_BOX_RANGES), closure_differs, 64, argv)
+        "Closure identity of the engine's basis loop and the frozen one, on both routes of the "
+        "10,189-tuple box, and the CM verdict against the forced Buchberger route.",
+        lambda: engine_box(CLOSURE_BOX_RANGES), check, 64, argv)
     differing = [[*p.as_dict().values(), route]
-                 for p, routes in zip(box, results) for route, bad in routes.items() if bad]
-    print(json.dumps({"total": len(box), "cm_route": sum("cm" in routes for routes in results),
-                      "differing": differing}))
-    return 1 if differing else 0
+                 for p, (routes, _, _) in zip(box, results) for route, bad in routes.items() if bad]
+    verdict_differing = [list(p.as_dict().values()) for p, (_, _, bad) in zip(box, results) if bad]
+    print(json.dumps({"total": len(box), "cm_route": sum("cm" in routes for routes, _, _ in results),
+                      "cm_shortcut": sum(read for _, read, _ in results),
+                      "cm_shortcut_differing": verdict_differing, "differing": differing}))
+    return 1 if differing or verdict_differing else 0
 
 
 if __name__ == "__main__":

@@ -426,6 +426,16 @@ def test_one_apery_set_per_op(capsys, monkeypatch, command, values):
     assert len(derived) == (0 if command == "verify" else 1)
 
 
+@pytest.mark.parametrize("values", [EX41, A4_3], ids=["family", "engine"])
+def test_one_semigroup_per_verify_op(capsys, monkeypatch, values):
+    # the params derive their semigroup once, and every stage reads that one
+    init, built = semigroup.NumericalSemigroup.__init__, []
+    monkeypatch.setattr(semigroup.NumericalSemigroup, "__init__",
+                        lambda S, gens: built.append(gens) or init(S, gens))
+    assert run(capsys, ["verify", *values])[0] == 0
+    assert len(built) == 1
+
+
 def _no_apery_set(S):
     raise AssertionError(f"an Apery set of {S.generators} was derived")
 
@@ -552,6 +562,21 @@ def test_max_level_above_the_ceiling_rejected(capsys, command, level):
     assert code == 2
     assert out == ""
     assert err == f"max level <= {semigroup.MAX_LEVEL} violated ({level})\n"
+
+
+def _no_engine(*args, **kwargs):
+    raise AssertionError("the engine ran before --max-level was checked")
+
+
+@pytest.mark.parametrize("level, message", [
+    (-1, "max level >= 0 violated (-1)"),
+    (semigroup.MAX_LEVEL + 1, f"max level <= {semigroup.MAX_LEVEL} violated ({semigroup.MAX_LEVEL + 1})"),
+], ids=["negative", "ceiling+1"])
+@pytest.mark.parametrize("command", ["verify", "hilbert"])
+def test_max_level_refused_before_the_engine_runs(capsys, monkeypatch, command, level, message):
+    monkeypatch.setattr(stdbasis, "standard_basis", _no_engine)
+    code, out, err = run(capsys, [command, *EX41, f"--max-level={level}"])
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_max_level_at_the_ceiling_accepted(capsys):

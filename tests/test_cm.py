@@ -1,6 +1,7 @@
 """Cohen-Macaulayness verdicts and the colon-stability equivalence."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,8 @@ from pseudosym.pipeline import engine_basis
 from pseudosym.stdbasis import leading_ideal, tangent_cone_ideal
 from pseudosym.toric import toric_generators
 
-from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42
+from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, engine_box, family_box
+from seed_engine import forced_verdict, leads_alike
 
 
 def mono_ideal(*monos):
@@ -104,6 +106,39 @@ class TestColonStability:
             if not verdict.cohen_macaulay:
                 assert verdict.witness in ref.minimal_monomials(gens)
                 assert verdict.witness[0] > 0
+
+
+class TestLocalLeadsRule:
+    """A cone none of whose binomials leads differently under CM_ORDER is
+    decided from the local leads of its lowest forms, with no Buchberger run."""
+
+    @pytest.mark.parametrize("box, read, binomial", [
+        (family_box, 81, 81),
+        (engine_box, 98, 676),
+    ], ids=["family", "engine"])
+    def test_verdict_equals_the_forced_buchberger_route(self, box, read, binomial):
+        # every verify tuple of the benchmark's family_sweep and engine_offfamily boxes
+        counts = Counter()
+        for params in box():
+            G = engine_basis(toric_generators(params))
+            assert cm_verdict(G) == forced_verdict(G), params
+            cone = tangent_cone_ideal(G)
+            if not all(g.tail is None for g in cone):
+                counts["binomial"] += 1
+                counts["read"] += leads_alike(cone)
+        assert (counts["read"], counts["binomial"]) == (read, binomial)
+
+    def test_binomial_cone_led_alike_is_read_off_its_leads(self, monkeypatch):
+        # X2^2 leads X2^2 - X3*X4 under the local order and CM_ORDER alike, and
+        # is coprime to X1*X3, so the two are a standard basis under both
+        G = [parse_poly("X2^2-X3*X4", LOCAL), monomial((1, 0, 1, 0))]
+        assert forced_verdict(G) == CmVerdict(False, (1, 0, 1, 0))
+        monkeypatch.setattr(cm, "buchberger_homogeneous", _no_buchberger)
+        assert cm_verdict(G) == CmVerdict(False, (1, 0, 1, 0))
+
+
+def _no_buchberger(gens, order):
+    raise AssertionError("the cone went to Buchberger")
 
 
 class TestPipelineVerdicts:

@@ -25,7 +25,16 @@ from pseudosym.stdbasis import leading_ideal
 from pseudosym.toric import closed_form_basis, compute_k, toric_generators
 
 from closed_form_box import check_tuple, regime_tuples
-from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, engine_box, monomial_lists
+from conftest import (
+    FAMILY_BOX_RANGES,
+    FAMILY_TUPLES,
+    TUPLE_41,
+    TUPLE_42,
+    engine_box,
+    family_box,
+    in_family,
+    monomial_lists,
+)
 
 
 def random_ideal(rng, max_gens=5, max_deg=6):
@@ -39,22 +48,8 @@ def random_ideal(rng, max_gens=5, max_deg=6):
     return gens
 
 
-# The alpha4 = 2 family boxes of the benchmark: alpha1..3 <= 10, and the large one.
-FAMILY_BOX_RANGES = (range(2, 11), range(2, 11), range(2, 11), (2,), range(1, 10))
+# The large alpha4 = 2 family box of the benchmark.
 LARGE_BOX_RANGES = (range(20, 33), range(15, 41), range(4, 13), (2,), range(1, 31))
-FAMILY_CONDITIONS = ("c1", "c2", "c3", "c4", "sorted", "coprime")
-
-
-def in_family(t: tuple[int, ...]) -> bool:
-    """Whether t is a valid tuple with conditions (1)-(4) and sorted coprime generators."""
-    if t[4] >= t[0] - 1:
-        return False
-    conds = check_conditions(PseudoSymmetricParams(*t))
-    return all(conds[c] for c in FAMILY_CONDITIONS)
-
-
-def family_box(ranges) -> list[PseudoSymmetricParams]:
-    return [PseudoSymmetricParams(*t) for t in itertools.product(*ranges) if in_family(t)]
 
 
 def large_box_draw(seed: int, size: int) -> list[PseudoSymmetricParams]:

@@ -154,6 +154,20 @@ def test_semigroup_round_trips_after_its_apery_set_is_read():
         assert twin == S and twin.apery == ap
 
 
+def test_params_round_trip_alike_after_their_derived_facts_are_read():
+    params = pseudosym.PseudoSymmetricParams(16, 20, 7, 2, 8)
+    before = (repr(params), hash(params), pickle.dumps(params))
+    earlier = [copy.copy(params), copy.deepcopy(params)]
+    params.semigroup, params.conditions
+    assert (repr(params), hash(params), pickle.dumps(params)) == before
+    assert repr(params) == repr(ref.PseudoSymmetricParams(16, 20, 7, 2, 8))
+    later = [copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))]
+    for twin in earlier + later:
+        assert type(twin) is type(params) and twin == params and hash(twin) == hash(params)
+        assert repr(twin) == repr(params)
+        assert twin.semigroup == params.semigroup and twin.conditions == params.conditions
+
+
 def test_sweep_config_defaults_and_keywords():
     assert repr(pseudosym.SweepConfig()) == repr(ref.SweepConfig())
     for f in dataclasses.fields(ref.SweepConfig):

@@ -35,6 +35,32 @@ def test_generators_second_example_n1():
     assert construct_generators(TUPLE_42).generators[0] == 13 * 5 * 1 + 1 == 66
 
 
+class TestDerivedOncePerParams:
+    """The semigroup and the condition flags are derived on the first read and kept."""
+
+    def test_every_read_is_the_kept_semigroup(self):
+        params = PseudoSymmetricParams(16, 20, 7, 2, 8)
+        assert construct_generators(params) is construct_generators(params) is params.semigroup
+        # an equal params derives its own
+        assert construct_generators(PseudoSymmetricParams(16, 20, 7, 2, 8)) is not params.semigroup
+
+    def test_check_conditions_hands_out_a_fresh_dict(self):
+        params = PseudoSymmetricParams(16, 20, 7, 2, 8)
+        handed = check_conditions(params)
+        expected = dict(handed)
+        handed["c1"] = not handed["c1"]
+        handed["extra"] = True
+        del handed["coprime"]
+        assert check_conditions(params) == expected == dict(params.conditions)
+        assert check_conditions(params) is not check_conditions(params)
+
+    def test_kept_conditions_are_read_only(self):
+        params = PseudoSymmetricParams(16, 20, 7, 2, 8)
+        with pytest.raises(TypeError):
+            params.conditions["c1"] = False
+        assert params.conditions["c1"] is True
+
+
 def test_invalid_alpha21_rejected():
     with pytest.raises(ParameterError, match=r"alpha21 < alpha1 - 1 violated"):
         PseudoSymmetricParams(16, 20, 7, 2, 15)
@@ -310,7 +336,9 @@ class TestOracleAgainstLevelSweep:
         # the residue count.  oracle_differs compares with the sweep up to
         # the plateau + 5.
         params = PseudoSymmetricParams(5, 11, 11, 2, 3)
-        S = construct_generators(params)
+        # an equal params of its own: reading this semigroup's Apery set
+        # leaves the one oracle_differs reads underived
+        S = construct_generators(PseudoSymmetricParams(5, 11, 11, 2, 3))
         assert max(S.apery) >= 50 * min(S.generators)
         assert oracle_differs(params) == (11, False, False)
         assert hilbert_oracle(S, 16) == TestAperyKernelAgainstTable.reference_counts(S, 16)

@@ -37,7 +37,8 @@ from pseudosym.stdbasis import (
 from pseudosym.toric import closed_form_basis, toric_generators
 
 from conftest import ALL_FIXTURE_TUPLES, TUPLE_41, TUPLE_42, TUPLE_A4_3, engine_box
-from seed_engine import closure_differs, divides, seed_closure, seed_nf_global, seed_nf_mora
+from seed_engine import check as seed_check
+from seed_engine import divides, seed_closure, seed_nf_global, seed_nf_mora
 
 GT = LOCAL.greater
 
@@ -427,13 +428,18 @@ class TestGradedInput:
     def test_closure_matches_seed_driven_closure(self):
         # the whole box runs in CI: PYTHONPATH=src python tests/seed_engine.py
         sample = closure_sample()
-        results = {p: closure_differs(p) for p in sample}
-        assert [p for p, routes in results.items() if any(routes.values())] == []
+        results = {p: seed_check(p) for p in sample}
+        assert [p for p, (routes, _, _) in results.items() if any(routes.values())] == []
         # the sample takes both routes: a binomial cone runs the CM closure
-        assert 0 < sum("cm" in routes for routes in results.values()) < len(sample)
+        assert 0 < sum("cm" in routes for routes, _, _ in results.values()) < len(sample)
+        # cm_verdict reads some binomial cones off their local leads, and
+        # agrees with the forced Buchberger route on every tuple
+        assert sum(read for _, read, _ in results.values()) > 0
+        assert [p for p, (_, _, bad) in results.items() if bad] == []
 
     def test_cm_cone_is_the_regraded_tangent_cone(self, monkeypatch):
-        # the cone cm_verdict builds for Buchberger, element for element
+        # Buchberger runs exactly when a cone binomial leads differently
+        # under CM_ORDER, and then gets the cone, element for element
         built = []
         real = cm.buchberger_homogeneous
         monkeypatch.setattr(cm, "buchberger_homogeneous",
@@ -444,11 +450,13 @@ class TestGradedInput:
             built.clear()
             cm.cm_verdict(G)
             cone = tangent_cone_ideal(G)
-            routes.add(is_monomial_cone(cone))
-            if is_monomial_cone(cone):
+            regraded = any(g.tail is not None and cm.CM_ORDER.greater(g.tail, g.lead) for g in cone)
+            routes.add((is_monomial_cone(cone), regraded))
+            if not regraded:
                 assert built == []
             else:
-                # handed over as the cone's parts, with CM_ORDER to re-decide each lead
+                # handed over once, as the cone's parts, with CM_ORDER to re-decide each lead
+                assert len(built) == 1
                 gens, order = built[0]
                 assert order == cm.CM_ORDER
                 assert [parts(g) for g in gens] == [parts(g) for g in cone]
@@ -456,7 +464,8 @@ class TestGradedInput:
                 rebuilt = [ref.with_order(g, order) for g in cone]
                 assert ([parts(g) for g in buchberger_homogeneous(gens, order)]
                         == [parts(g) for g in buchberger_homogeneous(rebuilt, order)])
-        assert routes == {True, False}
+        # a monomial cone, a binomial cone read off the local leads, and a regraded one
+        assert routes == {(True, False), (False, False), (False, True)}
 
 
 def closure_sample():
