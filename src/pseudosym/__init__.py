@@ -33,7 +33,6 @@ from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
-    construct_generators,
     frobenius,
     frobenius_and_gaps,
     genus,
@@ -48,6 +47,6 @@ from .stdbasis import (
     standard_basis,
     tangent_cone_ideal,
 )
-from .toric import ClosedFormBasis, ToricSystem, closed_form_basis, compute_k, toric_generators
+from .toric import ClosedFormBasis, closed_form_basis, compute_k, toric_generators
 
 __version__ = "0.1.0"

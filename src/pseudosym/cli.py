@@ -5,7 +5,8 @@ scriptable: 0 success, 2 invalid input or a failed write to stdout, 3 a
 verification mismatch (a finding, not a crash), 4 an internal consistency
 failure.  Each single-tuple subcommand reports a slice of the facts
 `pipeline` produces, and first refuses a tuple whose generators are not
-coprime (exit 2).
+coprime (exit 2); a mode that needs the closed form then refuses a tuple
+outside its regime, before any engine stage runs.
 
 Every option is declared once, in `OPTIONS`, with the subcommands that take
 it.  A call that starts with a subcommand and is well formed (each option
@@ -137,17 +138,20 @@ def cmd_gens(args) -> int:
 def cmd_basis(args) -> int:
     params = _params_from_args(args)
     pipeline.numerical_semigroup(params)
-    system = toric.toric_generators(params)
+    if args.mode != "engine":
+        # the closed form's regime, checked before any engine stage runs
+        toric.check_closed_form_regime(params)
+    generators = toric.toric_generators(params)
     summary: dict = {}
     lines: list[str] = []
 
     engine = None
     if args.mode in ("engine", "both"):
-        engine = pipeline.engine_basis(system)
+        engine = pipeline.engine_basis(params, generators)
         lines = pipeline.render_basis(engine)
         summary["count"] = len(engine)
     if args.mode in ("closed", "both"):
-        predicted = toric.closed_form_basis(system)
+        predicted = toric.closed_form_basis(params, generators)
         summary["k_nonstrict"] = predicted.k
         summary["k_strict"] = toric.compute_k(params, strict=True)
         if engine is None:
@@ -174,11 +178,14 @@ def cmd_hilbert(args) -> int:
         # refused before any stage runs, as `build_report` refuses it
         check_level(args.max_level)
     pipeline.numerical_semigroup(params)
+    if args.mode != "bayer":
+        # the closed form's regime, checked before any engine stage runs
+        toric.check_closed_form_regime(params)
     out: dict = {}
     P_engine = P_closed = None
     if args.mode in ("bayer", "both"):
         # the numerator minimalizes the engine basis's leads itself
-        engine = pipeline.engine_basis(toric.toric_generators(params))
+        engine = pipeline.engine_basis(params, toric.toric_generators(params))
         P_engine = hilbert.hilbert_numerator([g.lead for g in engine])
     if args.mode in ("closed", "both"):
         out["k"] = toric.compute_k(params)
@@ -205,7 +212,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    S, out = _semigroup_facts(_params_from_args(args))
+    params = _params_from_args(args)
+    # refused before Ap(S, m) is derived, as `verify` and `hilbert` refuse it
+    check_level(args.max_level)
+    S, out = _semigroup_facts(params)
     out["H_oracle"] = hilbert_oracle(S, args.max_level)
     _emit(out, args.fmt)
     return EXIT_OK

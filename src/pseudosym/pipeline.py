@@ -8,10 +8,10 @@ whatever the printed levels), and the Cohen-Macaulay verdict.  Every
 disagreement is recorded in a `mismatches` list so callers can decide how
 loudly to fail; a report with an empty list is fully cross-validated.
 
-Each tuple's toric system is built once, and both routes start from it: the
-engine from its f1..f5, the closed form by extending them.  Each reading of
-k is computed once: the non-strict one is the closed form's own `k`, the
-strict one a single `toric.compute_k(params, strict=True)` call.
+f1..f5 are built once per tuple, and both routes start from them: the
+engine reduces them, the closed form extends them.  Each reading of k is
+computed once: the non-strict one is the closed form's own `k`, the strict
+one a single `toric.compute_k(params, strict=True)` call.
 
 The packaged fixture names are read once per process, at import; a tuple
 whose name is not among them is answered without building a path or a stat.
@@ -34,7 +34,6 @@ from .semigroup import (
     PseudoSymmetricParams,
     check_conditions,
     check_level,
-    construct_generators,
     hilbert_oracle,
 )
 
@@ -115,7 +114,7 @@ def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
 
     This is the precondition of every single-tuple run.
     """
-    S = construct_generators(params)
+    S = params.semigroup
     if S.gcd() != 1:
         raise ParameterError(
             f"gcd of generators {S.generators} is {S.gcd()}, not 1; "
@@ -124,9 +123,10 @@ def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
     return S
 
 
-def engine_basis(system: toric.ToricSystem) -> list[Polynomial]:
-    """The local standard basis of the curve's defining binomials, graded by n."""
-    return stdbasis.standard_basis(system.generators, system.semigroup.generators)
+def engine_basis(params: PseudoSymmetricParams,
+                 generators: Sequence[Polynomial]) -> list[Polynomial]:
+    """The local standard basis of f1..f5 (`generators`), graded by `params`'s n."""
+    return stdbasis.standard_basis(generators, params.semigroup.generators)
 
 
 def _closed_regime(params: PseudoSymmetricParams) -> bool:
@@ -173,8 +173,8 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
     report["n"] = list(S.generators)
     report["conditions"] = conds
 
-    system = toric.toric_generators(params)
-    engine = engine_basis(system)
+    generators = toric.toric_generators(params)
+    engine = engine_basis(params, generators)
     report["basis"] = {
         "engine": render_basis(engine),
         "engine_count": len(engine),
@@ -183,7 +183,7 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
 
     closed_regime = _closed_regime(params)
     if closed_regime:
-        _closed_form_section(system, engine, report, mismatches)
+        _closed_form_section(params, generators, engine, report, mismatches)
 
     # Hilbert data always comes from the engine's leading ideal, which is
     # monomial even when a lowest form is a homogeneous binomial; the
@@ -256,9 +256,9 @@ def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str])
             mismatches.append(f"basis element {f!r} has unequal S-degrees")
 
 
-def _closed_form_section(system, engine, report, mismatches) -> None:
-    predicted = toric.closed_form_basis(system)
-    strict = toric.compute_k(system.params, strict=True)
+def _closed_form_section(params, generators, engine, report, mismatches) -> None:
+    predicted = toric.closed_form_basis(params, generators)
+    strict = toric.compute_k(params, strict=True)
     report["k"] = {
         "strict": strict,
         "nonstrict": predicted.k,

@@ -162,11 +162,6 @@ class NumericalSemigroup(Record):
         return tuple(ap)
 
 
-def construct_generators(params: PseudoSymmetricParams) -> NumericalSemigroup:
-    """The four generators, in formula order (not sorted): `params.semigroup`."""
-    return params.semigroup
-
-
 def check_conditions(params: PseudoSymmetricParams) -> dict[str, bool]:
     """The six generator inequalities, sortedness, and coprimality, as a fresh dict.
 

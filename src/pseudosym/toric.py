@@ -3,9 +3,8 @@
 `toric_generators` builds the five binomials f1..f5 cutting out the curve
 (t^n1, t^n2, t^n3, t^n4); both monomials of each binomial are checked to have
 the same weighted degree under the grading Xi -> ni, which certifies ideal
-membership without any reduction.  The `ToricSystem` it returns is built
-once per tuple: the engine starts from its f1..f5, and `closed_form_basis`
-extends the same f1..f5.
+membership without any reduction.  f1..f5 are built once per tuple: the
+engine starts from them, and `closed_form_basis` extends the same f1..f5.
 
 For alpha4 = 2 the standard basis is known in closed form: f1..f5 together
 with f6 = X1^(a1+a21) - X2^a2*X3 and a tail f_{6+j}, j = 1..k, whose length k
@@ -28,18 +27,7 @@ from __future__ import annotations
 
 from .errors import InconsistencyError, ParameterError, Record
 from .poly import LOCAL, Exponent, Polynomial, _lead_first, _pair, binomial, weighted_degree
-from .semigroup import NumericalSemigroup, PseudoSymmetricParams, construct_generators
-
-
-class ToricSystem(Record):
-    _fields = ("params", "semigroup", "generators")
-    __slots__ = _fields
-
-    def __init__(self, params: PseudoSymmetricParams, semigroup: NumericalSemigroup,
-                 generators: tuple[Polynomial, ...]):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "generators", generators)
+from .semigroup import NumericalSemigroup, PseudoSymmetricParams
 
 
 class ClosedFormBasis(Record):
@@ -76,15 +64,16 @@ def generator_monomials(params: PseudoSymmetricParams) -> list[tuple[Exponent, E
     ]
 
 
-def toric_generators(params: PseudoSymmetricParams) -> ToricSystem:
-    S = construct_generators(params)
+def toric_generators(params: PseudoSymmetricParams) -> tuple[Polynomial, ...]:
+    """f1..f5, each checked homogeneous under the grading by `params.semigroup`."""
+    S = params.semigroup
     polys = []
     for i, (plus, minus) in enumerate(generator_monomials(params), start=1):
         # two distinct monomials by construction: built without the constructor's checks
         f = _pair(*_lead_first(plus, minus, LOCAL.greater))
         _check_sdegrees(f, S, f"f{i}")
         polys.append(f)
-    return ToricSystem(params, S, tuple(polys))
+    return tuple(polys)
 
 
 def compute_k(params: PseudoSymmetricParams, strict: bool = False) -> int:
@@ -131,23 +120,25 @@ def check_closed_form_regime(params: PseudoSymmetricParams) -> None:
         raise ParameterError(f"gcd of generators is not 1 for {params.as_dict()}")
 
 
-def closed_form_basis(system: ToricSystem) -> ClosedFormBasis:
+def closed_form_basis(params: PseudoSymmetricParams,
+                      generators: tuple[Polynomial, ...]) -> ClosedFormBasis:
     """The predicted standard basis {f1, ..., f_{6+k}} for alpha4 = 2, k non-strict.
 
-    f1..f5 are `system`'s own; f6 and the tail are appended to them.
-    Preconditions: those of `check_closed_form_regime` on `system.params`.
-    On the regime f6 leads with X2^a2*X3, and every tail element f_{6+j}
-    leads with its X1-X3 monomial for j < k and with its X2 power for j = k
-    (lemmas (i) and (iii) of the README).  The tail's leads are still
-    checked: one that breaks the pattern raises `InconsistencyError`.
+    `generators` are f1..f5 as `toric_generators(params)` returns them; f6
+    and the tail are appended to them.  Preconditions: those of
+    `check_closed_form_regime` on `params`.  On the regime f6 leads with
+    X2^a2*X3, and every tail element f_{6+j} leads with its X1-X3 monomial
+    for j < k and with its X2 power for j = k (lemmas (i) and (iii) of the
+    README).  The tail's leads are still checked: one that breaks the
+    pattern raises `InconsistencyError`.
     """
-    params, S = system.params, system.semigroup
+    S = params.semigroup
     k = compute_k(params)
     a1, a2, a21 = params.alpha1, params.alpha2, params.alpha21
 
     f6 = binomial((a1 + a21, 0, 0, 0), (0, a2, 1, 0))
     _check_sdegrees(f6, S, "f6")
-    elements = [*system.generators, f6]
+    elements = [*generators, f6]
     for j in range(1, k + 1):
         plus, minus = tail_monomials(params, j)
         f = binomial(plus, minus)

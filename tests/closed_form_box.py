@@ -10,7 +10,7 @@ generators) the lemma says:
   `reference.tail_length` finds with no regime check);
 * (iii) the tail of the non-strict length k leads as the closed form
   presumes (the X1-X3 monomial for j < k, the X2 power at j = k), so
-  `closed_form_basis` builds it on the tuple's `toric_generators` system;
+  `closed_form_basis` builds it on the tuple's f1..f5 from `toric_generators`;
   a tail of the strict length breaks that pattern exactly when the two
   readings differ.  The leads are computed here from the local order's
   rule, not read off `closed_form_basis`.
@@ -73,7 +73,7 @@ def _breaks_pattern(params, k: int) -> bool:
 
 def _builds(params) -> bool:
     try:
-        closed_form_basis(toric_generators(params))
+        closed_form_basis(params, toric_generators(params))
     except InconsistencyError:
         return False
     return True

@@ -94,4 +94,4 @@ def engine_bases():
     from pseudosym.pipeline import engine_basis
     from pseudosym.toric import toric_generators
 
-    return {params: engine_basis(toric_generators(params)) for params, _ in ALL_FIXTURE_TUPLES}
+    return {params: engine_basis(params, toric_generators(params)) for params, _ in ALL_FIXTURE_TUPLES}

@@ -33,7 +33,6 @@ import sys
 from itertools import islice, takewhile
 
 from pseudosym.semigroup import (
-    construct_generators,
     frobenius_and_gaps,
     genus,
     hilbert_oracle,
@@ -50,7 +49,7 @@ MARGIN = 5
 def oracle_differs(params) -> tuple[int, bool, bool]:
     """The sweep's plateau level, whether the oracle differs from the sweep up to it + 5,
     and whether the oracle derived `S.apery`."""
-    S = construct_generators(params)
+    S = params.semigroup
     m = min(S.generators)
     levels = hilbert_levels(S.generators)
     # H never exceeds m, and the first level where it reaches m is the plateau.
@@ -61,14 +60,14 @@ def oracle_differs(params) -> tuple[int, bool, bool]:
 
 def facts_fail(params) -> bool:
     """Whether the tuple is not pseudo-symmetric or its gap count, genus and (F + 2) / 2 disagree."""
-    S = construct_generators(params)
+    S = params.semigroup
     frobenius, gaps = frobenius_and_gaps(S)
     return not (is_pseudo_symmetric(S) and len(gaps) == genus(S) == (frobenius + 2) / 2)
 
 
 def apery_fails(params) -> bool:
     """Whether `S.apery` differs from the Dijkstra route's Apery set."""
-    S = construct_generators(params)
+    S = params.semigroup
     return S.apery != apery_dijkstra(S.generators)
 
 

@@ -400,13 +400,6 @@ class MonomialOrder:
 
 
 @dataclass(frozen=True)
-class ToricSystem:
-    params: object
-    semigroup: object
-    generators: tuple
-
-
-@dataclass(frozen=True)
 class ClosedFormBasis:
     k: int
     elements: tuple

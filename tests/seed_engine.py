@@ -178,7 +178,7 @@ def check(params) -> tuple[dict[str, bool], bool, bool]:
     """The tuple's routes, each mapped to whether its closure differs from the frozen loop's;
     whether its cone is binomial and `cm_verdict` reads it off the local leads; and whether
     `cm_verdict` differs from `forced_verdict`."""
-    gens = toric_generators(params).generators
+    gens = toric_generators(params)
     local = stdbasis._closure(gens, stdbasis.nf_mora, LOCAL.greater)
     routes = {"local": parts(local) != parts(seed_closure(gens, seed_nf_mora, LOCAL))}
     basis = stdbasis.minimalize(local, LOCAL.greater)

@@ -21,7 +21,7 @@ from pseudosym.pipeline import (
     load_fixture_basis,
     load_fixture_numerator,
 )
-from pseudosym.semigroup import PseudoSymmetricParams, check_conditions, construct_generators
+from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.stdbasis import leading_ideal
 from pseudosym.toric import compute_k, toric_generators
 
@@ -79,7 +79,7 @@ def test_criterion_4_oracle_equality(sweep_reports, engine_bases):
         P = hilbert.hilbert_numerator(leading_ideal(engine_bases[params]))
         Q = hilbert.second_series(P)
         rep = hilbert.hilbert_function(Q)  # deg Q + 5 levels by default
-        S = construct_generators(params)
+        S = params.semigroup
         ok = ok and list(rep.hilbert_function) == hilbert_oracle(S, len(rep.hilbert_function) - 1)
     sweep_ok = all(r["oracle_match"] for r in sweep_reports)
     _verdict(
@@ -108,7 +108,7 @@ def test_criterion_6_structural_invariants(engine_bases):
     for params in FAMILY_TUPLES:
         P = hilbert.hilbert_numerator(leading_ideal(engine_bases[params]))
         Q = hilbert.second_series(P)  # would raise if (1-t)^3 did not divide
-        n1 = min(construct_generators(params).generators)
+        n1 = min(params.semigroup.generators)
         rep = hilbert.hilbert_function(Q)
         ok = ok and sum(P) == 0 and sum(Q) == n1 and sum(Q) != 0
         ok = ok and rep.hilbert_function[0] == 1 and rep.hilbert_function[1] == 4
@@ -165,7 +165,7 @@ def test_criterion_7_cm_verdicts(engine_bases):
             break
     controls = controls[:3]
     cm_ok = all(
-        cm.cm_verdict(engine_basis(toric_generators(p))).cohen_macaulay
+        cm.cm_verdict(engine_basis(p, toric_generators(p))).cohen_macaulay
         for p in controls
     )
     _verdict(

@@ -397,7 +397,7 @@ DERIVATIONS = ("toric_generators", "closed_form_basis", "compute_k")
 ], ids=["verify-EX41", "basis-verify-EX41", "verify-A4_3"])
 def test_each_derivation_runs_once_per_op(capsys, monkeypatch, argv, counts):
     # wrapped at the module attributes, where the tracer wraps them: one
-    # toric system per tuple, shared by both routes, and one compute_k call
+    # f1..f5 per tuple, shared by both routes, and one compute_k call
     # per reading of k (the non-strict one inside closed_form_basis)
     calls = dict.fromkeys(DERIVATIONS, 0)
     for name in DERIVATIONS:
@@ -524,7 +524,7 @@ def test_gens_and_oracle_list_no_gaps(capsys, monkeypatch, tuple_name, command, 
 @pytest.mark.parametrize("command", ["gens", "oracle"])
 def test_large_semigroup_lists_no_gaps(capsys, monkeypatch, command):
     # LARGE has 13,306 gaps; the reported genus is their count all the same
-    S = semigroup.construct_generators(semigroup.PseudoSymmetricParams(30, 40, 12, 2, 14))
+    S = semigroup.PseudoSymmetricParams(30, 40, 12, 2, 14).semigroup
     frobenius, gaps = semigroup.frobenius_and_gaps(S)
     monkeypatch.setattr(semigroup, "_gaps", _no_gap_list)
     code, out, _ = run(capsys, [command, *LARGE])
@@ -565,17 +565,47 @@ def test_max_level_above_the_ceiling_rejected(capsys, command, level):
 
 
 def _no_engine(*args, **kwargs):
-    raise AssertionError("the engine ran before --max-level was checked")
+    raise AssertionError("the engine ran before the input was refused")
 
 
-@pytest.mark.parametrize("level, message", [
+BAD_LEVELS = pytest.mark.parametrize("level, message", [
     (-1, "max level >= 0 violated (-1)"),
     (semigroup.MAX_LEVEL + 1, f"max level <= {semigroup.MAX_LEVEL} violated ({semigroup.MAX_LEVEL + 1})"),
 ], ids=["negative", "ceiling+1"])
+
+
+@BAD_LEVELS
 @pytest.mark.parametrize("command", ["verify", "hilbert"])
 def test_max_level_refused_before_the_engine_runs(capsys, monkeypatch, command, level, message):
     monkeypatch.setattr(stdbasis, "standard_basis", _no_engine)
     code, out, err = run(capsys, [command, *EX41, f"--max-level={level}"])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@BAD_LEVELS
+def test_oracle_refuses_the_level_before_deriving_an_apery_set(capsys, monkeypatch, level, message):
+    monkeypatch.setattr(semigroup.NumericalSemigroup.apery, "func", _no_apery_set)
+    code, out, err = run(capsys, ["oracle", *LARGE, f"--max-level={level}"])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+# coprime tuples outside the closed form's regime, and the precondition each fails
+OUTSIDE_REGIME = [
+    (["--alpha1", "6", "--alpha2", "6", "--alpha3", "2", "--alpha4", "4", "--alpha21", "4"],
+     "alpha4 = 2 violated (alpha4=4)"),
+    (["--alpha1", "3", "--alpha2", "4", "--alpha3", "3", "--alpha4", "2", "--alpha21", "1"],
+     "condition (2) violated for "
+     "{'alpha1': 3, 'alpha2': 4, 'alpha3': 3, 'alpha4': 2, 'alpha21': 1}"),
+]
+
+
+@pytest.mark.parametrize("values, message", OUTSIDE_REGIME, ids=["6_6_2_4_4", "3_4_3_2_1"])
+@pytest.mark.parametrize("mode", [["hilbert"], ["hilbert", "--both"], ["basis", "--verify"]],
+                         ids=" ".join)
+def test_closed_form_regime_refused_before_the_engine_runs(capsys, monkeypatch, mode, values,
+                                                           message):
+    monkeypatch.setattr(stdbasis, "standard_basis", _no_engine)
+    code, out, err = run(capsys, [mode[0], *values, *mode[1:]])
     assert (code, out, err) == (2, "", message + "\n")
 
 

@@ -120,7 +120,7 @@ class TestLocalLeadsRule:
         # every verify tuple of the benchmark's family_sweep and engine_offfamily boxes
         counts = Counter()
         for params in box():
-            G = engine_basis(toric_generators(params))
+            G = engine_basis(params, toric_generators(params))
             assert cm_verdict(G) == forced_verdict(G), params
             cone = tangent_cone_ideal(G)
             if not all(g.tail is None for g in cone):
@@ -162,5 +162,5 @@ class TestPipelineVerdicts:
         for params in controls:
             conds = check_conditions(params)
             assert conds["sorted"] and conds["coprime"] and not conds["c4"]
-            G = engine_basis(toric_generators(params))
+            G = engine_basis(params, toric_generators(params))
             assert cm_verdict(G).cohen_macaulay, params

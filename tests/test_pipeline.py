@@ -23,7 +23,6 @@ from pseudosym.semigroup import (
     MAX_LEVEL,
     PseudoSymmetricParams,
     check_conditions,
-    construct_generators,
     is_pseudo_symmetric,
 )
 from pseudosym.toric import closed_form_basis, compute_k, toric_generators
@@ -42,7 +41,7 @@ def test_noncoprime_tuple_refused_before_any_stage():
 
 
 def test_binomial_closure_mismatches():
-    S = construct_generators(TUPLE_41)
+    S = TUPLE_41.semigroup
     basis = [parse_poly("X2^20-X1^8*X4"), parse_poly("X1^3"), zero(), parse_poly("X1-X2")]
     mismatches = []
     _check_binomial_closure(basis, S, mismatches)
@@ -56,7 +55,7 @@ def test_binomial_closure_mismatches():
 def test_k_readings():
     # the closed form's own k is the non-strict reading
     for params, strict, nonstrict in [(TUPLE_41, 1, 1), (TUPLE_43, 4, 3)]:
-        assert closed_form_basis(toric_generators(params)).k == compute_k(params) == nonstrict
+        assert closed_form_basis(params, toric_generators(params)).k == compute_k(params) == nonstrict
         assert compute_k(params, strict=True) == strict
     assert build_report(TUPLE_43)["k"] == {"strict": 4, "nonstrict": 3, "agree": False, "used": 3}
     # alpha4 = 3 is outside the closed form, where k is not defined
@@ -66,7 +65,7 @@ def test_k_readings():
 
 def test_hilbert_section_is_the_report_slice():
     report = build_report(TUPLE_41)
-    P = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine_basis(toric_generators(TUPLE_41))))
+    P = hilbert.hilbert_numerator(stdbasis.leading_ideal(engine_basis(TUPLE_41, toric_generators(TUPLE_41))))
     section = hilbert_section(P, None)
     assert set(section) == {"P", "Q", "H", "regularity_index", "multiplicity",
                             "non_decreasing", "first_decrease_level"}
@@ -186,7 +185,7 @@ class TestOffFamilyGate:
         report = build_report(params)
         assert report["mismatches"] == []
         m = min(report["n"])
-        lead = stdbasis.leading_ideal(engine_basis(toric_generators(params)))
+        lead = stdbasis.leading_ideal(engine_basis(params, toric_generators(params)))
         P = hilbert.hilbert_numerator(lead)
         assert P == ref.to_list(ref.taylor_numerator(lead))
         assert report["P"] == [[e, c] for e, c in enumerate(P) if c]

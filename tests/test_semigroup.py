@@ -13,7 +13,6 @@ from pseudosym.semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
-    construct_generators,
     frobenius_and_gaps,
     genus,
     hilbert_oracle,
@@ -28,11 +27,11 @@ from seed_engine import CLOSURE_BOX_RANGES
 
 
 def test_generators_first_example():
-    assert construct_generators(TUPLE_41).generators == (141, 161, 164, 2092)
+    assert TUPLE_41.semigroup.generators == (141, 161, 164, 2092)
 
 
 def test_generators_second_example_n1():
-    assert construct_generators(TUPLE_42).generators[0] == 13 * 5 * 1 + 1 == 66
+    assert TUPLE_42.semigroup.generators[0] == 13 * 5 * 1 + 1 == 66
 
 
 class TestDerivedOncePerParams:
@@ -40,9 +39,10 @@ class TestDerivedOncePerParams:
 
     def test_every_read_is_the_kept_semigroup(self):
         params = PseudoSymmetricParams(16, 20, 7, 2, 8)
-        assert construct_generators(params) is construct_generators(params) is params.semigroup
+        first = params.semigroup
+        assert params.semigroup is first
         # an equal params derives its own
-        assert construct_generators(PseudoSymmetricParams(16, 20, 7, 2, 8)) is not params.semigroup
+        assert PseudoSymmetricParams(16, 20, 7, 2, 8).semigroup is not params.semigroup
 
     def test_check_conditions_hands_out_a_fresh_dict(self):
         params = PseudoSymmetricParams(16, 20, 7, 2, 8)
@@ -127,7 +127,7 @@ def test_numerical_semigroup_refuses_generators_that_are_not_ints(gens):
 
 class TestMembershipTable:
     def test_order_of_generators_is_one(self):
-        S = construct_generators(TUPLE_41)
+        S = TUPLE_41.semigroup
         order = membership_table(S, 2500)
         assert len(order) == 2501 and order[0] == 0
         for n in S.generators[:3]:
@@ -135,7 +135,7 @@ class TestMembershipTable:
         assert order[1] == -1
 
     def test_double_smallest_generator(self):
-        S = construct_generators(TUPLE_41)
+        S = TUPLE_41.semigroup
         order = membership_table(S, 300)
         assert order[282] == 2
 
@@ -156,7 +156,7 @@ class TestGapsAndPseudoSymmetry:
         assert gaps == [1, 2, 3, 4, 9]
 
     def test_gaps_contain_one(self):
-        _, gaps = frobenius_and_gaps(construct_generators(TUPLE_42))
+        _, gaps = frobenius_and_gaps(TUPLE_42.semigroup)
         assert gaps[0] == 1
 
     def test_noncoprime_rejected(self):
@@ -183,7 +183,7 @@ class TestGapsAndPseudoSymmetry:
             params = PseudoSymmetricParams(
                 a1, rng.randrange(2, 9), rng.randrange(2, 9),
                 rng.randrange(2, 9), rng.randrange(1, a1 - 1))
-            S = construct_generators(params)
+            S = params.semigroup
             if S.gcd() != 1:
                 continue
             checked += 1
@@ -192,7 +192,7 @@ class TestGapsAndPseudoSymmetry:
     def test_genus_identity(self):
         # pseudo-symmetric semigroups have exactly (F + 2) / 2 gaps
         for params in (TUPLE_41, TUPLE_42):
-            S = construct_generators(params)
+            S = params.semigroup
             frobenius, gaps = frobenius_and_gaps(S)
             assert frobenius % 2 == 0
             assert len(gaps) == (frobenius + 2) // 2
@@ -201,24 +201,24 @@ class TestGapsAndPseudoSymmetry:
 
 class TestHilbertOracle:
     def test_level_zero_and_one(self):
-        S = construct_generators(TUPLE_41)
+        S = TUPLE_41.semigroup
         H = hilbert_oracle(S, 3)
         assert H[0] == 1
         assert H[1] == 4
 
     def test_eventually_constant_at_multiplicity(self):
-        S = construct_generators(PseudoSymmetricParams(5, 3, 2, 2, 1))
+        S = PseudoSymmetricParams(5, 3, 2, 2, 1).semigroup
         H = hilbert_oracle(S, 20)
         assert H[-3:] == [min(S.generators)] * 3
 
     def test_negative_level_rejected(self):
         with pytest.raises(ParameterError):
-            hilbert_oracle(construct_generators(TUPLE_41), -1)
+            hilbert_oracle(TUPLE_41.semigroup, -1)
 
     @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 10**20])
     def test_level_above_the_ceiling_rejected(self, level):
         with pytest.raises(ParameterError, match=f"max level <= {MAX_LEVEL} violated"):
-            hilbert_oracle(construct_generators(TUPLE_41), level)
+            hilbert_oracle(TUPLE_41.semigroup, level)
 
     @pytest.mark.parametrize("gens", [(1,), (7,), (2, 2)])
     def test_one_generator_up_to_gcd(self, gens):
@@ -255,7 +255,7 @@ class TestHilbertOracle:
         assert H == ref.hilbert_by_level_sweep(gens, 20)
 
     def test_plateau_fills_the_remaining_levels(self):
-        S = construct_generators(PseudoSymmetricParams(30, 40, 12, 2, 14))
+        S = PseudoSymmetricParams(30, 40, 12, 2, 14).semigroup
         m = min(S.generators)
         H = hilbert_oracle(S, 100_000)
         assert len(H) == 100_001
@@ -312,7 +312,7 @@ class TestAperySet:
             NumericalSemigroup(gens).apery
 
     def test_derived_once_as_a_read_only_tuple(self):
-        S = construct_generators(TUPLE_41)
+        S = TUPLE_41.semigroup
         ap = S.apery
         assert type(ap) is tuple and len(ap) == min(S.generators)
         assert S.apery is ap
@@ -338,7 +338,7 @@ class TestOracleAgainstLevelSweep:
         params = PseudoSymmetricParams(5, 11, 11, 2, 3)
         # an equal params of its own: reading this semigroup's Apery set
         # leaves the one oracle_differs reads underived
-        S = construct_generators(PseudoSymmetricParams(5, 11, 11, 2, 3))
+        S = PseudoSymmetricParams(5, 11, 11, 2, 3).semigroup
         assert max(S.apery) >= 50 * min(S.generators)
         assert oracle_differs(params) == (11, False, False)
         assert hilbert_oracle(S, 16) == TestAperyKernelAgainstTable.reference_counts(S, 16)
@@ -365,7 +365,7 @@ def _random_coprime_semigroups(count, seed):
 
 
 KERNEL_CASES = _random_coprime_semigroups(40, seed=11) + [
-    construct_generators(params) for params, _ in ALL_FIXTURE_TUPLES
+    params.semigroup for params, _ in ALL_FIXTURE_TUPLES
 ]
 
 
@@ -426,7 +426,7 @@ def test_oracle_handles_noncoprime_generators():
 
 
 def test_oracle_memory_does_not_grow_with_level():
-    S = construct_generators(PseudoSymmetricParams(30, 40, 12, 2, 14))
+    S = PseudoSymmetricParams(30, 40, 12, 2, 14).semigroup
     tracemalloc.start()
     try:
         hilbert_oracle(S, 60)

@@ -25,7 +25,7 @@ from pseudosym.poly import (
     weighted_degree,
     zero,
 )
-from pseudosym.semigroup import check_conditions, construct_generators
+from pseudosym.semigroup import check_conditions
 from pseudosym.stdbasis import (
     buchberger_homogeneous,
     leading_ideal,
@@ -93,7 +93,7 @@ class TestStandardBasis:
 
     def test_binomials_with_equal_sdegrees_throughout(self, engine_bases):
         for params, _ in ALL_FIXTURE_TUPLES:
-            S = construct_generators(params)
+            S = params.semigroup
             for g in engine_bases[params]:
                 assert len(ref.terms(g)) == 2
                 assert {abs(c) for c, _ in ref.terms(g)} == {1}
@@ -101,7 +101,7 @@ class TestStandardBasis:
 
     def test_membership_of_random_multiples(self, engine_bases):
         G = engine_bases[TUPLE_41]
-        gens = toric_generators(TUPLE_41).generators
+        gens = toric_generators(TUPLE_41)
         rng = random.Random(11)
         for _ in range(25):
             f = rng.choice(gens)
@@ -224,22 +224,23 @@ class TestOneOrderPerComputation:
     """`standard_basis` runs under another order from its one `order=` argument."""
 
     def test_multiplicity_last_order_on_6_6_2_4_4(self):
-        system = toric_generators(PseudoSymmetricParams(6, 6, 2, 4, 4))
-        weights = system.semigroup.generators
+        params = PseudoSymmetricParams(6, 6, 2, 4, 4)
+        generators = toric_generators(params)
+        weights = params.semigroup.generators
         # n2 is the smallest generator, so X2 is the least significant variable
         assert weights == (37, 35, 36, 62)
         order = MonomialOrder((0, 2, 3, 1))
-        basis = standard_basis(system.generators, weights, order=order)
+        basis = standard_basis(generators, weights, order=order)
         assert all(order.greater(g.lead, g.tail) for g in basis if g.tail is not None)
         # the route of rebuilding every generator under the order first
-        rebuilt = [ref.with_order(f, order) for f in system.generators]
-        assert rebuilt != list(system.generators)
+        rebuilt = [ref.with_order(f, order) for f in generators]
+        assert rebuilt != list(generators)
         expected = standard_basis(rebuilt, weights, order=order)
         assert [parts(g) for g in basis] == [parts(g) for g in expected]
         # and the frozen loop on the rebuilt generators, minimalized as before
         frozen = old_minimalize(seed_closure(rebuilt, seed_nf_mora, order), order)
         assert [parts(g) for g in basis] == [parts(g) for g in frozen]
-        assert frozenset(basis) != frozenset(engine_basis(system))
+        assert frozenset(basis) != frozenset(engine_basis(params, generators))
 
 
 class TestAgainstClosedForm:
@@ -247,7 +248,7 @@ class TestAgainstClosedForm:
         for params, _ in ALL_FIXTURE_TUPLES:
             if params.alpha4 != 2:
                 continue
-            predicted = closed_form_basis(toric_generators(params))
+            predicted = closed_form_basis(params, toric_generators(params))
             assert frozenset(predicted.elements) == frozenset(engine_bases[params])
 
 
@@ -296,7 +297,7 @@ class TestFoldAgainstOldRoutes:
         The lead monomials of the basis, put before or after it, share their
         leads with basis elements, so the first element per lead matters.
         """
-        closure = stdbasis._closure(toric_generators(params).generators, nf_mora, GT)
+        closure = stdbasis._closure(toric_generators(params), nf_mora, GT)
         shuffled = rng.sample(closure, len(closure))
         leads = [monomial(g.lm) for g in basis]
         for G in (closure, shuffled, basis, leads + shuffled, shuffled + leads):
@@ -320,7 +321,7 @@ class TestFoldAgainstOldRoutes:
         rng = random.Random(9)
         sample = rng.sample(engine_box(), 100)
         assert sum(not check_conditions(p)["sorted"] for p in sample) >= 50
-        seen = {self.check(params, engine_basis(toric_generators(params)), rng) for params in sample}
+        seen = {self.check(params, engine_basis(params, toric_generators(params)), rng) for params in sample}
         # both routes, and both verdicts, occur in the sample
         assert {route for route, _ in seen} == {True, False}
         assert {cm_ok for _, cm_ok in seen} == {True, False}
@@ -412,10 +413,10 @@ class TestGradedInput:
             standard_basis([P("X1*X2-X3^2")], weights)
 
     def test_curve_generators_pass_under_n_only(self):
-        system = toric_generators(TUPLE_41)
-        assert standard_basis(system.generators, system.semigroup.generators)
+        generators = toric_generators(TUPLE_41)
+        assert standard_basis(generators, TUPLE_41.semigroup.generators)
         with pytest.raises(ValueError, match="non-homogeneous"):
-            standard_basis(system.generators, (1, 1, 1, 1))
+            standard_basis(generators, (1, 1, 1, 1))
 
     def test_ungraded_reduction_hits_the_step_budget(self, monkeypatch):
         # X1 = (1 - X1)^-1 * (X1 - X1^2) lies in the ideal, but plain division
@@ -446,7 +447,7 @@ class TestGradedInput:
                             lambda gens, order: built.append((gens, order)) or real(gens, order))
         routes = set()
         for params in closure_sample():
-            G = engine_basis(toric_generators(params))
+            G = engine_basis(params, toric_generators(params))
             built.clear()
             cm.cm_verdict(G)
             cone = tangent_cone_ideal(G)
@@ -517,7 +518,8 @@ class TestEngineWork:
 
     def test_local_route_on_6_6_2_4_4(self, monkeypatch):
         counts = count_engine_calls(monkeypatch)
-        assert len(engine_basis(toric_generators(PseudoSymmetricParams(6, 6, 2, 4, 4)))) == 29
+        params = PseudoSymmetricParams(6, 6, 2, 4, 4)
+        assert len(engine_basis(params, toric_generators(params))) == 29
         assert counts == {
             ("nf_mora", True): 1247, ("nf_mora", False): 49,
             ("step", True): 1214, ("step", False): 5893,
@@ -537,7 +539,8 @@ class TestEngineWork:
     def test_buchberger_route_on_6_6_2_4_4(self, monkeypatch):
         # the heaviest CM route of the engine box; recorded before the
         # exponent arithmetic was written out four wide
-        G = engine_basis(toric_generators(PseudoSymmetricParams(6, 6, 2, 4, 4)))
+        params = PseudoSymmetricParams(6, 6, 2, 4, 4)
+        G = engine_basis(params, toric_generators(params))
         counts = count_engine_calls(monkeypatch)
         verdict = cm.cm_verdict(G)
         assert (verdict.cohen_macaulay, verdict.witness) == (False, (4, 0, 0, 1))

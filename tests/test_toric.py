@@ -6,7 +6,7 @@ import reference as ref
 from pseudosym import toric
 from pseudosym.errors import InconsistencyError, ParameterError
 from pseudosym.poly import LOCAL, binomial, parse_poly, weighted_degree
-from pseudosym.semigroup import PseudoSymmetricParams, construct_generators
+from pseudosym.semigroup import PseudoSymmetricParams
 from pseudosym.toric import (
     _check_sdegrees,
     closed_form_basis,
@@ -24,7 +24,7 @@ def B(text):
 
 class TestToricGenerators:
     def test_first_example_binomials(self):
-        system = toric_generators(TUPLE_41)
+        generators = toric_generators(TUPLE_41)
         expected = [
             "X1^16-X3*X4",
             "X2^20-X1^8*X4",
@@ -32,34 +32,32 @@ class TestToricGenerators:
             "X4^2-X1*X2^19*X3^6",
             "X1^9*X3^6-X2*X4",
         ]
-        assert list(system.generators) == [B(t) for t in expected]
+        assert list(generators) == [B(t) for t in expected]
 
     def test_alpha4_3_third_binomial(self):
-        system = toric_generators(TUPLE_A4_3)
-        assert system.generators[2] == B("X3^3-X1^6*X2")
+        assert toric_generators(TUPLE_A4_3)[2] == B("X3^3-X1^6*X2")
 
     def test_all_binomials_lie_in_the_kernel(self):
         for params in FAMILY_TUPLES + [TUPLE_A4_3]:
-            system = toric_generators(params)
-            for f in system.generators:
-                assert f.is_homogeneous(system.semigroup.generators), (params, f)
+            for f in toric_generators(params):
+                assert f.is_homogeneous(params.semigroup.generators), (params, f)
 
     def test_f2_sdegree_identity(self):
-        n = construct_generators(TUPLE_41).generators
+        n = TUPLE_41.semigroup.generators
         assert weighted_degree((0, 20, 0, 0), n) == weighted_degree((8, 0, 0, 1), n) == 20 * 161
 
 
 class TestSdegree:
     def test_empty_monomial(self):
-        assert weighted_degree((0, 0, 0, 0), construct_generators(TUPLE_41).generators) == 0
+        assert weighted_degree((0, 0, 0, 0), TUPLE_41.semigroup.generators) == 0
 
     def test_tail_element_membership(self):
-        n = construct_generators(TUPLE_41).generators
+        n = TUPLE_41.semigroup.generators
         assert weighted_degree((0, 21, 0, 0), n) == 21 * 161 == 3381
         assert weighted_degree((17, 0, 6, 0), n) == 17 * 141 + 6 * 164 == 3381
 
     def test_check_names_the_unequal_degrees(self):
-        S = construct_generators(TUPLE_41)
+        S = TUPLE_41.semigroup
         _check_sdegrees(B("X2^20-X1^8*X4"), S, "f2")
         with pytest.raises(InconsistencyError, match=r"in f2: monomials grade to \[141, 161\]"):
             _check_sdegrees(B("X1-X2"), S, "f2")
@@ -101,19 +99,27 @@ class TestClosedFormBasis:
         (TUPLE_44, 10, "X1^55*X3^2-X2^57"),
     ])
     def test_sizes_and_last_elements(self, params, size, last):
-        basis = closed_form_basis(toric_generators(params))
+        basis = closed_form_basis(params, toric_generators(params))
         assert len(basis.elements) == size
         assert basis.elements[-1] == B(last)
 
+    @pytest.mark.parametrize("params", FAMILY_TUPLES)
+    def test_extends_the_generators_it_is_given(self, params):
+        # f1..f5 are the caller's own polynomials, not rebuilt
+        generators = toric_generators(params)
+        assert type(generators) is tuple and len(generators) == 5
+        head = closed_form_basis(params, generators).elements[:5]
+        assert all(f is g for f, g in zip(head, generators, strict=True))
+
     def test_every_element_is_a_kernel_binomial(self):
-        S = construct_generators(TUPLE_44)
-        for f in closed_form_basis(toric_generators(TUPLE_44)).elements:
+        S = TUPLE_44.semigroup
+        for f in closed_form_basis(TUPLE_44, toric_generators(TUPLE_44)).elements:
             assert len(ref.terms(f)) == 2
             assert f.is_homogeneous(S.generators)
 
     def test_leading_pattern_below_and_at_k(self):
         # j < k leads with the X1-X3 monomial, j = k with the pure X2 power
-        basis = closed_form_basis(toric_generators(TUPLE_44))
+        basis = closed_form_basis(TUPLE_44, toric_generators(TUPLE_44))
         k = basis.k
         for j in range(1, k + 1):
             f = basis.elements[5 + j]
@@ -129,10 +135,10 @@ class TestClosedFormBasis:
                 assert j * a2 + 1 >= (j - 1) * a1 + (j + 1) * a21 + a3 + 1 - j
 
     def test_rejects_non_family_inputs(self):
-        # the system exists for any tuple; the closed form only on the regime
-        system = toric_generators(TUPLE_A4_3)
+        # f1..f5 exist for any tuple; the closed form only on the regime
+        generators = toric_generators(TUPLE_A4_3)
         with pytest.raises(ParameterError, match="alpha4 = 2 violated"):
-            closed_form_basis(system)
+            closed_form_basis(TUPLE_A4_3, generators)
 
     @pytest.mark.parametrize("params", [TUPLE_43, TUPLE_44])
     def test_tie_element_leads_with_its_x2_power(self, params):
