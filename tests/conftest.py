@@ -27,6 +27,23 @@ ALL_FIXTURE_TUPLES = [
     (TUPLE_A4_5, 14),
 ]
 
+# Coprime tuples outside the closed form's regime, one for each precondition
+# that fails first on some coprime tuple, with the message it is refused with.
+OUTSIDE_REGIME = [
+    (PseudoSymmetricParams(6, 6, 2, 4, 4), "alpha4 = 2 violated (alpha4=4)"),
+    (PseudoSymmetricParams(3, 4, 3, 2, 1),
+     "condition (2) violated for {'alpha1': 3, 'alpha2': 4, 'alpha3': 3, 'alpha4': 2, 'alpha21': 1}"),
+    (PseudoSymmetricParams(4, 2, 2, 2, 1),
+     "condition (4) violated for {'alpha1': 4, 'alpha2': 2, 'alpha3': 2, 'alpha4': 2, 'alpha21': 1}"),
+    (PseudoSymmetricParams(4, 4, 2, 2, 1),
+     "n1 < n2 < n3 < n4 violated for {'alpha1': 4, 'alpha2': 4, 'alpha3': 2, 'alpha4': 2, 'alpha21': 1}"),
+]
+
+
+def tuple_id(params: PseudoSymmetricParams) -> str:
+    """A test id such as 6_6_2_4_4."""
+    return "_".join(map(str, params.as_dict().values()))
+
 # The off-family box: alpha1 3..7, alpha2 2..6, alpha3 2..5, alpha4 3..5,
 # alpha21 1..5, coprime generators in any order.
 ENGINE_BOX_RANGES = (range(3, 8), range(2, 7), range(2, 6), range(3, 6), range(1, 6))

@@ -20,7 +20,7 @@ import pseudosym
 from pseudosym import cli, pipeline, semigroup, stdbasis, toric
 from pseudosym.cli import COMMANDS, OPTIONS, build_parser, main, parse_args
 
-from conftest import FAMILY_TUPLES
+from conftest import FAMILY_TUPLES, OUTSIDE_REGIME, tuple_id
 
 EX41 = ["--alpha1", "16", "--alpha2", "20", "--alpha3", "7", "--alpha4", "2", "--alpha21", "8"]
 EX43 = ["--alpha1", "17", "--alpha2", "25", "--alpha3", "4", "--alpha4", "2", "--alpha21", "10"]
@@ -565,7 +565,7 @@ def test_max_level_above_the_ceiling_rejected(capsys, command, level):
 
 
 def _no_engine(*args, **kwargs):
-    raise AssertionError("the engine ran before the input was refused")
+    raise AssertionError("a stage ran before the input was refused")
 
 
 BAD_LEVELS = pytest.mark.parametrize("level, message", [
@@ -583,30 +583,68 @@ def test_max_level_refused_before_the_engine_runs(capsys, monkeypatch, command, 
 
 
 @BAD_LEVELS
-def test_oracle_refuses_the_level_before_deriving_an_apery_set(capsys, monkeypatch, level, message):
+@pytest.mark.parametrize("values", [LARGE, A4_3], ids=["LARGE", "A4_3"])
+def test_oracle_refuses_the_level_before_deriving_an_apery_set(capsys, monkeypatch, values, level,
+                                                                message):
     monkeypatch.setattr(semigroup.NumericalSemigroup.apery, "func", _no_apery_set)
-    code, out, err = run(capsys, ["oracle", *LARGE, f"--max-level={level}"])
+    code, out, err = run(capsys, ["oracle", *values, f"--max-level={level}"])
     assert (code, out, err) == (2, "", message + "\n")
 
 
-# coprime tuples outside the closed form's regime, and the precondition each fails
-OUTSIDE_REGIME = [
-    (["--alpha1", "6", "--alpha2", "6", "--alpha3", "2", "--alpha4", "4", "--alpha21", "4"],
-     "alpha4 = 2 violated (alpha4=4)"),
-    (["--alpha1", "3", "--alpha2", "4", "--alpha3", "3", "--alpha4", "2", "--alpha21", "1"],
-     "condition (2) violated for "
-     "{'alpha1': 3, 'alpha2': 4, 'alpha3': 3, 'alpha4': 2, 'alpha21': 1}"),
-]
+@pytest.mark.parametrize("command", ["oracle", "verify", "hilbert"])
+def test_level_checked_before_the_coprimality_gate(capsys, command):
+    code, out, err = run(capsys, [command, *NONCOPRIME, "--max-level=-1"])
+    assert (code, out, err) == (2, "", "max level >= 0 violated (-1)\n")
 
 
-@pytest.mark.parametrize("values, message", OUTSIDE_REGIME, ids=["6_6_2_4_4", "3_4_3_2_1"])
-@pytest.mark.parametrize("mode", [["hilbert"], ["hilbert", "--both"], ["basis", "--verify"]],
-                         ids=" ".join)
-def test_closed_form_regime_refused_before_the_engine_runs(capsys, monkeypatch, mode, values,
+def _alphas(params):
+    return [f"--{key}={value}" for key, value in params.as_dict().items()]
+
+
+CLOSED_FORM_MODES = pytest.mark.parametrize(
+    "mode", [["hilbert"], ["hilbert", "--both"], ["hilbert", "--closed-form"],
+             ["basis", "--verify"], ["basis", "--closed-form"]], ids=" ".join)
+
+
+@pytest.mark.parametrize("params, message", OUTSIDE_REGIME,
+                         ids=[tuple_id(params) for params, _ in OUTSIDE_REGIME])
+@CLOSED_FORM_MODES
+def test_closed_form_regime_refused_before_the_engine_runs(capsys, monkeypatch, mode, params,
                                                            message):
+    # neither f1..f5 nor the engine's basis is built for a refused tuple
     monkeypatch.setattr(stdbasis, "standard_basis", _no_engine)
-    code, out, err = run(capsys, [mode[0], *values, *mode[1:]])
+    monkeypatch.setattr(toric, "toric_generators", _no_engine)
+    code, out, err = run(capsys, [mode[0], *_alphas(params), *mode[1:]])
     assert (code, out, err) == (2, "", message + "\n")
+
+
+@CLOSED_FORM_MODES
+def test_coprimality_gate_refuses_before_the_regime_check(capsys, monkeypatch, mode):
+    # (3,3,6,4,1) has alpha4 = 4 and the generators (55,35,15,50), gcd 5:
+    # both gates would refuse it, and the coprimality gate comes first
+    monkeypatch.setattr(toric, "check_closed_form_regime", _no_engine)
+    params = semigroup.PseudoSymmetricParams(3, 3, 6, 4, 1)
+    code, out, err = run(capsys, [mode[0], *_alphas(params), *mode[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("gcd of generators (55, 35, 15, 50) is 5, not 1")
+
+
+@pytest.mark.parametrize("params", [params for params, _ in OUTSIDE_REGIME], ids=tuple_id)
+@pytest.mark.parametrize("mode", [["basis"], ["basis", "--engine"], ["hilbert", "--bayer"],
+                                  ["verify"]], ids=" ".join)
+def test_modes_without_the_closed_form_run_the_engine_outside_its_regime(capsys, monkeypatch,
+                                                                         mode, params):
+    runs = []
+    real = stdbasis.standard_basis
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stdbasis, "standard_basis", counting)
+    code, out, err = run(capsys, [mode[0], *_alphas(params), *mode[1:]])
+    assert (code, err) == (0, "") and out
+    assert len(runs) == 1
 
 
 def test_max_level_at_the_ceiling_accepted(capsys):

@@ -27,7 +27,15 @@ from pseudosym.semigroup import (
 )
 from pseudosym.toric import closed_form_basis, compute_k, toric_generators
 
-from conftest import TUPLE_41, TUPLE_43, TUPLE_A4_3, engine_box
+from conftest import (
+    ALL_FIXTURE_TUPLES,
+    OUTSIDE_REGIME,
+    TUPLE_41,
+    TUPLE_43,
+    TUPLE_A4_3,
+    engine_box,
+    tuple_id,
+)
 
 NONCOPRIME = PseudoSymmetricParams(5, 4, 2, 2, 2)
 
@@ -61,6 +69,20 @@ def test_k_readings():
     # alpha4 = 3 is outside the closed form, where k is not defined
     with pytest.raises(ParameterError, match="alpha4 = 2 violated"):
         compute_k(TUPLE_A4_3)
+
+
+ENGINE_TUPLES = [params for params, _ in ALL_FIXTURE_TUPLES + OUTSIDE_REGIME]
+
+
+@pytest.mark.parametrize("params", ENGINE_TUPLES, ids=tuple_id)
+def test_engine_basis_is_a_standard_basis_graded_by_the_params_semigroup(params):
+    generators = toric_generators(params)
+    basis = engine_basis(params, generators)
+    assert all(g.is_homogeneous(params.semigroup.generators) for g in basis)
+    # each f1..f5 lies in the ideal, so a lead of the basis divides its lead
+    leads = [g.lead for g in basis]
+    for f in generators:
+        assert any(all(a <= b for a, b in zip(m, f.lead)) for m in leads), f
 
 
 def test_hilbert_section_is_the_report_slice():

@@ -15,7 +15,16 @@ from pseudosym.toric import (
     toric_generators,
 )
 
-from conftest import FAMILY_TUPLES, TUPLE_41, TUPLE_42, TUPLE_43, TUPLE_44, TUPLE_A4_3
+from conftest import (
+    FAMILY_TUPLES,
+    OUTSIDE_REGIME,
+    TUPLE_41,
+    TUPLE_42,
+    TUPLE_43,
+    TUPLE_44,
+    TUPLE_A4_3,
+    tuple_id,
+)
 
 
 def B(text):
@@ -139,6 +148,15 @@ class TestClosedFormBasis:
         generators = toric_generators(TUPLE_A4_3)
         with pytest.raises(ParameterError, match="alpha4 = 2 violated"):
             closed_form_basis(TUPLE_A4_3, generators)
+
+    @pytest.mark.parametrize("params, message", OUTSIDE_REGIME,
+                             ids=[tuple_id(params) for params, _ in OUTSIDE_REGIME])
+    def test_refuses_each_precondition_after_the_generators_are_built(self, params, message):
+        generators = toric_generators(params)
+        assert all(f.is_homogeneous(params.semigroup.generators) for f in generators)
+        with pytest.raises(ParameterError) as raised:
+            closed_form_basis(params, generators)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("params", [TUPLE_43, TUPLE_44])
     def test_tie_element_leads_with_its_x2_power(self, params):
