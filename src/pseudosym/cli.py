@@ -4,9 +4,8 @@ Subcommands: gens, basis, hilbert, verify, sweep, oracle.  Exit codes are
 scriptable: 0 success, 2 invalid input or a failed write to stdout, 3 a
 verification mismatch (a finding, not a crash), 4 an internal consistency
 failure.  Each single-tuple subcommand reports a slice of the facts
-`pipeline` produces, and first refuses a tuple whose generators are not
-coprime (exit 2); a mode that needs the closed form then refuses a tuple
-outside its regime, before any engine stage runs.
+`pipeline` produces, and first passes the tuple through `pipeline.admit`,
+which refuses input no stage can take (exit 2) before any stage runs.
 
 Every option is declared once, in `OPTIONS`, with the subcommands that take
 it.  A call that starts with a subcommand and is well formed (each option
@@ -37,7 +36,6 @@ from .semigroup import (
     NumericalSemigroup,
     PseudoSymmetricParams,
     check_conditions,
-    check_level,
     frobenius,
     frobenius_and_gaps,  # noqa: F401
     genus,
@@ -112,14 +110,13 @@ def _params_from_args(args) -> PseudoSymmetricParams:
     return PseudoSymmetricParams(**{key: getattr(args, key) for key in pipeline.ALPHA_KEYS})
 
 
-def _semigroup_facts(params: PseudoSymmetricParams) -> tuple[NumericalSemigroup, dict]:
-    """The checked semigroup plus the facts `gens` and `oracle` both report.
+def _semigroup_facts(S: NumericalSemigroup) -> dict:
+    """The facts of the admitted `S` that `gens` and `oracle` both report.
 
     All three are read from `S.apery`: the genus by Selmer's formula, so no
     gap is listed.
     """
-    S = pipeline.numerical_semigroup(params)
-    return S, {
+    return {
         "n": list(S.generators),
         "frobenius": frobenius(S),
         "genus": genus(S),
@@ -129,7 +126,7 @@ def _semigroup_facts(params: PseudoSymmetricParams) -> tuple[NumericalSemigroup,
 
 def cmd_gens(args) -> int:
     params = _params_from_args(args)
-    _, out = _semigroup_facts(params)
+    out = _semigroup_facts(pipeline.admit(params))
     out["conditions"] = check_conditions(params)
     _emit(out, args.fmt)
     return EXIT_OK
@@ -137,10 +134,7 @@ def cmd_gens(args) -> int:
 
 def cmd_basis(args) -> int:
     params = _params_from_args(args)
-    pipeline.numerical_semigroup(params)
-    if args.mode != "engine":
-        # the closed form's regime, checked before any engine stage runs
-        toric.check_closed_form_regime(params)
+    pipeline.admit(params, closed_form=args.mode != "engine")
     generators = toric.toric_generators(params)
     summary: dict = {}
     lines: list[str] = []
@@ -174,13 +168,7 @@ def cmd_basis(args) -> int:
 
 def cmd_hilbert(args) -> int:
     params = _params_from_args(args)
-    if args.max_level is not None:
-        # refused before any stage runs, as `build_report` refuses it
-        check_level(args.max_level)
-    pipeline.numerical_semigroup(params)
-    if args.mode != "bayer":
-        # the closed form's regime, checked before any engine stage runs
-        toric.check_closed_form_regime(params)
+    pipeline.admit(params, max_level=args.max_level, closed_form=args.mode != "bayer")
     out: dict = {}
     P_engine = P_closed = None
     if args.mode in ("bayer", "both"):
@@ -212,10 +200,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = _params_from_args(args)
-    # refused before Ap(S, m) is derived, as `verify` and `hilbert` refuse it
-    check_level(args.max_level)
-    S, out = _semigroup_facts(params)
+    S = pipeline.admit(_params_from_args(args), max_level=args.max_level)
+    out = _semigroup_facts(S)
     out["H_oracle"] = hilbert_oracle(S, args.max_level)
     _emit(out, args.fmt)
     return EXIT_OK
@@ -445,6 +431,9 @@ def main(argv=None) -> int:
         return code
     except ParameterError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INVALID
+    except (OverflowError, MemoryError) as exc:
+        print(f"input too large: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID
     except InconsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ from typing import Sequence
 
 from .errors import Record
 from .poly import Exponent, MonomialOrder, _pair, minimalize_monomials
-from .stdbasis import _lowest_forms, buchberger_homogeneous, leading_ideal
+from .stdbasis import _lowest_forms, buchberger_homogeneous
 
 # Local degrevlex with precedence X2 > X3 > X4 > X1 (X1 least significant).  On
 # the homogeneous cone it compares every pair as the global degrevlex would.
@@ -75,8 +75,9 @@ def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
     forms = _lowest_forms(standard_basis_elements)
     greater = CM_ORDER.greater
     if any(minus is not None and greater(minus, plus) for plus, minus in forms):
-        leads = leading_ideal(buchberger_homogeneous([_pair(plus, minus) for plus, minus in forms],
-                                                     CM_ORDER))
+        cone = [_pair(plus, minus) for plus, minus in forms]
+        # its minimal basis keeps one element per minimal lead
+        leads = [g.lead for g in buchberger_homogeneous(cone, CM_ORDER)]
     else:
         # an empty basis is the zero ideal, whose quotient X1 never kills
         leads = minimalize_monomials(plus for plus, _ in forms)

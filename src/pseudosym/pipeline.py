@@ -8,6 +8,9 @@ whatever the printed levels), and the Cohen-Macaulay verdict.  Every
 disagreement is recorded in a `mismatches` list so callers can decide how
 loudly to fail; a report with an empty list is fully cross-validated.
 
+Every single-tuple run, `build_report` as each subcommand, first passes
+one gate, `admit`, which refuses input that no stage can take.
+
 f1..f5 are built once per tuple, and both routes start from them: the
 engine reduces them, the closed form extends them.  Each reading of k is
 computed once: the non-strict one is the closed form's own `k`, the strict
@@ -109,17 +112,24 @@ def _sparse_pairs(p: list[int]) -> list[list[int]]:
     return [[e, v] for e, v in enumerate(p) if v]
 
 
-def numerical_semigroup(params: PseudoSymmetricParams) -> NumericalSemigroup:
-    """The semigroup of `params`; refused unless its generators are coprime.
+def admit(params: PseudoSymmetricParams, *, max_level: int | None = None,
+          closed_form: bool = False) -> NumericalSemigroup:
+    """The semigroup of `params`; the one gate in front of every single-tuple run.
 
-    This is the precondition of every single-tuple run.
+    Called before any stage, it refuses, in this order, a `max_level` (when
+    given) outside 0..`semigroup.MAX_LEVEL`, generators that are not coprime,
+    and, with `closed_form`, a tuple outside the closed form's regime.
     """
+    if max_level is not None:
+        check_level(max_level)
     S = params.semigroup
     if S.gcd() != 1:
         raise ParameterError(
             f"gcd of generators {S.generators} is {S.gcd()}, not 1; "
             "the tuple does not define a numerical semigroup"
         )
+    if closed_form:
+        toric.check_closed_form_regime(params)
     return S
 
 
@@ -158,17 +168,15 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
                  timing: bool = False) -> dict:
     """Run the full pipeline on one tuple and cross-check every route.
 
-    A `fixtures_dir` that is not a directory, and a `max_level` outside
-    0..`semigroup.MAX_LEVEL`, are refused before any stage runs.
+    A `fixtures_dir` that is not a directory, and a tuple or `max_level`
+    that `admit` refuses, are refused before any stage runs.
     """
     started = time.perf_counter()
     _check_fixtures_dir(fixtures_dir)
-    if max_level is not None:
-        check_level(max_level)
+    S = admit(params, max_level=max_level)
     mismatches: list[str] = []
     report: dict = {"params": params.as_dict()}
 
-    S = numerical_semigroup(params)
     conds = check_conditions(params)
     report["n"] = list(S.generators)
     report["conditions"] = conds

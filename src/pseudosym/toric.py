@@ -26,7 +26,7 @@ lemma); a tail that does not is a construction bug.
 from __future__ import annotations
 
 from .errors import InconsistencyError, ParameterError, Record
-from .poly import LOCAL, Exponent, Polynomial, _lead_first, _pair, binomial, weighted_degree
+from .poly import LOCAL, Exponent, Polynomial, _lead_first, _pair, weighted_degree
 from .semigroup import NumericalSemigroup, PseudoSymmetricParams
 
 
@@ -136,12 +136,13 @@ def closed_form_basis(params: PseudoSymmetricParams,
     k = compute_k(params)
     a1, a2, a21 = params.alpha1, params.alpha2, params.alpha21
 
-    f6 = binomial((a1 + a21, 0, 0, 0), (0, a2, 1, 0))
+    # two distinct monomials by construction, as for f1..f5
+    f6 = _pair(*_lead_first((a1 + a21, 0, 0, 0), (0, a2, 1, 0), LOCAL.greater))
     _check_sdegrees(f6, S, "f6")
     elements = [*generators, f6]
     for j in range(1, k + 1):
         plus, minus = tail_monomials(params, j)
-        f = binomial(plus, minus)
+        f = _pair(*_lead_first(plus, minus, LOCAL.greater))
         _check_sdegrees(f, S, f"f{6 + j}")
         if f.lm != (minus if j == k else plus):
             raise InconsistencyError(

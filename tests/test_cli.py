@@ -629,6 +629,46 @@ def test_coprimality_gate_refuses_before_the_regime_check(capsys, monkeypatch, m
     assert err.startswith("gcd of generators (55, 35, 15, 50) is 5, not 1")
 
 
+def _refusing_gate(*args, **kwargs):
+    raise pseudosym.errors.ParameterError("refused by the gate")
+
+
+@pytest.mark.parametrize("command", [
+    ["gens"], ["basis"], ["basis", "--closed-form"], ["basis", "--verify"], ["hilbert"],
+    ["hilbert", "--bayer"], ["hilbert", "--closed-form"], ["verify"], ["oracle"]], ids=" ".join)
+def test_every_single_tuple_run_passes_the_gate_before_any_stage(capsys, monkeypatch, command):
+    monkeypatch.setattr(pipeline, "admit", _refusing_gate)
+    for owner in (semigroup, pipeline, cli):
+        monkeypatch.setattr(owner, "hilbert_oracle", _no_engine)
+    monkeypatch.setattr(toric, "toric_generators", _no_engine)
+    monkeypatch.setattr(stdbasis, "standard_basis", _no_engine)
+    monkeypatch.setattr(semigroup.NumericalSemigroup.apery, "func", _no_apery_set)
+    code, out, err = run(capsys, [command[0], *EX41, *command[1:]])
+    assert (code, out, err) == (2, "", "refused by the gate\n")
+
+
+# generators (5, 10**20 + 4, 3*10**20 - 3, 2*10**20 + 3): the oracle's bitmap
+# of S would need more than 10**20 bits
+HUGE = ["--alpha1", str(10**20), "--alpha2", "2", "--alpha3", "2", "--alpha4", "2", "--alpha21", "1"]
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_too_large_input_exits_2_with_one_line(capsys, command):
+    code, out, err = run(capsys, [command, *HUGE])
+    assert (code, out) == (2, "")
+    assert err.startswith("input too large: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "hilbert_oracle", _out_of_memory)
+    assert run(capsys, ["verify", *EX41]) == (2, "", "input too large: MemoryError\n")
+
+
 @pytest.mark.parametrize("params", [params for params, _ in OUTSIDE_REGIME], ids=tuple_id)
 @pytest.mark.parametrize("mode", [["basis"], ["basis", "--engine"], ["hilbert", "--bayer"],
                                   ["verify"]], ids=" ".join)

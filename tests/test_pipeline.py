@@ -9,13 +9,13 @@ from pseudosym.errors import ParameterError
 from pseudosym.pipeline import (
     SweepConfig,
     _check_binomial_closure,
+    admit,
     build_report,
     engine_basis,
     hilbert_section,
     iter_sweep,
     load_fixture_basis,
     load_fixture_numerator,
-    numerical_semigroup,
     run_sweep,
 )
 from pseudosym.poly import parse_poly, zero
@@ -42,10 +42,10 @@ NONCOPRIME = PseudoSymmetricParams(5, 4, 2, 2, 2)
 
 def test_noncoprime_tuple_refused_before_any_stage():
     with pytest.raises(ParameterError, match=r"gcd of generators \(9, 12, 15, 30\) is 3"):
-        numerical_semigroup(NONCOPRIME)
+        admit(NONCOPRIME)
     with pytest.raises(ParameterError, match="gcd of generators"):
         build_report(NONCOPRIME)
-    assert numerical_semigroup(TUPLE_41).generators == (141, 161, 164, 2092)
+    assert admit(TUPLE_41).generators == (141, 161, 164, 2092)
 
 
 def test_binomial_closure_mismatches():
@@ -214,7 +214,7 @@ class TestOffFamilyGate:
         assert sum(P) == 0
         assert sum(c for _, c in report["Q"]) == m
         assert report["H"][-1] == m
-        S = numerical_semigroup(params)
+        S = admit(params)
         assert is_pseudo_symmetric(S) == ref.pseudo_symmetric_by_apery_maxima(S.generators)
 
     @pytest.mark.xfail(strict=True, reason=(
