@@ -9,10 +9,9 @@ Hilbert function, monotonicity and Cohen-Macaulayness verdicts, all
 cross-checked against independent brute-force routes.
 """
 
-from .cm import CmVerdict, cm_verdict
+from .cm import cm_verdict
 from .errors import InconsistencyError, ParameterError
 from .hilbert import (
-    HilbertReport,
     closed_form_numerator,
     hilbert_function,
     hilbert_numerator,

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import Record
 from .poly import Exponent, MonomialOrder, _pair, minimalize_monomials
 from .stdbasis import _lowest_forms, buchberger_homogeneous
 
@@ -54,18 +53,11 @@ from .stdbasis import _lowest_forms, buchberger_homogeneous
 CM_ORDER = MonomialOrder(precedence=(1, 2, 3, 0))
 
 
-class CmVerdict(Record):
-    _fields = ("cohen_macaulay", "witness")
-    __slots__ = _fields
+def cm_verdict(standard_basis_elements: Sequence) -> tuple[bool, Exponent | None]:
+    """The pair (cohen_macaulay, witness) from a local standard basis.
 
-    def __init__(self, cohen_macaulay: bool, witness: Exponent | None):
-        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
-        # a minimal generator divisible by X1, if any
-        object.__setattr__(self, "witness", witness)
-
-
-def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
-    """Verdict from a local standard basis.
+    The witness is the least minimal generator that X1 divides, None when
+    there is none, that is when the tangent cone is Cohen-Macaulay.
 
     The test runs on the minimal leads of the lowest forms when no lowest
     form leads differently under `CM_ORDER` (the lemma above), and otherwise
@@ -83,4 +75,4 @@ def cm_verdict(standard_basis_elements: Sequence) -> CmVerdict:
         leads = minimalize_monomials(plus for plus, _ in forms)
     var = 0  # X1, last in CM_ORDER's precedence
     bad = [m for m in leads if m[var] > 0]
-    return CmVerdict(not bad, min(bad, default=None))
+    return not bad, min(bad, default=None)

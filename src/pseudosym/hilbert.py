@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import InconsistencyError, ParameterError, Record
+from .errors import InconsistencyError, ParameterError
 from .poly import Exponent, minimalize_monomials, scan_terms, support
 from .semigroup import PseudoSymmetricParams, check_level
 from .toric import check_closed_form_regime
@@ -171,39 +171,16 @@ def second_series(P: list[int]) -> list[int]:
     return Q
 
 
-class HilbertReport(Record):
-    _fields = ("hilbert_function", "regularity_index", "multiplicity", "non_decreasing",
-               "first_decrease_level")
-    __slots__ = _fields
+def hilbert_function(Q: list[int], up_to_level: int | None = None) -> list[int]:
+    """H(0..L), the prefix sums of Q.
 
-    def __init__(self, hilbert_function: tuple[int, ...], regularity_index: int, multiplicity: int,
-                 non_decreasing: bool, first_decrease_level: int | None):
-        object.__setattr__(self, "hilbert_function", hilbert_function)
-        object.__setattr__(self, "regularity_index", regularity_index)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "non_decreasing", non_decreasing)
-        object.__setattr__(self, "first_decrease_level", first_decrease_level)
-
-
-def hilbert_function(Q: list[int], up_to_level: int | None = None) -> HilbertReport:
-    """Prefix sums of Q plus the summary facts about them.
-
-    H(n) stabilizes at Q(1) from deg(Q) on; the default level adds a margin
-    of 5 so the plateau is visible in reports.
+    H(n) stabilizes at Q(1) from deg(Q) on; the default level L adds a
+    margin of 5 so the plateau is visible in reports.
     """
     if not Q:
         raise ParameterError("second series must be nonzero")
     if up_to_level is not None:
         check_level(up_to_level)
-    deg = len(Q) - 1
-    level = deg + 5 if up_to_level is None else up_to_level
+    level = len(Q) - 1 + 5 if up_to_level is None else up_to_level
     H = list(accumulate(Q[:level + 1]))
-    H += [H[-1]] * (level + 1 - len(H))
-    first_negative = next((e for e, v in enumerate(Q) if v < 0), None)
-    return HilbertReport(
-        hilbert_function=tuple(H),
-        regularity_index=deg,
-        multiplicity=sum(Q),
-        non_decreasing=first_negative is None,
-        first_decrease_level=first_negative,
-    )
+    return H + [H[-1]] * (level + 1 - len(H))

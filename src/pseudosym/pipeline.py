@@ -16,9 +16,9 @@ engine reduces them, the closed form extends them.  Each reading of k is
 computed once: the non-strict one is the closed form's own `k`, the strict
 one a single `toric.compute_k(params, strict=True)` call.
 
-The packaged fixture names are read once per process, at import; a tuple
-whose name is not among them is answered without building a path or a stat.
-A fixture directory given by the caller is looked up on every call.
+The packaged fixture names are read once per process, at import, and a
+fixture directory given by the caller is listed on every call; a tuple whose
+name is not among the listed ones is answered without building a path.
 """
 
 from __future__ import annotations
@@ -55,28 +55,32 @@ def fixture_stem(params: PseudoSymmetricParams) -> str:
     )
 
 
-def _check_fixtures_dir(fixtures_dir: str | Path | None) -> None:
-    """Refuse a `fixtures_dir` that is given but is not a directory."""
+def _fixture_names(fixtures_dir: str | Path | None) -> frozenset[str]:
+    """The names in `fixtures_dir`, or the packaged names when it is None.
+
+    A given directory is listed on every call; one that is an empty value,
+    missing, or that cannot be listed is refused with a `ParameterError`
+    that names it.
+    """
     if fixtures_dir is None:
-        return
+        return _PACKAGED_NAMES
     if fixtures_dir == "":
         # Path("") is the working directory: the fixture checks would vanish silently
         raise ParameterError("fixtures_dir: expected a directory, got an empty value")
-    if not Path(fixtures_dir).is_dir():
-        raise ParameterError(f"no fixture directory at {fixtures_dir}")
+    try:
+        return frozenset(os.listdir(fixtures_dir))
+    except (FileNotFoundError, NotADirectoryError):
+        raise ParameterError(f"no fixture directory at {fixtures_dir}") from None
+    except OSError as exc:
+        raise ParameterError(
+            f"unreadable fixture directory {fixtures_dir}: {exc.strerror or exc}") from None
 
 
 def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
-    """`parse` applied to the named fixture's text; None when there is no such file."""
-    _check_fixtures_dir(fixtures_dir)
-    if fixtures_dir is None:
-        if name not in _PACKAGED_NAMES:
-            return None
-        ref = _PACKAGED_FIXTURES.joinpath(name)
-    else:
-        ref = Path(fixtures_dir) / name
-    if not ref.is_file():
+    """`parse` applied to the named fixture's text; None when the directory has no such name."""
+    if name not in _fixture_names(fixtures_dir):
         return None
+    ref = (_PACKAGED_FIXTURES if fixtures_dir is None else Path(fixtures_dir)).joinpath(name)
     try:
         text = ref.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -151,15 +155,17 @@ def _closed_regime(params: PseudoSymmetricParams) -> bool:
 def hilbert_section(P: list[int], max_level: int | None) -> dict:
     """Everything read off a Hilbert numerator P: Q = P/(1-t)^3, H(n) and its summary."""
     Q = hilbert.second_series(P)
-    hreport = hilbert.hilbert_function(Q, max_level)
+    # H is the prefix sums of Q: it falls first where Q is first negative,
+    # and stays at sum(Q) from deg(Q) on
+    first_negative = next((e for e, v in enumerate(Q) if v < 0), None)
     return {
         "P": _sparse_pairs(P),
         "Q": _sparse_pairs(Q),
-        "H": list(hreport.hilbert_function),
-        "regularity_index": hreport.regularity_index,
-        "multiplicity": hreport.multiplicity,
-        "non_decreasing": hreport.non_decreasing,
-        "first_decrease_level": hreport.first_decrease_level,
+        "H": hilbert.hilbert_function(Q, max_level),
+        "regularity_index": len(Q) - 1,
+        "multiplicity": sum(Q),
+        "non_decreasing": first_negative is None,
+        "first_decrease_level": first_negative,
     }
 
 
@@ -168,11 +174,11 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
                  timing: bool = False) -> dict:
     """Run the full pipeline on one tuple and cross-check every route.
 
-    A `fixtures_dir` that is not a directory, and a tuple or `max_level`
+    A `fixtures_dir` that cannot be listed, and a tuple or `max_level`
     that `admit` refuses, are refused before any stage runs.
     """
     started = time.perf_counter()
-    _check_fixtures_dir(fixtures_dir)
+    _fixture_names(fixtures_dir)
     S = admit(params, max_level=max_level)
     mismatches: list[str] = []
     report: dict = {"params": params.as_dict()}
@@ -231,29 +237,23 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
     # unchecked, so the routes are compared up to it and printed up to N.
     H, regularity = report["H"], report["regularity_index"]
     if len(H) <= regularity:
-        H = list(hilbert.hilbert_function(hilbert.second_series(P), regularity).hilbert_function)
+        H = hilbert.hilbert_function(hilbert.second_series(P), regularity)
     oracle = hilbert_oracle(S, len(H) - 1)
     report["H_oracle"] = oracle[:len(report["H"])]
     report["oracle_match"] = oracle == H
     if not report["oracle_match"]:
         mismatches.append("Hilbert function differs from the semigroup oracle")
 
-    verdict = cm.cm_verdict(engine)
+    cohen_macaulay, witness = cm.cm_verdict(engine)
     report["cm"] = {
-        "cohen_macaulay": verdict.cohen_macaulay,
-        "witness": _witness_text(verdict.witness),
+        "cohen_macaulay": cohen_macaulay,
+        "witness": None if witness is None else _render_mono(witness),
     }
 
     report["mismatches"] = mismatches
     if timing:
         report["timing_seconds"] = round(time.perf_counter() - started, 6)
     return report
-
-
-def _witness_text(witness) -> str | None:
-    if witness is None:
-        return None
-    return _render_mono(witness)
 
 
 def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str]) -> None:
@@ -386,8 +386,13 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
         # imported here: a single-tuple run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_worker, jobs, chunksize=chunksize))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_sweep_worker, jobs, chunksize=chunksize))
+        except OSError as exc:
+            # a report raises no OSError, so this one comes from the pool
+            raise ParameterError(f"--jobs {config.jobs}: cannot start worker processes: "
+                                 f"{exc.strerror or exc}") from None
     else:
         reports = [_sweep_worker(job) for job in jobs]
 

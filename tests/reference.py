@@ -8,7 +8,7 @@ dense coefficient lists.  A monomial is a tuple of exponents, and a term a
 off its parts `lead` and `tail`, and `with_order` rebuilds a package
 polynomial from them under another order.
 
-The eight record types at the end are the package's records as frozen
+The five record types at the end are the package's records as frozen
 dataclasses, with their fields, defaults and checks; a failed check raises
 `ValueError`, the base of the package's `ParameterError`, with the
 package's message.
@@ -403,21 +403,6 @@ class MonomialOrder:
 class ClosedFormBasis:
     k: int
     elements: tuple
-
-
-@dataclass(frozen=True)
-class CmVerdict:
-    cohen_macaulay: bool
-    witness: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
-class HilbertReport:
-    hilbert_function: tuple[int, ...]
-    regularity_index: int
-    multiplicity: int
-    non_decreasing: bool
-    first_decrease_level: int | None
 
 
 @dataclass(frozen=True)

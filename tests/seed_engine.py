@@ -54,7 +54,7 @@ from operator import add, le, mul, sub
 
 import reference as ref
 from pseudosym import stdbasis
-from pseudosym.cm import CM_ORDER, CmVerdict, cm_verdict
+from pseudosym.cm import CM_ORDER, cm_verdict
 from pseudosym.poly import LOCAL, Polynomial
 from pseudosym.toric import toric_generators
 
@@ -161,12 +161,12 @@ def parts(G):
     return [(g.lead, g.tail) for g in G]
 
 
-def forced_verdict(G) -> CmVerdict:
-    """The verdict from the Groebner basis under CM_ORDER of G's tangent cone, however it leads."""
+def forced_verdict(G) -> tuple[bool, tuple[int, ...] | None]:
+    """The pair (cohen_macaulay, witness) from the Groebner basis under CM_ORDER of G's tangent cone, however it leads."""
     cone = stdbasis.tangent_cone_ideal(G)
     leads = stdbasis.leading_ideal(stdbasis.buchberger_homogeneous(cone, CM_ORDER))
     bad = [m for m in leads if m[0] > 0]
-    return CmVerdict(not bad, min(bad, default=None))
+    return not bad, min(bad, default=None)
 
 
 def leads_alike(cone) -> bool:

@@ -128,8 +128,8 @@ class TestHilbert:
         assert "alpha4" in err
 
     def test_closed_form_small_alpha2_names_condition_4(self, capsys):
-        # compute_k has no check of its own: the regime check names the
-        # failed condition, as it does for the closed-form basis
+        # admit runs the regime check, which compute_k also calls, before
+        # any stage: it names the failed condition, as for the closed-form basis
         code, out, err = run(
             capsys,
             ["hilbert", "--alpha1", "9", "--alpha2", "3", "--alpha3", "4",
@@ -357,6 +357,21 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == "max level >= 0 violated (-1)\n"
+
+    def test_pool_that_cannot_start_names_jobs(self, capsys, monkeypatch):
+        # an OSError from the pool, not from a write to stdout
+        started = []
+
+        def refuse(max_workers):
+            started.append(max_workers)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 4)
+        code, out, err = run(capsys, [*self.SMALL, "--jobs", "3"])
+        assert (code, out) == (2, "")
+        assert err == "--jobs 3: cannot start worker processes: Resource temporarily unavailable\n"
+        assert started == [3]
 
 
 def test_step_budget_is_an_internal_failure(capsys, monkeypatch):
@@ -755,6 +770,27 @@ class TestFixtureErrors:
         assert code == 2
         assert out == ""
         assert "unreadable fixture" in err and str(path) in err
+
+    @pytest.mark.parametrize("suffix", ["basis.txt", "numerator.txt"])
+    def test_fixture_name_that_is_a_directory_is_invalid_input(self, capsys, tmp_path, suffix):
+        # listed under the fixture's name, so not a tuple without a fixture
+        path = tmp_path / f"a1-16_a2-20_a3-7_a4-2_a21-8.{suffix}"
+        path.mkdir()
+        code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"unreadable fixture {path}: ")
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root lists a mode-000 directory")
+    def test_unlistable_directory_is_invalid_input(self, capsys, tmp_path):
+        # an OSError from the fixture directory, not from a write to stdout
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0)
+        try:
+            code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(locked)])
+        finally:
+            locked.chmod(0o700)
+        assert (code, out) == (2, "")
+        assert err == f"unreadable fixture directory {locked}: Permission denied\n"
 
     def test_far_exponent_numerator_fixture_is_a_mismatch(self, capsys, tmp_path):
         # one sparse pair per term: a dense coefficient list would need gigabytes

@@ -7,7 +7,7 @@ import pytest
 
 import reference as ref
 from pseudosym import cm
-from pseudosym.cm import CmVerdict, cm_verdict
+from pseudosym.cm import cm_verdict
 from pseudosym.poly import LOCAL, monomial, parse_poly
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions
 from pseudosym.pipeline import engine_basis
@@ -26,18 +26,14 @@ class TestDivisibilityCriterion:
     def test_first_example_not_cm(self, engine_bases):
         G = engine_bases[TUPLE_41]
         assert all(len(ref.terms(g)) == 1 for g in tangent_cone_ideal(G))
-        verdict = cm_verdict(G)
-        assert not verdict.cohen_macaulay
-        assert verdict.witness == (8, 0, 0, 1)
+        assert cm_verdict(G) == (False, (8, 0, 0, 1))
 
     def test_ideal_without_x1_is_cm(self):
-        verdict = cm_verdict(mono_ideal((0, 2, 0, 0), (0, 0, 1, 1)))
-        assert verdict.cohen_macaulay
-        assert verdict.witness is None
+        assert cm_verdict(mono_ideal((0, 2, 0, 0), (0, 0, 1, 1))) == (True, None)
 
     def test_empty_basis_is_cm(self):
         # the zero ideal: X1 is a nonzerodivisor on the polynomial ring
-        assert cm_verdict([]) == CmVerdict(True, None)
+        assert cm_verdict([]) == (True, None)
 
     def test_non_monomial_input_rejected(self, monkeypatch):
         # The local lead X1*X2 of a binomial cone is not tested: the cone goes
@@ -54,7 +50,7 @@ class TestDivisibilityCriterion:
         assert f.lm == (1, 1, 0, 0)
         verdict = cm_verdict([f])
         assert len(calls) == 1
-        assert verdict.cohen_macaulay and verdict.witness is None
+        assert verdict == (True, None)
 
 
 class TestLowestFormRule:
@@ -65,17 +61,17 @@ class TestLowestFormRule:
         # The lower-degree term X2*X3 leads, and it is the lowest form.
         f = parse_poly("X1^3-X2*X3", LOCAL)
         assert f.lm == (0, 1, 1, 0)
-        assert cm_verdict([f]) == CmVerdict(True, None)
+        assert cm_verdict([f]) == (True, None)
         # Beside a homogeneous binomial the cone is binomial: X2*X3 and
         # X2*X4 - X1*X3, whose s-polynomial leaves X1*X3^2 under CM_ORDER.
         g = parse_poly("X1*X3-X2*X4", LOCAL)
-        assert cm_verdict([f, g]) == CmVerdict(False, (1, 0, 2, 0))
+        assert cm_verdict([f, g]) == (False, (1, 0, 2, 0))
 
     @pytest.mark.parametrize("text, negated, verdict", [
-        ("-X1*X2", "X1*X2", CmVerdict(False, (1, 1, 0, 0))),
+        ("-X1*X2", "X1*X2", (False, (1, 1, 0, 0))),
         # the local lead is X2, so the element is stored as X2 - X1^2
-        ("X1^2-X2", "X2-X1^2", CmVerdict(True, None)),
-        ("X3^2-X1*X2", "X1*X2-X3^2", CmVerdict(True, None)),
+        ("X1^2-X2", "X2-X1^2", (True, None)),
+        ("X3^2-X1*X2", "X1*X2-X3^2", (True, None)),
     ])
     def test_element_written_with_a_negative_lead(self, text, negated, verdict):
         f = parse_poly(text, LOCAL)
@@ -88,11 +84,11 @@ class TestColonStability:
 
     def test_stable_without_the_variable(self):
         assert ref.colon_stability([(0, 2, 0, 0)], 0)
-        assert cm_verdict(mono_ideal((0, 2, 0, 0))).cohen_macaulay
+        assert cm_verdict(mono_ideal((0, 2, 0, 0)))[0]
 
     def test_unstable_with_it(self):
         assert not ref.colon_stability([(1, 1, 0, 0)], 0)
-        assert not cm_verdict(mono_ideal((1, 1, 0, 0))).cohen_macaulay
+        assert not cm_verdict(mono_ideal((1, 1, 0, 0)))[0]
 
     def test_agrees_with_divisibility_on_random_ideals(self):
         rng = random.Random(13)
@@ -101,11 +97,11 @@ class TestColonStability:
                     for _ in range(rng.randrange(1, 6))]
             if (0, 0, 0, 0) in gens:
                 continue
-            verdict = cm_verdict(mono_ideal(*gens))
-            assert verdict.cohen_macaulay == ref.colon_stability(gens, 0)
-            if not verdict.cohen_macaulay:
-                assert verdict.witness in ref.minimal_monomials(gens)
-                assert verdict.witness[0] > 0
+            cohen_macaulay, witness = cm_verdict(mono_ideal(*gens))
+            assert cohen_macaulay == ref.colon_stability(gens, 0)
+            if not cohen_macaulay:
+                assert witness in ref.minimal_monomials(gens)
+                assert witness[0] > 0
 
 
 class TestLocalLeadsRule:
@@ -132,9 +128,9 @@ class TestLocalLeadsRule:
         # X2^2 leads X2^2 - X3*X4 under the local order and CM_ORDER alike, and
         # is coprime to X1*X3, so the two are a standard basis under both
         G = [parse_poly("X2^2-X3*X4", LOCAL), monomial((1, 0, 1, 0))]
-        assert forced_verdict(G) == CmVerdict(False, (1, 0, 1, 0))
+        assert forced_verdict(G) == (False, (1, 0, 1, 0))
         monkeypatch.setattr(cm, "buchberger_homogeneous", _no_buchberger)
-        assert cm_verdict(G) == CmVerdict(False, (1, 0, 1, 0))
+        assert cm_verdict(G) == (False, (1, 0, 1, 0))
 
 
 def _no_buchberger(gens, order):
@@ -144,9 +140,7 @@ def _no_buchberger(gens, order):
 class TestPipelineVerdicts:
     def test_family_tuples_are_never_cm(self, engine_bases):
         for params in FAMILY_TUPLES:
-            verdict = cm_verdict(engine_bases[params])
-            assert not verdict.cohen_macaulay
-            assert verdict.witness == (params.alpha21, 0, 0, 1)
+            assert cm_verdict(engine_bases[params]) == (False, (params.alpha21, 0, 0, 1))
 
     def test_second_example_cone_is_colon_unstable(self, engine_bases):
         gens = leading_ideal(engine_bases[TUPLE_42])
@@ -163,4 +157,45 @@ class TestPipelineVerdicts:
             conds = check_conditions(params)
             assert conds["sorted"] and conds["coprime"] and not conds["c4"]
             G = engine_basis(params, toric_generators(params))
-            assert cm_verdict(G).cohen_macaulay, params
+            assert cm_verdict(G)[0], params
+
+
+def _ids(params):
+    return "-".join(map(str, params.as_dict().values()))
+
+
+# Seeded draws from the boxes of the benchmark's family_sweep and
+# engine_offfamily workloads.
+FAMILY_DRAW = random.Random(5).sample(family_box(), 40)
+ENGINE_DRAW = random.Random(7).sample(engine_box(), 48)
+
+
+class TestVerdictPair:
+    """`cm_verdict` returns the plain pair (cohen_macaulay, witness)."""
+
+    @pytest.mark.parametrize("params", FAMILY_DRAW, ids=_ids)
+    def test_family_witness_is_x1_to_the_alpha21_times_x4(self, params):
+        G = engine_basis(params, toric_generators(params))
+        verdict = cm_verdict(G)
+        assert type(verdict) is tuple
+        assert verdict == forced_verdict(G) == (False, (params.alpha21, 0, 0, 1))
+
+    @pytest.mark.parametrize("params", ENGINE_DRAW, ids=_ids)
+    def test_off_family_pair_against_the_cone(self, params):
+        G = engine_basis(params, toric_generators(params))
+        verdict = cm_verdict(G)
+        cohen_macaulay, witness = verdict
+        assert type(verdict) is tuple and type(cohen_macaulay) is bool
+        assert (witness is None) is cohen_macaulay
+        assert verdict == forced_verdict(G)
+        cone = tangent_cone_ideal(G)
+        if all(g.tail is None for g in cone):
+            # a monomial cone: X1 is a nonzerodivisor iff the colon by X1 is the cone
+            gens = [g.lead for g in cone]
+            assert cohen_macaulay == ref.colon_stability(gens, 0)
+            assert witness == min((m for m in ref.minimal_monomials(gens) if m[0] > 0), default=None)
+
+    def test_engine_draw_has_both_verdicts_and_monomial_cones(self):
+        bases = [engine_basis(params, toric_generators(params)) for params in ENGINE_DRAW]
+        assert {cm_verdict(G)[0] for G in bases} == {True, False}
+        assert any(all(g.tail is None for g in tangent_cone_ideal(G)) for G in bases)

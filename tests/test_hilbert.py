@@ -19,7 +19,7 @@ from pseudosym.hilbert import (
     parse_numerator,
     second_series,
 )
-from pseudosym.pipeline import engine_basis, load_fixture_numerator
+from pseudosym.pipeline import engine_basis, hilbert_section, load_fixture_numerator
 from pseudosym.semigroup import PseudoSymmetricParams, check_conditions, hilbert_oracle
 from pseudosym.stdbasis import leading_ideal
 from pseudosym.toric import closed_form_basis, compute_k, toric_generators
@@ -238,34 +238,33 @@ class TestDivision:
 class TestHilbertFunction:
     def test_embedding_dimension_start(self):
         Q = second_series(stored(TUPLE_41))
-        rep = hilbert_function(Q)
-        assert rep.hilbert_function[0] == 1
-        assert rep.hilbert_function[1] == 4
+        H = hilbert_function(Q)
+        assert H[0] == 1
+        assert H[1] == 4
 
     def test_first_example_non_decreasing(self):
-        rep = hilbert_function(second_series(stored(TUPLE_41)))
-        assert rep.non_decreasing
-        assert rep.first_decrease_level is None
+        section = hilbert_section(stored(TUPLE_41), None)
+        assert section["non_decreasing"]
+        assert section["first_decrease_level"] is None
 
     def test_function_matches_oracle(self):
         Q = second_series(stored(TUPLE_41))
-        rep = hilbert_function(Q)
+        H = hilbert_function(Q)
         S = TUPLE_41.semigroup
-        assert list(rep.hilbert_function) == hilbert_oracle(S, len(rep.hilbert_function) - 1)
+        assert H == hilbert_oracle(S, len(H) - 1)
 
     def test_plateau_and_regularity_index(self):
-        Q = second_series(stored(TUPLE_42))
-        rep = hilbert_function(Q)
-        idx = rep.regularity_index
-        assert rep.hilbert_function[idx - 1] != rep.multiplicity
-        assert set(rep.hilbert_function[idx:]) == {rep.multiplicity}
+        section = hilbert_section(stored(TUPLE_42), None)
+        H, idx = section["H"], section["regularity_index"]
+        assert H[idx - 1] != section["multiplicity"]
+        assert set(H[idx:]) == {section["multiplicity"]}
 
 
     def test_negative_level_rejected(self):
         Q = second_series(stored(TUPLE_41))
         with pytest.raises(ParameterError, match=r"\(-3\)"):
             hilbert_function(Q, -3)
-        assert hilbert_function(Q, 0).hilbert_function == (1,)
+        assert hilbert_function(Q, 0) == [1]
 
 
 def no_trailing_zero(p: list[int]) -> bool:
@@ -359,17 +358,20 @@ class TestListHelpersAgainstReference:
     @given(small_polys.filter(bool), st.one_of(st.none(), st.integers(0, 12)))
     def test_hilbert_function(self, Q, level):
         before = list(Q)
-        rep = hilbert_function(Q, level)
+        H = hilbert_function(Q, level)
         dense = ref.from_list(Q)
         deg = max(dense)
         up_to = deg + 5 if level is None else level
         negatives = [e for e, v in dense.items() if v < 0]
-        assert list(rep.hilbert_function) == ref.quotient_hilbert_coeffs(dense, 1, up_to)
-        assert rep.regularity_index == deg
-        assert rep.multiplicity == ref.evaluate(dense, 1)
-        assert rep.non_decreasing == (not negatives)
-        assert rep.first_decrease_level == (min(negatives) if negatives else None)
+        assert H == ref.quotient_hilbert_coeffs(dense, 1, up_to)
         assert Q == before
+        # the summary facts, read off P = Q * (1-t)^3
+        section = hilbert_section(ref.to_list(ref.mul(dense, *[ref.ONE_MINUS_T] * 3)), level)
+        assert section["H"] == H
+        assert section["regularity_index"] == deg
+        assert section["multiplicity"] == ref.evaluate(dense, 1)
+        assert section["non_decreasing"] == (not negatives)
+        assert section["first_decrease_level"] == (min(negatives) if negatives else None)
 
     @given(st.lists(monomials, max_size=5))
     def test_pivot_recursion(self, gens):
@@ -419,6 +421,20 @@ def test_closed_forms_on_wide_sample(params):
     Q = second_series(P)
     assert ref.to_list(ref.closed_form_second_series(params, k)) == Q
     assert ref.to_list(ref.regrouped_second_series(params, k)) == Q
+
+
+@pytest.mark.parametrize("params", WIDE_SAMPLE, ids=lambda p: "-".join(map(str, p.as_dict().values())))
+def test_section_on_wide_sample_against_the_semigroup(params):
+    # the summary read off Q, against H counted level by level in the semigroup
+    P = hilbert_numerator(leading_ideal(engine_basis(params, toric_generators(params))))
+    section = hilbert_section(P, None)
+    H = section["H"]
+    assert type(H) is list and H == ref.hilbert_by_level_sweep(params.semigroup.generators, len(H) - 1)
+    drops = [n for n in range(1, len(H)) if H[n] < H[n - 1]]
+    assert section["multiplicity"] == H[-1] == min(params.semigroup.generators)
+    assert section["regularity_index"] == min(n for n in range(len(H)) if set(H[n:]) == {H[-1]})
+    assert section["first_decrease_level"] == (drops[0] if drops else None)
+    assert section["non_decreasing"] is (not drops)
 
 
 def test_closed_form_monotone_for_every_k():

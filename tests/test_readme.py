@@ -55,7 +55,8 @@ def test_removed_names_are_gone():
             "UnsupportedParametersError", "MonomialOrder.sort_key", "GLOBAL", "Term",
             "Polynomial.terms", "closed_form_second_series", "MonomialOrder.local",
             "normalize", "with_order", "Polynomial.coeff", "Polynomial.order", "basis_set",
-            "ToricSystem", "construct_generators", "numerical_semigroup"} <= set(names)
+            "ToricSystem", "construct_generators", "numerical_semigroup", "HilbertReport",
+            "CmVerdict"} <= set(names)
     modules = [pseudosym] + [importlib.import_module(f"pseudosym.{info.name}")
                              for info in pkgutil.iter_modules(pseudosym.__path__)]
     for module in modules:

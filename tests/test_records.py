@@ -24,7 +24,7 @@ from pseudosym.toric import toric_generators
 import reference as ref
 
 RECORDS = ("PseudoSymmetricParams", "NumericalSemigroup", "MonomialOrder", "ClosedFormBasis",
-           "CmVerdict", "HilbertReport", "SweepConfig")
+           "SweepConfig")
 
 
 def _params(rng):
@@ -50,15 +50,6 @@ def _fields(name: str, rng: random.Random) -> dict:
     if name == "ClosedFormBasis":
         generators = toric_generators(pseudosym.PseudoSymmetricParams(*_params(rng)))
         return {"k": rng.randrange(1, 9), "elements": generators[:rng.randrange(6)]}
-    if name == "CmVerdict":
-        cm = rng.random() < 0.5
-        return {"cohen_macaulay": cm,
-                "witness": None if cm else tuple(rng.randrange(4) for _ in range(4))}
-    if name == "HilbertReport":
-        H = tuple(rng.randrange(1, 40) for _ in range(rng.randrange(1, 8)))
-        drop = rng.choice([None, rng.randrange(1, 9)])
-        return {"hilbert_function": H, "regularity_index": rng.randrange(12),
-                "multiplicity": H[-1], "non_decreasing": drop is None, "first_decrease_level": drop}
     return {"alpha1": _range(rng, 2), "alpha2": _range(rng, 2), "alpha3": _range(rng, 2),
             "alpha4": _range(rng, 2), "alpha21": _range(rng, 1),
             "require_sorted": rng.random() < 0.5, "require_c4": rng.random() < 0.5,
