@@ -26,10 +26,12 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import hilbert, pipeline, toric
 from .errors import InconsistencyError, ParameterError
 from .pipeline import SweepConfig, build_report, run_sweep
+from .poly import render_poly
 # perfbench/tracing.py patches cli.frobenius_and_gaps and cli.is_pseudo_symmetric by name;
 # frobenius_and_gaps is bound only for it.
 from .semigroup import (
@@ -142,14 +144,14 @@ def cmd_basis(args) -> int:
     engine = None
     if args.mode in ("engine", "both"):
         engine = pipeline.engine_basis(params, generators)
-        lines = pipeline.render_basis(engine)
+        lines = [render_poly(f) for f in engine]
         summary["count"] = len(engine)
     if args.mode in ("closed", "both"):
         predicted = toric.closed_form_basis(params, generators)
         summary["k_nonstrict"] = predicted.k
         summary["k_strict"] = toric.compute_k(params, strict=True)
         if engine is None:
-            lines = pipeline.render_basis(predicted.elements)
+            lines = [render_poly(f) for f in predicted.elements]
             summary["count"] = len(predicted.elements)
         else:
             summary["match"] = frozenset(predicted.elements) == frozenset(engine)
@@ -189,12 +191,10 @@ def cmd_hilbert(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _params_from_args(args)
-    report = build_report(
-        params,
-        max_level=args.max_level,
-        fixtures_dir=args.fixtures,
-        timing=args.timing,
-    )
+    started = time.perf_counter()
+    report = build_report(params, max_level=args.max_level, fixtures_dir=args.fixtures)
+    if args.timing:
+        report["timing_seconds"] = round(time.perf_counter() - started, 6)
     _emit(report, args.fmt)
     return EXIT_MISMATCH if report["mismatches"] else EXIT_OK
 
@@ -216,6 +216,9 @@ def _parse_range(flag: str, text: str) -> tuple[int, int]:
 
 
 def _write_out(path: str, text: str, mode: str) -> None:
+    if not path:
+        # open("") fails with an error that names no path
+        raise ParameterError("--out: expected a file path, got an empty value")
     try:
         with open(path, mode) as handle:
             handle.write(text)
@@ -233,12 +236,12 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         max_level=args.max_level,
     )
-    if args.out:
+    if args.out is not None:
         # append nothing: fails on a bad path before any tuple is computed
         _write_out(args.out, "", "a")
     summary, reports = run_sweep(config)
     payload = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, payload + ("\n" if payload else ""), "w")
     elif payload:
         print(payload)

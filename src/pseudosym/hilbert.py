@@ -15,13 +15,14 @@ ring, M a monomial ideal) is computed by the pivot recursion
 with one base case, the complete intersection.  The pivot w is the last
 generator of the minimal set, which `poly.minimalize_monomials` sorts by
 (degree, exponents), so w has the largest degree, and J, the set without
-it, is still minimal and sorted, so it recurses as it stands.  The result
-does not depend on the pivot; the tests compare it with the
-inclusion-exclusion sum of `tests/reference.py`, which shares no code with
-the recursion.  `add_shifted` (p + c*t^d*q) is the only arithmetic the
-recursion and the closed-form numerator need.  Every monomial has four
-exponents (see `poly`): the colon clamps its four differences one by one,
-and a generating set is a complete intersection when its generators'
+it, is still minimal and sorted, so it is split again as it stands, in a
+loop: only the colons J : w recurse.  The result does not depend on the
+pivot; the tests compare it with the inclusion-exclusion sum of
+`tests/reference.py`, which shares no code with the recursion.
+`add_shifted` (p + c*t^d*q) is the only arithmetic the recursion and the
+closed-form numerator need.  Every monomial has four exponents (see
+`poly`): the colon clamps its four differences one by one, and a
+generating set is a complete intersection when its generators'
 `poly.support` masks are pairwise disjoint, which one pass that ORs the
 masks together decides.
 
@@ -108,15 +109,16 @@ def hilbert_numerator(gens: Iterable[Exponent]) -> list[int]:
     Pairwise-coprime generators form a complete intersection and give the
     product of (1 - t^deg): 1 for the empty ideal, and 1 - t^0 = 0 for the
     unit ideal, whose minimal set is the unit alone.  Otherwise the last
-    generator w of the minimal set J + {w} is split off and the recursion
-    above applies.
+    generator w of the minimal set J + {w} is split off as above, and J in turn.
     """
 
     def run(ideal: list[Exponent]) -> list[int]:
-        if _pairwise_coprime(ideal):
-            return _product(map(sum, ideal))
-        w, rest = ideal[-1], ideal[:-1]
-        return add_shifted(run(rest), -1, sum(w), run(monomial_colon(rest, w)))
+        split: list[int] = []
+        while not _pairwise_coprime(ideal):
+            w, ideal = ideal[-1], ideal[:-1]
+            split = add_shifted(split, -1, sum(w), run(monomial_colon(ideal, w)))
+        base = _product(map(sum, ideal))
+        return add_shifted(split, 1, 0, base) if split else base
 
     return run(minimalize_monomials(gens))
 

@@ -16,16 +16,18 @@ engine reduces them, the closed form extends them.  Each reading of k is
 computed once: the non-strict one is the closed form's own `k`, the strict
 one a single `toric.compute_k(params, strict=True)` call.
 
-The packaged fixture names are read once per process, at import, and a
-fixture directory given by the caller is listed on every call; a tuple whose
-name is not among the listed ones is answered without building a path.
+A report reads its fixtures before any stage.  The packaged fixture names
+are read once per process, at import, and a directory given by the caller
+is listed once per fixture; a tuple whose name is not among the listed
+ones is answered without building a path.
 """
 
 from __future__ import annotations
 
 import os
-import time
+from functools import partial
 from importlib import resources
+from itertools import product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -55,30 +57,27 @@ def fixture_stem(params: PseudoSymmetricParams) -> str:
     )
 
 
-def _fixture_names(fixtures_dir: str | Path | None) -> frozenset[str]:
-    """The names in `fixtures_dir`, or the packaged names when it is None.
+def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
+    """`parse` applied to the named fixture's text; None when the directory has no such name.
 
-    A given directory is listed on every call; one that is an empty value,
-    missing, or that cannot be listed is refused with a `ParameterError`
-    that names it.
+    `fixtures_dir` None stands for the packaged names.  A given directory is
+    listed on every call; one that is an empty value, missing, or that
+    cannot be listed is refused with a `ParameterError` that names it.
     """
     if fixtures_dir is None:
-        return _PACKAGED_NAMES
-    if fixtures_dir == "":
+        names = _PACKAGED_NAMES
+    elif fixtures_dir == "":
         # Path("") is the working directory: the fixture checks would vanish silently
         raise ParameterError("fixtures_dir: expected a directory, got an empty value")
-    try:
-        return frozenset(os.listdir(fixtures_dir))
-    except (FileNotFoundError, NotADirectoryError):
-        raise ParameterError(f"no fixture directory at {fixtures_dir}") from None
-    except OSError as exc:
-        raise ParameterError(
-            f"unreadable fixture directory {fixtures_dir}: {exc.strerror or exc}") from None
-
-
-def _load_fixture(name: str, fixtures_dir: str | Path | None, parse):
-    """`parse` applied to the named fixture's text; None when the directory has no such name."""
-    if name not in _fixture_names(fixtures_dir):
+    else:
+        try:
+            names = os.listdir(fixtures_dir)
+        except (FileNotFoundError, NotADirectoryError):
+            raise ParameterError(f"no fixture directory at {fixtures_dir}") from None
+        except OSError as exc:
+            raise ParameterError(
+                f"unreadable fixture directory {fixtures_dir}: {exc.strerror or exc}") from None
+    if name not in names:
         return None
     ref = (_PACKAGED_FIXTURES if fixtures_dir is None else Path(fixtures_dir)).joinpath(name)
     try:
@@ -106,10 +105,6 @@ def load_fixture_numerator(params: PseudoSymmetricParams,
     """The stored numerator as the `[exponent, coefficient]` pairs a report prints as "P"."""
     return _load_fixture(fixture_stem(params) + ".numerator.txt", fixtures_dir,
                          lambda text: hilbert.parse_numerator(text.strip()))
-
-
-def render_basis(elements: Sequence[Polynomial]) -> list[str]:
-    return [render_poly(f) for f in elements]
 
 
 def _sparse_pairs(p: list[int]) -> list[list[int]]:
@@ -170,27 +165,26 @@ def hilbert_section(P: list[int], max_level: int | None) -> dict:
 
 
 def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
-                 fixtures_dir: str | Path | None = None,
-                 timing: bool = False) -> dict:
+                 fixtures_dir: str | Path | None = None) -> dict:
     """Run the full pipeline on one tuple and cross-check every route.
 
-    A `fixtures_dir` that cannot be listed, and a tuple or `max_level`
-    that `admit` refuses, are refused before any stage runs.
+    The tuple's fixtures are read first, so a `fixtures_dir` that cannot be
+    listed and a fixture that cannot be read or parsed are refused, like a
+    tuple or `max_level` that `admit` refuses, before any stage runs.
     """
-    started = time.perf_counter()
-    _fixture_names(fixtures_dir)
+    fixture_P = load_fixture_numerator(params, fixtures_dir)
+    fixture_basis = load_fixture_basis(params, fixtures_dir)
     S = admit(params, max_level=max_level)
     mismatches: list[str] = []
     report: dict = {"params": params.as_dict()}
 
-    conds = check_conditions(params)
     report["n"] = list(S.generators)
-    report["conditions"] = conds
+    report["conditions"] = check_conditions(params)
 
     generators = toric.toric_generators(params)
     engine = engine_basis(params, generators)
     report["basis"] = {
-        "engine": render_basis(engine),
+        "engine": [render_poly(f) for f in engine],
         "engine_count": len(engine),
     }
     _check_binomial_closure(engine, S, mismatches)
@@ -205,10 +199,9 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
     P = hilbert.hilbert_numerator([g.lead for g in engine])
     report.update(hilbert_section(P, max_level))
 
-    if report["multiplicity"] != min(S.generators):
-        mismatches.append(
-            f"multiplicity {report['multiplicity']} != smallest generator {min(S.generators)}"
-        )
+    m = min(S.generators)
+    if report["multiplicity"] != m:
+        mismatches.append(f"multiplicity {report['multiplicity']} != smallest generator {m}")
 
     if closed_regime:
         P_closed = hilbert.closed_form_numerator(params, report["k"]["used"])
@@ -221,12 +214,10 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
             if not report["k1_certificate"]:
                 mismatches.append("negative second-series coefficient with k = 1")
 
-    fixture_P = load_fixture_numerator(params, fixtures_dir)
     if fixture_P is not None:
         report["numerator_fixture_match"] = fixture_P == report["P"]
         if not report["numerator_fixture_match"]:
             mismatches.append("stored numerator fixture differs from computed one")
-    fixture_basis = load_fixture_basis(params, fixtures_dir)
     if fixture_basis is not None:
         ok = frozenset(fixture_basis) == frozenset(engine)
         report["basis_fixture_match"] = ok
@@ -243,6 +234,8 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
     report["oracle_match"] = oracle == H
     if not report["oracle_match"]:
         mismatches.append("Hilbert function differs from the semigroup oracle")
+    else:
+        _check_read_off_Q(report, oracle, m, mismatches)
 
     cohen_macaulay, witness = cm.cm_verdict(engine)
     report["cm"] = {
@@ -251,9 +244,24 @@ def build_report(params: PseudoSymmetricParams, *, max_level: int | None = None,
     }
 
     report["mismatches"] = mismatches
-    if timing:
-        report["timing_seconds"] = round(time.perf_counter() - started, 6)
     return report
+
+
+def _check_read_off_Q(report: dict, oracle: list[int], m: int, mismatches: list[str]) -> None:
+    """The facts `hilbert_section` reads off Q, read again off the oracle's H.
+
+    With x = t^m, H(n) = len(M^n/M^(n+1)) <= len(M^n/xM^n) = m, equal exactly
+    when M^(n+1) = xM^n, and then at every later level: H first reaches m at
+    the regularity index, which `oracle` reaches; a value it lacks is a mismatch.
+    """
+    drop = next((n for n in range(1, len(oracle)) if oracle[n] < oracle[n - 1]), None)
+    for key, value, route in (
+            ("regularity_index", next((n for n, h in enumerate(oracle) if h == m), None),
+             f"the first level where the oracle's H is {m}"),
+            ("first_decrease_level", drop, "the oracle's first drop"),
+            ("non_decreasing", drop is None, "whether the oracle's H never drops")):
+        if report[key] != value:
+            mismatches.append(f"{key} {report[key]} != {value}, {route}")
 
 
 def _check_binomial_closure(basis, S: NumericalSemigroup, mismatches: list[str]) -> None:
@@ -277,7 +285,7 @@ def _closed_form_section(params, generators, engine, report, mismatches) -> None
     }
     match = frozenset(predicted.elements) == frozenset(engine)
     report["closed_form"] = {
-        "elements": render_basis(predicted.elements),
+        "elements": [render_poly(f) for f in predicted.elements],
         "count": len(predicted.elements),
         "match": match,
     }
@@ -341,60 +349,46 @@ class SweepConfig(Record):
 
 def iter_sweep(config: SweepConfig) -> Iterator[PseudoSymmetricParams]:
     """All tuples in range that pass the structural filters, in lexicographic order."""
-    for a1 in range(config.alpha1[0], config.alpha1[1] + 1):
-        for a2 in range(config.alpha2[0], config.alpha2[1] + 1):
-            for a3 in range(config.alpha3[0], config.alpha3[1] + 1):
-                for a4 in range(config.alpha4[0], config.alpha4[1] + 1):
-                    for a21 in range(config.alpha21[0], config.alpha21[1] + 1):
-                        try:
-                            params = PseudoSymmetricParams(a1, a2, a3, a4, a21)
-                        except ParameterError:
-                            continue
-                        conds = check_conditions(params)
-                        if not conds["coprime"]:
-                            continue
-                        if not (conds["c1"] and conds["c2"] and conds["c3"]):
-                            continue
-                        if config.require_c4 and not conds["c4"]:
-                            continue
-                        if config.require_sorted and not conds["sorted"]:
-                            continue
-                        if config.k_filter is not None and not (
-                                _closed_regime(params)
-                                and toric.compute_k(params) == config.k_filter):
-                            continue
-                        yield params
-
-
-def _sweep_worker(args) -> dict:
-    values, max_level = args
-    return build_report(PseudoSymmetricParams(*values), max_level=max_level)
+    ranges = [range(lo, hi + 1) for lo, hi in (getattr(config, key) for key in ALPHA_KEYS)]
+    for values in product(*ranges):
+        try:
+            params = PseudoSymmetricParams(*values)
+        except ParameterError:
+            continue
+        conds = params.conditions
+        if not (conds["coprime"] and conds["c1"] and conds["c2"] and conds["c3"]):
+            continue
+        if config.require_c4 and not conds["c4"]:
+            continue
+        if config.require_sorted and not conds["sorted"]:
+            continue
+        if config.k_filter is not None and not (
+                _closed_regime(params) and toric.compute_k(params) == config.k_filter):
+            continue
+        yield params
 
 
 def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     """Reports for every surviving tuple, plus an aggregate summary."""
-    tuples = [
-        (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha21)
-        for p in iter_sweep(config)
-    ]
-    jobs = [(values, config.max_level) for values in tuples]
-    workers = min(config.jobs, os.cpu_count() or 1, len(jobs))
+    kept = list(iter_sweep(config))
+    build = partial(build_report, max_level=config.max_level)
+    workers = min(config.jobs, os.cpu_count() or 1, len(kept))
     if workers > 1:
         # About four chunks per worker: few round trips, still balanced when
         # tuples differ in cost.  map keeps the input order either way.
-        chunksize = max(1, len(jobs) // (4 * workers))
+        chunksize = max(1, len(kept) // (4 * workers))
         # imported here: a single-tuple run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_sweep_worker, jobs, chunksize=chunksize))
+                reports = list(pool.map(build, kept, chunksize=chunksize))
         except OSError as exc:
             # a report raises no OSError, so this one comes from the pool
             raise ParameterError(f"--jobs {config.jobs}: cannot start worker processes: "
                                  f"{exc.strerror or exc}") from None
     else:
-        reports = [_sweep_worker(job) for job in jobs]
+        reports = list(map(build, kept))
 
     by_k: dict[str, int] = {}
     decreasing = []

@@ -214,6 +214,28 @@ class TestVerify:
         assert (data["H"], data["H_oracle"], data["oracle_match"]) == ([1], [1], False)
         assert data["mismatches"] == ["Hilbert function differs from the semigroup oracle"]
 
+    @pytest.mark.parametrize("fact, wrong, message", [
+        ("regularity_index", lambda r: r + 1, "regularity_index 76 != 75, "),
+        ("first_decrease_level", lambda level: 3, "first_decrease_level 3 != None, "),
+        ("non_decreasing", lambda flag: not flag, "non_decreasing False != True, "),
+    ])
+    def test_facts_read_off_q_checked_against_the_oracle(self, capsys, monkeypatch, fact, wrong,
+                                                         message):
+        # each fact that hilbert_section reads off Q has a second route
+        # through the oracle's H, which shares no code with Q; on EX43,
+        # where k = 3, no k = 1 certificate reads non_decreasing
+        def mutated(P, max_level, _real=pipeline.hilbert_section):
+            section = _real(P, max_level)
+            section[fact] = wrong(section[fact])
+            return section
+
+        monkeypatch.setattr(pipeline, "hilbert_section", mutated)
+        code, out, err = run(capsys, ["verify", *EX43])
+        assert (code, err) == (3, "")
+        data = json.loads(out)
+        assert data["oracle_match"] is True
+        assert len(data["mismatches"]) == 1 and data["mismatches"][0].startswith(message)
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["verify", *EX41])
         _, second, _ = run(capsys, ["verify", *EX41])
@@ -347,6 +369,17 @@ class TestSweep:
         assert out == ""
         assert str(target) in err and "Traceback" not in err
         assert built == []
+
+    @pytest.mark.parametrize("out_flag", [["--out", ""], ["--out="]])
+    def test_empty_out_refused_before_any_tuple(self, capsys, monkeypatch, out_flag):
+        # an empty value once wrote every report to stdout and exited 0
+        def fail(*args, **kwargs):
+            raise AssertionError("a report was built")
+
+        monkeypatch.setattr(pipeline, "build_report", fail)
+        code, out, err = run(capsys, [*self.SMALL, *out_flag])
+        assert (code, out) == (2, "")
+        assert err == "--out: expected a file path, got an empty value\n"
 
     def test_negative_max_level_refused_before_any_tuple(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -730,14 +763,17 @@ class TestFixtureErrors:
         ("numerator.txt", "1--t\n"),
         ("numerator.txt", "1-t^\n"),
     ])
-    def test_unparsable_fixture_is_invalid_input(self, capsys, tmp_path, suffix, text):
+    def test_unparsable_fixture_is_invalid_input(self, capsys, monkeypatch, tmp_path, suffix,
+                                                 text):
+        # refused before any stage: the fixtures were once read only after
+        # the basis, series and oracle had run
+        monkeypatch.setattr(stdbasis, "standard_basis", _no_engine)
         path = tmp_path / f"a1-16_a2-20_a3-7_a4-2_a21-8.{suffix}"
         path.write_text(text)
         code, out, err = run(capsys, ["verify", *EX41, "--fixtures", str(tmp_path)])
         assert code == 2
         assert out == ""
-        assert str(path) in err
-        assert "Traceback" not in err
+        assert err.startswith(f"unparsable fixture {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("suffix", ["basis.txt", "numerator.txt"])
     def test_empty_fixture_is_invalid_input(self, capsys, tmp_path, suffix):

@@ -112,6 +112,19 @@ class TestPivotRecursion:
         P = hilbert_numerator(leading_ideal(engine_bases[params]))
         assert pairs(P) == load_fixture_numerator(params)
 
+    def test_thousand_generators_need_no_deep_recursion(self):
+        # (X1, X2)^1200 once raised RecursionError: the split chain recursed
+        # once per generator.  A power (X1, X2)^d in four variables has the
+        # numerator 1 - (d+1) t^d + d t^(d+1).
+        d = 1200
+        P = hilbert_numerator([(i, d - i, 0, 0) for i in range(d + 1)])
+        assert P == [1] + [0] * (d - 1) + [-(d + 1), d]
+
+    def test_wide_ideal_matches_inclusion_exclusion(self):
+        # the 91 monomials of degree 12 in X1..X3: a split chain 90 long
+        gens = [(a, b, 12 - a - b, 0) for a in range(13) for b in range(13 - a)]
+        assert hilbert_numerator(gens) == ref.to_list(ref.taylor_numerator(gens))
+
     def test_random_ideals_match_inclusion_exclusion(self):
         rng = random.Random(5)
         for _ in range(40):

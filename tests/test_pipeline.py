@@ -4,11 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference as ref
-from pseudosym import hilbert, stdbasis
+from pseudosym import hilbert, semigroup, stdbasis
 from pseudosym.errors import ParameterError
 from pseudosym.pipeline import (
     SweepConfig,
     _check_binomial_closure,
+    _check_read_off_Q,
     admit,
     build_report,
     engine_basis,
@@ -93,6 +94,25 @@ def test_hilbert_section_is_the_report_slice():
                             "non_decreasing", "first_decrease_level"}
     assert section == {key: report[key] for key in section}
     assert hilbert_section(P, 2)["H"] == [1, 4, 7]
+
+
+@pytest.mark.parametrize("oracle, facts, expected", [
+    ([1, 4, 3, 5, 5], (3, 2, False), []),
+    ([1, 4, 5, 5], (2, None, True), []),
+    ([1, 4, 5, 5], (3, None, True), ["regularity_index 3 != 2, the first level where the "
+                                     "oracle's H is 5"]),
+    ([1, 4], (2, None, True), ["regularity_index 2 != None, the first level where the "
+                               "oracle's H is 5"]),
+    ([1, 4, 3, 5, 5], (3, None, True), ["first_decrease_level None != 2, the oracle's first drop",
+                                        "non_decreasing True != False, whether the oracle's H "
+                                        "never drops"]),
+])
+def test_facts_read_off_q_against_the_oracle_window(oracle, facts, expected):
+    # a window short of the least generator m = 5 is a mismatch, not an error
+    report = dict(zip(("regularity_index", "first_decrease_level", "non_decreasing"), facts))
+    mismatches = []
+    _check_read_off_Q(report, oracle, 5, mismatches)
+    assert mismatches == expected
 
 
 class TestFixtureLoading:
@@ -184,6 +204,21 @@ class TestSweepConfig:
             assert list(iter_sweep(SweepConfig(k_filter=k))) == [
                 p for p in everything if compute_k(p) == k
             ]
+
+    def test_serial_sweep_builds_each_semigroup_once(self, monkeypatch):
+        # the reports reuse the params iter_sweep filtered; rebuilding them
+        # once built 1,101 semigroups for the 1,029 candidate tuples
+        built = []
+        real = semigroup.NumericalSemigroup.__init__
+
+        def counting(self, generators):
+            built.append(generators)
+            real(self, generators)
+
+        monkeypatch.setattr(semigroup.NumericalSemigroup, "__init__", counting)
+        summary, _ = run_sweep(SweepConfig())
+        assert summary["total"] == 72
+        assert len(built) == 1029
 
     def test_k_filter_keeps_only_regime_tuples(self):
         # unsorted tuples are outside the closed form and have no k; the
